@@ -21,7 +21,6 @@ from itertools import permutations
 from pathlib import Path
 
 from chronocheck import (
-    EventApplier,
     Verdict,
     WitnessPostcheckError,
     binary_witness,
@@ -66,10 +65,9 @@ def main(argv=None) -> int:
             except WitnessPostcheckError:
                 stats["postcheck_failed"] += 1
         if args.oracle:
-            applier = EventApplier(model)
             for e, f in permutations(model.event_names, 2):
-                fast = strong_influence(model, report.graph, e, f, applier)
-                slow = strong_influence_oracle(model, report.graph, e, f, applier)
+                fast = strong_influence(model, report.graph, e, f)
+                slow = strong_influence_oracle(model, report.graph, e, f)
                 stats["oracle_pairs"] += 1
                 stats["oracle_disagreements"] += (fast is None) != (slow is None)
 

@@ -82,6 +82,7 @@ from .reachability import (
     MonotonicityFinding,
     Node,
     ReachabilityGraph,
+    TransitionTable,
     check_clock_monotone,
     check_diamond,
     check_gs,

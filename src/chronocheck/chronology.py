@@ -18,24 +18,17 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .core import (
-    ConsistencyMode,
-    RecordState,
-    Subset,
-    restrict,
-    restriction_equal,
-    sets_equal,
-    states_equal,
-)
+from .core import ConsistencyMode, RecordState, Subset, mode_mask
 from .events import independent
 from .influence import InfluenceGraph, StrongWitness, build_influence_graphs
-from .model import EventApplier, Model
+from .model import Model
 from .reachability import (
     DiamondViolation,
     ExplorationLimits,
     MonotonicityFinding,
     Node,
     ReachabilityGraph,
+    TransitionTable,
     check_diamond,
     check_gs,
     check_monotonicity,
@@ -200,41 +193,57 @@ class BDViolation:
 
 
 def check_branch_determinacy(
-    model: Model,
-    graph: ReachabilityGraph,
-    ig: InfluenceGraph,
-    applier: EventApplier | None = None,
+    model: Model, graph: ReachabilityGraph, ig: InfluenceGraph
 ) -> list[BDViolation]:
     """For each strong witness, scan every explored node whose records at
     the influenced event's support match the witness context (with or
     without a prior influencer, respectively) and require the written
     branch constraint to agree with the witness branch."""
-    applier = applier or EventApplier(model)
-    mode = model.mode
+    table = graph.table_for(model)
     violations: list[BDViolation] = []
-    for (e_name, f_name), witness in ig.strong_edges.items():
-        e, f = model.event(e_name), model.event(f_name)
-        support_f = f.support
-        base = witness.node.state
-        context_without = restrict(base, support_f)
-        context_with = restrict(applier.apply(e, base).next, support_f)
-        for idx, node in enumerate(graph.nodes):
-            e_occurred = e_name in node.occurred
-            context = restrict(node.state, support_f)
-            if not e_occurred and restriction_equal(context, context_without, mode):
-                expected = witness.branch0
-            elif e_occurred and restriction_equal(context, context_with, mode):
-                expected = witness.branch1
-            else:
-                continue
-            actual = (
-                applier.apply(f, node.state).next[witness.site] & witness.observable
-            )
-            if not sets_equal(actual, expected, mode):
-                polarity = "e-occurred" if e_occurred else "e-not-occurred"
-                violations.append(
-                    BDViolation(witness, idx, node, polarity, expected, actual)
-                )
+    for witness in ig.strong_edges.values():
+        violations.extend(_branch_violations(model, graph, table, witness))
+    return violations
+
+
+def _branch_violations(
+    model: Model, graph: ReachabilityGraph, table: TransitionTable, witness: StrongWitness
+) -> list[BDViolation]:
+    keep = mode_mask(model.space, model.mode)
+    masks = table.masks
+    e, f = model.event_names.index(witness.e), model.event_names.index(witness.f)
+    support_f = model.events[f].support
+    site, observable = witness.site, witness.observable.mask
+
+    def context(sid: int) -> tuple[int, ...]:
+        return tuple(masks[sid][s] & keep for s in support_f)
+
+    base = table.intern_state(witness.node.state)
+    context_without = context(base)
+    context_with = context(table.step(base, e))
+
+    def finding(sid: int, e_occurred: int) -> tuple[str, Subset, Subset] | None:
+        if not e_occurred and context(sid) == context_without:
+            expected = witness.branch0
+        elif e_occurred and context(sid) == context_with:
+            expected = witness.branch1
+        else:
+            return None
+        actual = masks[table.step(sid, f)][site] & observable
+        if not (actual ^ expected.mask) & keep:
+            return None
+        polarity = "e-occurred" if e_occurred else "e-not-occurred"
+        return polarity, expected, Subset(model.space, actual)
+
+    # a node's finding depends only on its state and on whether e occurred
+    found: dict[tuple[int, int], tuple[str, Subset, Subset] | None] = {}
+    violations = []
+    for idx, (sid, occurred) in enumerate(zip(graph.node_states, graph.node_occurred)):
+        key = (sid, occurred >> e & 1)
+        if key not in found:
+            found[key] = finding(*key)
+        if found[key] is not None:
+            violations.append(BDViolation(witness, idx, graph.nodes[idx], *found[key]))
     return violations
 
 
@@ -267,6 +276,7 @@ def check_trace_invariance(
     schedule: Sequence[str],
     swaps: int = 20,
     seed: int = 0,
+    limits: ExplorationLimits | None = None,
 ) -> TraceInvarianceReport:
     """Run a schedule, then every single swap of adjacent independent
     events plus seeded random chains of such swaps, and verify the final
@@ -274,18 +284,17 @@ def check_trace_invariance(
 
     A model that fails the commutation check cannot be trace-invariant,
     so in that case the commutation failures are reported and no variants
-    are attempted.
+    are attempted.  `limits` bounds every exploration the check runs.
     """
     events = [model.event(name) for name in schedule]  # raises on unknown names
-    applier = EventApplier(model)
-    graph = explore(model, applier=applier)
-    diamonds = check_diamond(graph, model, applier=applier)
+    graph = explore(model, limits)
+    diamonds = check_diamond(graph, model)
     schedule = tuple(schedule)
+    table = graph.table
+    final = _run_schedule(model, table, schedule)
     if diamonds:
-        final = _run_schedule(model, applier, schedule)
-        return TraceInvarianceReport(schedule, seed, final, 0, [], [], diamonds)
+        return TraceInvarianceReport(schedule, seed, table.state(final), 0, [], [], diamonds)
 
-    final = _run_schedule(model, applier, schedule)
     base_edges = _edge_sets(model, graph)
 
     variants: list[tuple[str, ...]] = []
@@ -314,27 +323,32 @@ def check_trace_invariance(
         if variant != schedule and variant not in unique_variants:
             unique_variants.append(variant)
 
+    keep = mode_mask(model.space, model.mode)
     state_mismatches: list[tuple[tuple[str, ...], RecordState]] = []
     edge_mismatches: list[tuple[str, ...]] = []
     for variant in unique_variants:
-        variant_final = _run_schedule(model, applier, variant)
-        if not states_equal(variant_final, final, model.mode):
-            state_mismatches.append((variant, variant_final))
-        variant_graph = explore(model)
+        variant_final = _run_schedule(model, table, variant)
+        if not table.same(variant_final, final, keep):
+            state_mismatches.append((variant, table.state(variant_final)))
+        variant_graph = explore(model, limits)
         if _edge_sets(model, variant_graph) != base_edges:
             edge_mismatches.append(variant)
     return TraceInvarianceReport(
-        schedule, seed, final, len(unique_variants), state_mismatches, edge_mismatches, []
+        schedule,
+        seed,
+        table.state(final),
+        len(unique_variants),
+        state_mismatches,
+        edge_mismatches,
+        [],
     )
 
 
-def _run_schedule(
-    model: Model, applier: EventApplier, schedule: Sequence[str]
-) -> RecordState:
-    state = model.initial
+def _run_schedule(model: Model, table: TransitionTable, schedule: Sequence[str]) -> int:
+    sid = table.intern_state(model.initial)
     for name in schedule:
-        state = applier.apply_name(name, state).next
-    return state
+        sid = table.step(sid, model.event_names.index(name))
+    return sid
 
 
 class Verdict(Enum):
@@ -383,14 +397,13 @@ def diagnose(
     """
     if mode is not None and mode is not model.mode:
         model = replace(model, mode=mode)
-    applier = EventApplier(model)
-    graph = explore(model, limits, applier=applier)
+    graph = explore(model, limits)
     monotonicity = check_monotonicity(graph)
-    diamonds = check_diamond(graph, model, applier=applier)
+    diamonds = check_diamond(graph, model)
     gs = check_gs(graph, model.mode)
-    ig = build_influence_graphs(model, graph, applier=applier)
+    ig = build_influence_graphs(model, graph)
     cycles = find_strong_cycles(ig)
-    bd = check_branch_determinacy(model, graph, ig, applier=applier)
+    bd = check_branch_determinacy(model, graph, ig)
     chronology = transitive_closure(ig)
     if not cycles.has_cycle:
         verdict = Verdict.NO_CYCLE

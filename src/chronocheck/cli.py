@@ -23,10 +23,12 @@ from .chronology import (
 from .core import ConsistencyMode
 from .dot import influence_dot, reachability_dot
 from .influence import build_influence_graphs
-from .model import EventApplier, Model
+from .model import Model
 from .modelfile import ModelFormatError, load_model, model_digest
 from .reachability import (
     ExplorationLimits,
+    MonotonicityFinding,
+    ReachabilityGraph,
     check_clock_monotone,
     check_diamond,
     check_gs,
@@ -105,18 +107,20 @@ def _flags(args: argparse.Namespace) -> dict[str, Any]:
     return flags
 
 
-def _explored(model: Model, args: argparse.Namespace):
-    applier = EventApplier(model)
-    graph = explore(model, _limits(args), applier=applier)
+def _check_strict(model: Model, args: argparse.Namespace, findings: list[MonotonicityFinding]) -> None:
+    if args.strict and findings:
+        first = findings[0]
+        raise _StrictViolation(
+            f"monotonicity violation: event {first.event} adds worlds "
+            f"{first.added.sorted_labels()} at site {model.site_name(first.site)}"
+        )
+
+
+def _explored(model: Model, args: argparse.Namespace) -> ReachabilityGraph:
+    graph = explore(model, _limits(args))
     if args.strict:
-        findings = check_monotonicity(graph)
-        if findings:
-            first = findings[0]
-            raise _StrictViolation(
-                f"monotonicity violation: event {first.event} adds worlds "
-                f"{first.added.sorted_labels()} at site {model.site_name(first.site)}"
-            )
-    return graph, applier
+        _check_strict(model, args, check_monotonicity(graph))
+    return graph
 
 
 def _cmd_validate(model: Model, args: argparse.Namespace):
@@ -139,7 +143,7 @@ def _cmd_validate(model: Model, args: argparse.Namespace):
 
 
 def _cmd_explore(model: Model, args: argparse.Namespace):
-    graph, _ = _explored(model, args)
+    graph = _explored(model, args)
     gs = check_gs(graph, model.mode)
     mono = check_monotonicity(graph)
     diamonds = check_diamond(graph, model)
@@ -157,8 +161,8 @@ def _cmd_explore(model: Model, args: argparse.Namespace):
 
 
 def _cmd_influence(model: Model, args: argparse.Namespace):
-    graph, applier = _explored(model, args)
-    ig = build_influence_graphs(model, graph, applier=applier)
+    graph = _explored(model, args)
+    ig = build_influence_graphs(model, graph)
     results = report_mod.influence_json(model, ig)
     notes = report_mod.influence_notes(model, ig)
     dot_text = influence_dot(ig.events, ig.weak_edges, ig.strong_edges)
@@ -166,8 +170,8 @@ def _cmd_influence(model: Model, args: argparse.Namespace):
 
 
 def _cmd_chronology(model: Model, args: argparse.Namespace):
-    graph, applier = _explored(model, args)
-    ig = build_influence_graphs(model, graph, applier=applier)
+    graph = _explored(model, args)
+    ig = build_influence_graphs(model, graph)
     chron = transitive_closure(ig)
     cycles = find_strong_cycles(ig)
     results = {
@@ -181,9 +185,8 @@ def _cmd_chronology(model: Model, args: argparse.Namespace):
 
 
 def _cmd_diagnose(model: Model, args: argparse.Namespace):
-    if args.strict:
-        _explored(model, args)  # raises on monotonicity violations
     taxonomy = diagnose(model, _limits(args))
+    _check_strict(model, args, taxonomy.monotonicity_violations)
     results = report_mod.taxonomy_json(taxonomy)
     notes = report_mod.influence_notes(model, taxonomy.influence)
     violations = taxonomy.any_violations() or taxonomy.has_strong_cycle
@@ -200,7 +203,9 @@ def _cmd_trace_check(model: Model, args: argparse.Namespace):
     if args.strict:
         _explored(model, args)
     schedule = [name.strip() for name in args.schedule.split(",") if name.strip()]
-    trace = check_trace_invariance(model, schedule, swaps=args.swaps, seed=args.seed)
+    trace = check_trace_invariance(
+        model, schedule, swaps=args.swaps, seed=args.seed, limits=_limits(args)
+    )
     results = report_mod.trace_json(model, trace)
     return results, not trace.invariant, [], None
 

@@ -220,6 +220,15 @@ def feasible_set(state: RecordState) -> Subset:
     return Subset(space, mask)
 
 
+def mode_mask(space: PossibilitySpace, mode: ConsistencyMode) -> int:
+    """Worlds that count when a set is tested or two sets are compared:
+    every world in NONEMPTY mode, the positive-weight worlds in
+    POSITIVE_MEASURE mode."""
+    if mode is ConsistencyMode.NONEMPTY:
+        return space.full_mask  # type: ignore[attr-defined]
+    return space.positive_mask  # type: ignore[attr-defined]
+
+
 def is_consistent(state: RecordState, mode: ConsistencyMode) -> bool:
     feasible = feasible_set(state)
     if mode is ConsistencyMode.NONEMPTY:
@@ -238,11 +247,15 @@ def null_equiv(a: Subset, b: Subset) -> bool:
 
 
 def information_content(state: RecordState) -> float:
-    """Negative natural log of the feasible set's weight; +inf at weight 0."""
+    """Negative natural log of the feasible set's weight; +inf at weight 0.
+
+    The logarithm is taken of the weight's exact numerator and denominator,
+    so weights too small or too large for a float still give a finite value.
+    """
     mu = measure_of(feasible_set(state))
     if mu == 0:
         return math.inf
-    return -math.log(mu)
+    return -(math.log(mu.numerator) - math.log(mu.denominator))
 
 
 def restrict(state: RecordState, sites: Iterable[int]) -> tuple[Subset, ...]:

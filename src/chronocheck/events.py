@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .core import PossibilitySpace, RecordState, Subset
 
@@ -109,6 +109,54 @@ def apply_event(event: Event, state: RecordState) -> UpdateOutcome:
         if added.mask:
             violations.append(MonotonicityViolation(event.name, site, added))
     return UpdateOutcome(nxt, tuple(violations))
+
+
+MaskState = tuple[int, ...]
+MaskViolations = tuple[tuple[int, int], ...]
+
+
+def compile_event(event: Event) -> Callable[[MaskState], tuple[MaskState, MaskViolations]]:
+    """The event as a function on per-site world masks.
+
+    It returns the successor masks and the shrink-only violations as
+    (site, added mask) pairs, and agrees with `apply_event`, which stays
+    the reference semantics.
+    """
+    if event.kind is EventKind.INTERSECT:
+        constants = tuple((site, constant.mask) for site, constant in event.constants)
+
+        def intersect(masks: MaskState) -> tuple[MaskState, MaskViolations]:
+            nxt = list(masks)
+            for site, constant in constants:
+                nxt[site] &= constant
+            return tuple(nxt), ()
+
+        return intersect
+
+    rules = tuple(
+        (
+            tuple((site, required.mask) for site, required in rule.guard),
+            tuple((site, replacement.mask) for site, replacement in rule.result),
+        )
+        for rule in event.rules
+    )
+    support = event.support
+
+    def table(masks: MaskState) -> tuple[MaskState, MaskViolations]:
+        for guard, result in rules:
+            if all(masks[site] == required for site, required in guard):
+                break
+        else:
+            return masks, ()
+        nxt = list(masks)
+        for site, replacement in result:
+            nxt[site] = replacement
+        added = tuple(
+            (site, nxt[site] & ~masks[site]) for site in support if nxt[site] & ~masks[site]
+        )
+        return tuple(nxt), added
+
+    return table
 
 
 def write_effect(event: Event, state: RecordState, site: int) -> Subset:

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ConsistencyMode, RecordState, Subset, measure_of
-from .model import EventApplier, Model
+from .core import RecordState, Subset, measure_of, mode_mask
+from .events import apply_event
+from .model import Model
 from .reachability import Node, ReachabilityGraph
 
 ORACLE_MAX_WORLDS = 16
@@ -59,48 +60,72 @@ def _shared_sites(model: Model, e_name: str, f_name: str) -> list[int]:
     return sorted(set(e.support) & set(f.support))
 
 
-def _test_mask(model: Model) -> int:
-    # "is this set nonempty" in NONEMPTY mode, "does it carry weight" in
-    # POSITIVE_MEASURE mode; both are a single mask intersection
-    if model.mode is ConsistencyMode.NONEMPTY:
-        return model.space.full_mask  # type: ignore[attr-defined]
-    return model.space.positive_mask  # type: ignore[attr-defined]
+def _influence(
+    model: Model, graph: ReachabilityGraph, e_name: str, f_name: str
+) -> tuple[WeakWitness | None, StrongWitness | None]:
+    """First weak and first strong witness for e before f, found in one scan
+    of the explored states in node order, then site order.
+
+    Only the first node of each state is visited: its duplicates come later
+    and carry the same records, so they cannot yield an earlier witness.
+    Pairs with disjoint supports are dismissed outright.
+    """
+    shared = _shared_sites(model, e_name, f_name)
+    if not shared:
+        return None, None
+    table = graph.table_for(model)
+    e, f = model.event_names.index(e_name), model.event_names.index(f_name)
+    test = mode_mask(model.space, model.mode)
+    space = model.space
+    masks = table.masks
+    step = table.step
+    weak: WeakWitness | None = None
+    strong: StrongWitness | None = None
+    for sid, idx in graph.first_nodes.items():
+        base = masks[sid]
+        shifted_sid = step(sid, e)
+        shifted = masks[shifted_sid]
+        post_f_base = masks[step(sid, f)]
+        post_f_shifted = masks[step(shifted_sid, f)]
+        for site in shared:
+            p0 = post_f_base[site]
+            p1 = post_f_shifted[site]
+            if weak is None:
+                delta_without = base[site] & ~p0
+                delta_with = shifted[site] & ~p1
+                if (delta_without ^ delta_with) & test:
+                    weak = WeakWitness(
+                        e_name,
+                        f_name,
+                        idx,
+                        graph.nodes[idx],
+                        site,
+                        Subset(space, delta_without),
+                        Subset(space, delta_with),
+                    )
+            if strong is None and p0 & ~p1 & test and p1 & ~p0 & test:
+                observable = p0 ^ p1
+                strong = StrongWitness(
+                    e_name,
+                    f_name,
+                    idx,
+                    graph.nodes[idx],
+                    site,
+                    Subset(space, observable),
+                    Subset(space, p0 & observable),
+                    Subset(space, p1 & observable),
+                )
+        if weak is not None and strong is not None:
+            break
+    return weak, strong
 
 
 def weak_influence(
-    model: Model,
-    graph: ReachabilityGraph,
-    e_name: str,
-    f_name: str,
-    applier: EventApplier | None = None,
+    model: Model, graph: ReachabilityGraph, e_name: str, f_name: str
 ) -> WeakWitness | None:
     """First witness that executing e changes f's write effect at a shared
     site, or None.  Pairs with disjoint supports are dismissed outright."""
-    shared = _shared_sites(model, e_name, f_name)
-    if not shared:
-        return None
-    applier = applier or EventApplier(model)
-    e, f = model.event(e_name), model.event(f_name)
-    test = _test_mask(model)
-    seen: set[RecordState] = set()
-    for idx, node in enumerate(graph.nodes):
-        # the first occurrence of a state precedes its duplicates, so
-        # skipping repeats cannot change which witness is found first
-        if node.state in seen:
-            continue
-        seen.add(node.state)
-        base = node.state
-        post_f_base = applier.apply(f, base).next
-        shifted = applier.apply(e, base).next
-        post_f_shifted = applier.apply(f, shifted).next
-        for site in shared:
-            delta_without = base[site] - post_f_base[site]
-            delta_with = shifted[site] - post_f_shifted[site]
-            if (delta_without.mask ^ delta_with.mask) & test:
-                return WeakWitness(
-                    e.name, f.name, idx, node, site, delta_without, delta_with
-                )
-    return None
+    return _influence(model, graph, e_name, f_name)[0]
 
 
 def binary_witness(model: Model, witness: WeakWitness) -> Subset:
@@ -110,11 +135,10 @@ def binary_witness(model: Model, witness: WeakWitness) -> Subset:
     does not separate them, which happens exactly when the entire write
     difference consists of worlds the influencer removed itself."""
     observable = witness.delta_with ^ witness.delta_without
-    applier = EventApplier(model)
     e, f = model.event(witness.e), model.event(witness.f)
     base = witness.node.state
-    post0 = applier.apply(f, base).next[witness.site]
-    post1 = applier.apply(f, applier.apply(e, base).next).next[witness.site]
+    post0 = apply_event(f, base).next[witness.site]
+    post1 = apply_event(f, apply_event(e, base).next).next[witness.site]
     separation = (post0 & observable) ^ (post1 & observable)
     if measure_of(separation) == 0:
         raise WitnessPostcheckError(
@@ -126,11 +150,7 @@ def binary_witness(model: Model, witness: WeakWitness) -> Subset:
 
 
 def strong_influence(
-    model: Model,
-    graph: ReachabilityGraph,
-    e_name: str,
-    f_name: str,
-    applier: EventApplier | None = None,
+    model: Model, graph: ReachabilityGraph, e_name: str, f_name: str
 ) -> StrongWitness | None:
     """First strong-influence witness in deterministic order, or None.
 
@@ -142,37 +162,7 @@ def strong_influence(
     nontrivial branches meets both differences.  The emitted witness uses
     the canonical observable P0 xor P1.
     """
-    shared = _shared_sites(model, e_name, f_name)
-    if not shared:
-        return None
-    applier = applier or EventApplier(model)
-    e, f = model.event(e_name), model.event(f_name)
-    test = _test_mask(model)
-    seen: set[RecordState] = set()
-    for idx, node in enumerate(graph.nodes):
-        if node.state in seen:
-            continue
-        seen.add(node.state)
-        base = node.state
-        post_f_base = applier.apply(f, base).next
-        shifted = applier.apply(e, base).next
-        post_f_shifted = applier.apply(f, shifted).next
-        for site in shared:
-            p0 = post_f_base[site]
-            p1 = post_f_shifted[site]
-            if (p0.mask & ~p1.mask) & test and (p1.mask & ~p0.mask) & test:
-                observable = p0 ^ p1
-                return StrongWitness(
-                    e.name,
-                    f.name,
-                    idx,
-                    node,
-                    site,
-                    observable,
-                    p0 & observable,
-                    p1 & observable,
-                )
-    return None
+    return _influence(model, graph, e_name, f_name)[1]
 
 
 def strong_influence_oracle(
@@ -180,12 +170,12 @@ def strong_influence_oracle(
     graph: ReachabilityGraph,
     e_name: str,
     f_name: str,
-    applier: EventApplier | None = None,
 ) -> StrongWitness | None:
     """Literal brute-force witness search enumerating every observable.
 
     Kept deliberately naive as the independent cross-check for
-    strong_influence; refuses spaces with more than ORACLE_MAX_WORLDS
+    strong_influence: it applies events through `apply_event`, not the
+    transition table.  It refuses spaces with more than ORACLE_MAX_WORLDS
     worlds because it enumerates all 2^|worlds| observables.
     """
     size = model.space.size
@@ -196,9 +186,8 @@ def strong_influence_oracle(
     shared = _shared_sites(model, e_name, f_name)
     if not shared:
         return None
-    applier = applier or EventApplier(model)
     e, f = model.event(e_name), model.event(f_name)
-    test = _test_mask(model)
+    test = mode_mask(model.space, model.mode)
     n_masks = 1 << size
     seen: set[RecordState] = set()
     for idx, node in enumerate(graph.nodes):
@@ -206,8 +195,8 @@ def strong_influence_oracle(
             continue
         seen.add(node.state)
         base = node.state
-        post_f_base = applier.apply(f, base).next
-        post_f_shifted = applier.apply(f, applier.apply(e, base).next).next
+        post_f_base = apply_event(f, base).next
+        post_f_shifted = apply_event(f, apply_event(e, base).next).next
         for site in shared:
             p0 = post_f_base[site].mask
             p1 = post_f_shifted[site].mask
@@ -234,14 +223,13 @@ def strong_influence_oracle(
 
 def verify_strong_witness(model: Model, witness: StrongWitness) -> bool:
     """Re-derive a strong witness from scratch and check its claims."""
-    applier = EventApplier(model)
     e, f = model.event(witness.e), model.event(witness.f)
     if witness.site not in set(e.support) & set(f.support):
         return False
     base = witness.node.state
-    p0 = applier.apply(f, base).next[witness.site]
-    p1 = applier.apply(f, applier.apply(e, base).next).next[witness.site]
-    test = _test_mask(model)
+    p0 = apply_event(f, base).next[witness.site]
+    p1 = apply_event(f, apply_event(e, base).next).next[witness.site]
+    test = mode_mask(model.space, model.mode)
     b = witness.observable
     if (p0 & b) != witness.branch0 or (p1 & b) != witness.branch1:
         return False
@@ -250,13 +238,8 @@ def verify_strong_witness(model: Model, witness: StrongWitness) -> bool:
     return exclusive and nontrivial
 
 
-def build_influence_graphs(
-    model: Model,
-    graph: ReachabilityGraph,
-    applier: EventApplier | None = None,
-) -> InfluenceGraph:
+def build_influence_graphs(model: Model, graph: ReachabilityGraph) -> InfluenceGraph:
     """Weak and strong edges for every ordered pair of distinct events."""
-    applier = applier or EventApplier(model)
     names = model.event_names
     weak: dict[tuple[str, str], WeakWitness] = {}
     strong: dict[tuple[str, str], StrongWitness] = {}
@@ -264,10 +247,9 @@ def build_influence_graphs(
         for f_name in names:
             if e_name == f_name:
                 continue
-            w = weak_influence(model, graph, e_name, f_name, applier)
+            w, s = _influence(model, graph, e_name, f_name)
             if w is not None:
                 weak[(e_name, f_name)] = w
-            s = strong_influence(model, graph, e_name, f_name, applier)
             if s is not None:
                 strong[(e_name, f_name)] = s
     return InfluenceGraph(names, weak, strong)

@@ -65,8 +65,15 @@ def _string_list(value: Any, path: str) -> list[str]:
     return value
 
 
+def _unique(labels: list[str], path: str, what: str) -> list[str]:
+    duplicates = sorted({label for label in labels if labels.count(label) > 1})
+    if duplicates:
+        raise _err(path, f"duplicate {what}: {duplicates}")
+    return labels
+
+
 def _subset(space: PossibilitySpace, value: Any, path: str) -> Subset:
-    labels = _string_list(value, path)
+    labels = _unique(_string_list(value, path), path, "world labels")
     try:
         return space.subset(labels)
     except ValueError as exc:
@@ -118,6 +125,8 @@ def model_from_dict(obj: Any) -> Model:
         for label, value in raw.items():
             if label not in worlds:
                 raise _err(f"$.measure.{label}", f"unknown world: {label!r}")
+            if isinstance(value, bool):
+                raise _err(f"$.measure.{label}", "bad weight: booleans are not weights")
             try:
                 weight = Fraction(value)
             except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
@@ -173,7 +182,9 @@ def model_from_dict(obj: Any) -> Model:
         if name in seen_names:
             raise _err(f"{path}.name", f"duplicate event name: {name!r}")
         seen_names.add(name)
-        support_names = _string_list(raw_event["support"], f"{path}.support")
+        support_names = _unique(
+            _string_list(raw_event["support"], f"{path}.support"), f"{path}.support", "sites"
+        )
         support = []
         for site_name in support_names:
             if site_name not in site_index:

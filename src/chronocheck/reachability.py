@@ -1,10 +1,17 @@
 """Explicit-state exploration of the transition system over record states.
 
-Nodes pair a record state with the set of event names executed at least
-once on the way there; the pair is the dedup key.  Keeping occurrence
-flags in the node identity costs up to a 2^|events| blowup but is what
-lets the branch-determinacy check distinguish histories in which a given
-event has or has not already fired.
+Every transition comes from one `TransitionTable` per exploration: record
+states are interned as tuples of integer world masks, each event is
+compiled once into a function on those tuples, and `TransitionTable.step`
+is the only engine code that applies an event.  Exploration and every
+check read the table; `Subset` and `RecordState` values are built only for
+the graph's nodes, witnesses and findings.
+
+Nodes pair a record state with the set of events executed at least once on
+the way there; the pair is the dedup key.  Keeping occurrence flags in the
+node identity costs up to a 2^|events| blowup but is what lets the
+branch-determinacy check distinguish histories in which a given event has
+or has not already fired.
 """
 
 from __future__ import annotations
@@ -12,18 +19,85 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .core import (
-    ConsistencyMode,
-    RecordState,
-    Subset,
-    feasible_set,
-    is_consistent,
-    measure_of,
-    states_equal,
-)
-from .events import MonotonicityViolation, independent
-from .model import EventApplier, Model
+from .core import ConsistencyMode, RecordState, Subset, mode_mask
+from .events import MaskState, MaskViolations, MonotonicityViolation, compile_event, independent
+from .model import Model
+
+
+class TransitionTable:
+    """Successor state ids and shrink-only violations of every event at every
+    record state the engine visits, filled on first lookup.
+
+    States are interned to integer ids in first-seen order; `masks[sid]`
+    holds one world mask per site.  Lookups work for any interned state, so
+    checks may step past a truncated exploration frontier.  With
+    `normalize_null`, zero-weight worlds are dropped from every state
+    before it is interned, while violations compare the raw successor with
+    its source.
+    """
+
+    def __init__(self, model: Model, normalize_null: bool = False) -> None:
+        self.model = model
+        self.masks: list[MaskState] = []
+        self._apply = [compile_event(event) for event in model.events]
+        self._keep = model.space.positive_mask if normalize_null else None  # type: ignore[attr-defined]
+        self._ids: dict[MaskState, int] = {}
+        self._succ: list[list[int]] = []
+        self._violations: list[list[MaskViolations]] = []
+        self._states: dict[int, RecordState] = {}
+
+    def intern(self, masks: MaskState) -> int:
+        if self._keep is not None:
+            masks = tuple(mask & self._keep for mask in masks)
+        sid = self._ids.get(masks)
+        if sid is None:
+            sid = len(self.masks)
+            self._ids[masks] = sid
+            self.masks.append(masks)
+            self._succ.append([-1] * len(self._apply))
+            self._violations.append([()] * len(self._apply))
+        return sid
+
+    def intern_state(self, state: RecordState) -> int:
+        return self.intern(tuple(rec.mask for rec in state))
+
+    def step(self, sid: int, event: int) -> int:
+        """Id of the state reached by event index `event` from state `sid`."""
+        target = self._succ[sid][event]
+        if target < 0:
+            nxt, added = self._apply[event](self.masks[sid])
+            target = self.intern(nxt)
+            self._succ[sid][event] = target
+            self._violations[sid][event] = added
+        return target
+
+    def row(self, sid: int) -> list[int]:
+        """Successor ids of every event from `sid`, in event order."""
+        row = self._succ[sid]
+        if -1 in row:
+            for event in range(len(row)):
+                self.step(sid, event)
+        return row
+
+    def violations(self, sid: int, event: int) -> MaskViolations:
+        """(site, added mask) pairs for every shrink-only violation of the step."""
+        self.step(sid, event)
+        return self._violations[sid][event]
+
+    def same(self, a: int, b: int, keep: int) -> bool:
+        """True iff states `a` and `b` agree on every world in `keep`."""
+        return a == b or all(not (x ^ y) & keep for x, y in zip(self.masks[a], self.masks[b]))
+
+    def state(self, sid: int) -> RecordState:
+        """The state as a `RecordState`, one shared value per id."""
+        state = self._states.get(sid)
+        if state is None:
+            space = self.model.space
+            state = RecordState(tuple(Subset(space, mask) for mask in self.masks[sid]))
+            self._states[sid] = state
+        return state
 
 
 @dataclass(frozen=True)
@@ -50,45 +124,98 @@ class ExplorationLimits:
             raise ValueError("exploration limits must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReachabilityGraph:
+    """Explored nodes and edges over one transition table.
+
+    Node i is the table state `node_states[i]` together with the bitmask
+    `node_occurred[i]` of event indices that have occurred; each arc is a
+    (source node, event index, target node) triple.  `nodes` carries the
+    same nodes as values; `edges` is built from the arcs on first access.
+    """
+
+    table: TransitionTable
     nodes: tuple[Node, ...]
-    edges: tuple[Edge, ...]
+    node_states: tuple[int, ...]
+    node_occurred: tuple[int, ...]
+    arcs: tuple[tuple[int, int, int], ...]
     depths: tuple[int, ...]
     truncated: bool
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_index", {n: i for i, n in enumerate(self.nodes)})
-        seen: set[RecordState] = set()
-        distinct: list[RecordState] = []
-        for node in self.nodes:
-            if node.state not in seen:
-                seen.add(node.state)
-                distinct.append(node.state)
-        object.__setattr__(self, "_distinct_states", tuple(distinct))
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ReachabilityGraph):
+            return NotImplemented
+        return (self.nodes, self.edges, self.depths, self.truncated) == (
+            other.nodes,
+            other.edges,
+            other.depths,
+            other.truncated,
+        )
+
+    @property
+    def model(self) -> Model:
+        return self.table.model
 
     @property
     def initial(self) -> Node:
         return self.nodes[0]
 
+    @cached_property
+    def first_nodes(self) -> dict[int, int]:
+        """Node index of the first node of each distinct state id, in
+        first-seen order."""
+        first: dict[int, int] = {}
+        for idx, sid in enumerate(self.node_states):
+            first.setdefault(sid, idx)
+        return first
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        names = self.model.event_names
+        space = self.model.space
+        table = self.table
+        violations: dict[tuple[int, int], tuple[MonotonicityViolation, ...]] = {}
+        edges = []
+        for src, event, tgt in self.arcs:
+            key = (self.node_states[src], event)
+            found = violations.get(key)
+            if found is None:
+                found = tuple(
+                    MonotonicityViolation(names[event], site, Subset(space, added))
+                    for site, added in table.violations(*key)
+                )
+                violations[key] = found
+            edges.append(Edge(src, names[event], tgt, found))
+        return tuple(edges)
+
+    @cached_property
+    def _index(self) -> dict[Node, int]:
+        return {n: i for i, n in enumerate(self.nodes)}
+
     def index_of(self, node: Node) -> int:
-        return self._index[node]  # type: ignore[attr-defined]
+        return self._index[node]
+
+    def table_for(self, model: Model) -> TransitionTable:
+        """The graph's transition table, checked to apply `model`'s events."""
+        if model.events != self.model.events:
+            raise ValueError("the graph was explored from a model with other events")
+        return self.table
 
     def distinct_states(self) -> tuple[RecordState, ...]:
         """Record states in first-seen order, each listed once."""
-        return self._distinct_states  # type: ignore[attr-defined]
+        return tuple(self.table.state(sid) for sid in self.first_nodes)
 
 
-def _normalize(state: RecordState) -> RecordState:
-    space = state.records[0].space
-    positive = space.positive_mask  # type: ignore[attr-defined]
-    return RecordState(tuple(space.from_mask(r.mask & positive) for r in state))
+def _feasible(masks: MaskState) -> int:
+    feasible = -1
+    for mask in masks:
+        feasible &= mask
+    return feasible
 
 
 def explore(
     model: Model,
     limits: ExplorationLimits | None = None,
-    applier: EventApplier | None = None,
     normalize_null: bool = False,
 ) -> ReachabilityGraph:
     """Breadth-first closure of the initial node under all events.
@@ -99,45 +226,59 @@ def explore(
     match differently on normalized states.
     """
     limits = limits or ExplorationLimits()
-    applier = applier or EventApplier(model)
-    init_state = _normalize(model.initial) if normalize_null else model.initial
-    init = Node(init_state, frozenset())
-    nodes: list[Node] = [init]
-    index: dict[Node, int] = {init: 0}
+    table = TransitionTable(model, normalize_null)
+    n_events = len(model.events)
+    init = table.intern_state(model.initial)
+    states: list[int] = [init]
+    occurred: list[int] = [0]
     depths: list[int] = [0]
-    edges: list[Edge] = []
+    index: dict[int, int] = {init << n_events: 0}
+    arcs: list[tuple[int, int, int]] = []
     truncated = False
     queue: deque[int] = deque([0])
     while queue:
         src = queue.popleft()
         if depths[src] >= limits.max_depth:
-            if model.events:
+            if n_events:
                 truncated = True
             continue
-        node = nodes[src]
-        for event in model.events:
-            outcome = applier.apply(event, node.state)
-            nxt_state = _normalize(outcome.next) if normalize_null else outcome.next
-            nxt = Node(nxt_state, node.occurred | {event.name})
-            tgt = index.get(nxt)
+        occ = occurred[src]
+        depth = depths[src] + 1
+        for event, target in enumerate(table.row(states[src])):
+            target_occ = occ | 1 << event
+            key = target << n_events | target_occ
+            tgt = index.get(key)
             if tgt is None:
-                if len(nodes) >= limits.max_nodes:
+                if len(states) >= limits.max_nodes:
                     truncated = True
                     continue
-                tgt = len(nodes)
-                index[nxt] = tgt
-                nodes.append(nxt)
-                depths.append(depths[src] + 1)
+                tgt = len(states)
+                index[key] = tgt
+                states.append(target)
+                occurred.append(target_occ)
+                depths.append(depth)
                 queue.append(tgt)
-            edges.append(Edge(src, event.name, tgt, outcome.violations))
-    return ReachabilityGraph(tuple(nodes), tuple(edges), tuple(depths), truncated)
+            arcs.append((src, event, tgt))
+    names = model.event_names
+    occurred_sets: dict[int, frozenset[str]] = {}
+    nodes = []
+    for sid, occ in zip(states, occurred):
+        names_fired = occurred_sets.get(occ)
+        if names_fired is None:
+            names_fired = frozenset(n for i, n in enumerate(names) if occ >> i & 1)
+            occurred_sets[occ] = names_fired
+        nodes.append(Node(table.state(sid), names_fired))
+    return ReachabilityGraph(
+        table, tuple(nodes), tuple(states), tuple(occurred), tuple(arcs), tuple(depths), truncated
+    )
 
 
 def check_gs(graph: ReachabilityGraph, mode: ConsistencyMode) -> list[int]:
     """Indices of explored nodes whose state is not globally consistent."""
-    return [
-        i for i, node in enumerate(graph.nodes) if not is_consistent(node.state, mode)
-    ]
+    test = mode_mask(graph.model.space, mode)
+    masks = graph.table.masks
+    inconsistent = {sid for sid in graph.first_nodes if not _feasible(masks[sid]) & test}
+    return [i for i, sid in enumerate(graph.node_states) if sid in inconsistent]
 
 
 @dataclass(frozen=True)
@@ -153,27 +294,38 @@ def check_diamond(
     graph: ReachabilityGraph,
     model: Model,
     mode: ConsistencyMode | None = None,
-    applier: EventApplier | None = None,
 ) -> list[DiamondViolation]:
     """Compare both application orders of every independent pair at every
     explored state; a mismatch is a commutation failure."""
     mode = mode or model.mode
-    applier = applier or EventApplier(model)
+    table = graph.table_for(model)
+    keep = mode_mask(model.space, mode)
+    events = model.events
     pairs = [
-        (e, f)
-        for i, e in enumerate(model.events)
-        for f in model.events[i + 1 :]
-        if independent(e, f)
+        (i, j)
+        for i, e in enumerate(events)
+        for j in range(i + 1, len(events))
+        if independent(e, events[j])
     ]
     violations: list[DiamondViolation] = []
-    for state in graph.distinct_states():
+    if not pairs:
+        return violations
+    step = table.step
+    for sid in graph.first_nodes:
         for e, f in pairs:
-            f_then_e = applier.apply(e, applier.apply(f, state).next).next
-            e_then_f = applier.apply(f, applier.apply(e, state).next).next
-            if not states_equal(f_then_e, e_then_f, mode):
-                violations.append(
-                    DiamondViolation(state, e.name, f.name, f_then_e, e_then_f)
+            f_then_e = step(step(sid, f), e)
+            e_then_f = step(step(sid, e), f)
+            if table.same(f_then_e, e_then_f, keep):
+                continue
+            violations.append(
+                DiamondViolation(
+                    table.state(sid),
+                    events[e].name,
+                    events[f].name,
+                    table.state(f_then_e),
+                    table.state(e_then_f),
                 )
+            )
     return violations
 
 
@@ -188,17 +340,28 @@ class MonotonicityFinding:
 def check_monotonicity(graph: ReachabilityGraph) -> list[MonotonicityFinding]:
     """Union of violations recorded on edges, one entry per
     (event, site, source state)."""
-    seen: set[tuple[str, int, RecordState]] = set()
+    table = graph.table
+    names = graph.model.event_names
+    space = graph.model.space
+    events = range(len(names))
+    pending = {
+        (sid, event)
+        for sid in graph.first_nodes
+        for event in events
+        if table.violations(sid, event)
+    }
     findings: list[MonotonicityFinding] = []
-    for edge in graph.edges:
-        for violation in edge.violations:
-            src_state = graph.nodes[edge.source].state
-            key = (violation.event, violation.site, src_state)
-            if key not in seen:
-                seen.add(key)
+    node_states = graph.node_states
+    for src, event, _ in graph.arcs:
+        if not pending:
+            break
+        key = (node_states[src], event)
+        if key in pending:
+            pending.remove(key)
+            for site, added in table.violations(*key):
                 findings.append(
                     MonotonicityFinding(
-                        violation.event, violation.site, violation.added, src_state
+                        names[event], site, Subset(space, added), table.state(key[0])
                     )
                 )
     return findings
@@ -215,9 +378,13 @@ def check_clock_monotone(graph: ReachabilityGraph) -> list[ClockViolation]:
     """Edges along which the feasible set gains weight, i.e. the
     information clock ticks backwards.  Empty whenever no edge violates
     shrink-only writing."""
-    mus = [measure_of(feasible_set(node.state)) for node in graph.nodes]
-    return [
-        ClockViolation(edge, mus[edge.source], mus[edge.target])
-        for edge in graph.edges
-        if mus[edge.target] > mus[edge.source]
-    ]
+    space = graph.model.space
+    masks = graph.table.masks
+    mus = {sid: space.measure_mask(_feasible(masks[sid])) for sid in graph.first_nodes}
+    node_states = graph.node_states
+    violations = []
+    for idx, (src, _, tgt) in enumerate(graph.arcs):
+        mu_source, mu_target = mus[node_states[src]], mus[node_states[tgt]]
+        if mu_target > mu_source:
+            violations.append(ClockViolation(graph.edges[idx], mu_source, mu_target))
+    return violations

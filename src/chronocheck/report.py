@@ -147,8 +147,8 @@ def cycles_json(model: Model, ig: InfluenceGraph, cycles: CycleReport) -> list[d
 def graph_summary_json(model: Model, graph: ReachabilityGraph) -> dict[str, Any]:
     return {
         "nodes": len(graph.nodes),
-        "edges": len(graph.edges),
-        "distinct_states": len(graph.distinct_states()),
+        "edges": len(graph.arcs),
+        "distinct_states": len(graph.first_nodes),
         "truncated": graph.truncated,
     }
 

@@ -1,8 +1,11 @@
 import json
 
+import chronocheck.chronology
+import chronocheck.cli
 from chronocheck.cli import main
 from chronocheck.dot import influence_dot
 from chronocheck.modelfile import fixture_path
+from chronocheck.reachability import ExplorationLimits
 
 TWO_SITE = str(fixture_path("two_site"))
 GADGET = str(fixture_path("cycle_gadget"))
@@ -169,3 +172,43 @@ def test_truncation_warning_present(capsys):
     report = json.loads(out)
     assert report["results"]["exploration"]["truncated"] is True
     assert any("truncated" in w for w in report["warnings"])
+
+
+def _record_explorations(monkeypatch):
+    """Limits of every exploration a CLI run starts."""
+    calls = []
+    original = chronocheck.chronology.explore
+
+    def spy(model, limits=None, **kwargs):
+        calls.append(limits)
+        return original(model, limits, **kwargs)
+
+    monkeypatch.setattr(chronocheck.chronology, "explore", spy)
+    monkeypatch.setattr(chronocheck.cli, "explore", spy)
+    return calls
+
+
+def test_strict_diagnose_explores_once(monkeypatch, capsys):
+    calls = _record_explorations(monkeypatch)
+    status, _, err = run_cli(capsys, "diagnose", GADGET, "--strict")
+    assert status == 2
+    assert err == (
+        "chronocheck: error: monotonicity violation: event a adds worlds ['1'] "
+        "at site site1\n"
+    )
+    assert len(calls) == 1
+    calls.clear()
+    status, _, _ = run_cli(capsys, "diagnose", TWO_SITE, "--strict")
+    assert status == 0
+    assert len(calls) == 1
+
+
+def test_trace_check_passes_exploration_limits(monkeypatch, capsys):
+    calls = _record_explorations(monkeypatch)
+    status, out, _ = run_cli(
+        capsys,
+        "trace-check", TWO_SITE, "--schedule", "e1,e2", "--max-states", "7", "--max-depth", "3",
+    )
+    assert status == 0
+    assert json.loads(out)["flags"]["max_states"] == 7
+    assert calls and all(limits == ExplorationLimits(7, 3) for limits in calls)

@@ -172,6 +172,15 @@ def test_information_content_examples():
     assert information_content(RecordState((space.subset(["0"]),))) == 0.0
 
 
+@pytest.mark.parametrize("exponent", [400, -400])
+def test_information_content_extreme_weights(exponent):
+    # 10**-400 underflows a float and 10**400 overflows one; the clock
+    # value is still finite and exact to float precision
+    space = PossibilitySpace.create(["0"], {"0": Fraction(10) ** exponent})
+    value = information_content(RecordState((space.full(),)))
+    assert value == pytest.approx(-exponent * math.log(10), rel=1e-12)
+
+
 def test_restrict_examples():
     space = PossibilitySpace.create(["w0", "w1"])
     a, b = space.subset(["w0"]), space.subset(["w1"])

@@ -175,6 +175,29 @@ def test_parse_rejects_non_finite_weight():
         )
 
 
+def test_parse_rejects_boolean_weight():
+    doc = _base_doc()
+    doc["measure"] = {"0": True}
+    with pytest.raises(ModelFormatError, match=r"\$\.measure\.0: bad weight"):
+        _parse(doc)
+
+
+def test_parse_rejects_duplicate_labels_in_world_list():
+    doc = _base_doc()
+    doc["events"][0]["constants"] = {"site1": ["0", "0"]}
+    with pytest.raises(
+        ModelFormatError, match=r"\$\.events\[0\]\.constants\.site1: duplicate world labels"
+    ):
+        _parse(doc)
+
+
+def test_parse_rejects_duplicate_sites_in_support():
+    doc = _base_doc()
+    doc["events"][0]["support"] = ["site1", "site1"]
+    with pytest.raises(ModelFormatError, match=r"\$\.events\[0\]\.support: duplicate sites"):
+        _parse(doc)
+
+
 def test_parse_rejects_invalid_json():
     with pytest.raises(ModelFormatError, match="invalid JSON"):
         parse_model("{nope")

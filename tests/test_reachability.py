@@ -3,7 +3,7 @@ import random
 from collections import deque
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chronocheck import (
@@ -119,6 +119,39 @@ def test_every_edge_matches_direct_application(seed):
         outcome = apply_event(model.event(edge.event), graph.nodes[edge.source].state)
         assert outcome.next == graph.nodes[edge.target].state
         assert outcome.violations == edge.violations
+
+
+@settings(max_examples=200)
+@given(
+    seed=st.integers(0, 10**9),
+    setting=st.sampled_from(["default", "truncated", "normalize_null"]),
+)
+def test_transition_table_matches_apply_event(seed, setting):
+    # mostly free-form table writes, so shrink-only violations are common
+    model = random_model(
+        random.Random(seed), max_sites=4, intersect_prob=0.3, monotone_bias=0.3
+    )
+    if setting == "truncated":
+        graph = explore(model, ExplorationLimits(max_nodes=3, max_depth=1))
+    else:
+        graph = explore(model, normalize_null=setting == "normalize_null")
+    table = graph.table
+    positive = model.space.positive_mask
+    # every interned state, including those past a truncated frontier that
+    # exploration reached but did not expand
+    for sid in range(len(table.masks)):
+        state = table.state(sid)
+        for index, event in enumerate(model.events):
+            outcome = apply_event(event, state)
+            expected = outcome.next
+            if setting == "normalize_null":
+                expected = RecordState(
+                    tuple(model.space.from_mask(r.mask & positive) for r in expected)
+                )
+            assert table.state(table.step(sid, index)) == expected
+            assert table.violations(sid, index) == tuple(
+                (v.site, v.added.mask) for v in outcome.violations
+            )
 
 
 def test_check_gs_two_site_clean(two_site):
