@@ -231,9 +231,7 @@ def mode_mask(space: PossibilitySpace, mode: ConsistencyMode) -> int:
 
 def is_consistent(state: RecordState, mode: ConsistencyMode) -> bool:
     feasible = feasible_set(state)
-    if mode is ConsistencyMode.NONEMPTY:
-        return feasible.mask != 0
-    return feasible.mask & feasible.space.positive_mask != 0  # type: ignore[attr-defined]
+    return feasible.mask & mode_mask(feasible.space, mode) != 0
 
 
 def measure_of(subset: Subset) -> Fraction:
