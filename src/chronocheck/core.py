@@ -247,13 +247,18 @@ def null_equiv(a: Subset, b: Subset) -> bool:
 def information_content(state: RecordState) -> float:
     """Negative natural log of the feasible set's weight; +inf at weight 0.
 
-    The logarithm is taken of the weight's exact numerator and denominator,
-    so weights too small or too large for a float still give a finite value.
+    A weight too small or too large for a float still gets a finite value,
+    from the logarithms of its exact numerator and denominator.  Weights in
+    float range keep `-log(float(weight))`, which is monotone in the weight;
+    the difference of two logarithms is not, once they nearly cancel.
     """
     mu = measure_of(feasible_set(state))
     if mu == 0:
         return math.inf
-    return -(math.log(mu.numerator) - math.log(mu.denominator))
+    try:
+        return -math.log(mu)
+    except (OverflowError, ValueError):
+        return -(math.log(mu.numerator) - math.log(mu.denominator))
 
 
 def restrict(state: RecordState, sites: Iterable[int]) -> tuple[Subset, ...]:

@@ -48,7 +48,7 @@ class TransitionTable:
         self._violations: list[list[MaskViolations]] = []
         self._states: dict[int, RecordState] = {}
 
-    def intern(self, masks: MaskState) -> int:
+    def _intern(self, masks: MaskState) -> int:
         if self._keep is not None:
             masks = tuple(mask & self._keep for mask in masks)
         sid = self._ids.get(masks)
@@ -61,14 +61,15 @@ class TransitionTable:
         return sid
 
     def intern_state(self, state: RecordState) -> int:
-        return self.intern(tuple(rec.mask for rec in state))
+        """Id of `state`, assigned on first sight."""
+        return self._intern(tuple(rec.mask for rec in state))
 
     def step(self, sid: int, event: int) -> int:
         """Id of the state reached by event index `event` from state `sid`."""
         target = self._succ[sid][event]
         if target < 0:
             nxt, added = self._apply[event](self.masks[sid])
-            target = self.intern(nxt)
+            target = self._intern(nxt)
             self._succ[sid][event] = target
             self._violations[sid][event] = added
         return target
