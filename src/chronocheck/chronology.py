@@ -14,11 +14,11 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .core import ConsistencyMode, RecordState, Subset, mode_mask
+from .core import RecordState, Subset, mode_mask
 from .events import independent
 from .influence import InfluenceGraph, StrongWitness, build_influence_graphs
 from .model import Model
@@ -254,21 +254,11 @@ class TraceInvarianceReport:
     final_state: RecordState
     variants_checked: int
     state_mismatches: list[tuple[tuple[str, ...], RecordState]]
-    edge_mismatches: list[tuple[str, ...]]
     diamond_violations: list[DiamondViolation]
 
     @property
     def invariant(self) -> bool:
-        return not (
-            self.state_mismatches or self.edge_mismatches or self.diamond_violations
-        )
-
-
-def _edge_sets(
-    model: Model, graph: ReachabilityGraph
-) -> tuple[frozenset[tuple[str, str]], frozenset[tuple[str, str]]]:
-    ig = build_influence_graphs(model, graph)
-    return frozenset(ig.weak_edges), frozenset(ig.strong_edges)
+        return not (self.state_mismatches or self.diamond_violations)
 
 
 def check_trace_invariance(
@@ -280,11 +270,13 @@ def check_trace_invariance(
 ) -> TraceInvarianceReport:
     """Run a schedule, then every single swap of adjacent independent
     events plus seeded random chains of such swaps, and verify the final
-    record state and the influence edge sets are unchanged.
+    record state is unchanged.
 
-    A model that fails the commutation check cannot be trace-invariant,
-    so in that case the commutation failures are reported and no variants
-    are attempted.  `limits` bounds every exploration the check runs.
+    Influence edges are defined over the model's reachable states, which do
+    not depend on a schedule, so they are not compared across variants.  A
+    model that fails the commutation check cannot be trace-invariant, so in
+    that case the commutation failures are reported and no variants are
+    attempted.  `limits` bounds the one exploration the check runs.
     """
     events = [model.event(name) for name in schedule]  # raises on unknown names
     graph = explore(model, limits)
@@ -293,9 +285,7 @@ def check_trace_invariance(
     table = graph.table
     final = _run_schedule(model, table, schedule)
     if diamonds:
-        return TraceInvarianceReport(schedule, seed, table.state(final), 0, [], [], diamonds)
-
-    base_edges = _edge_sets(model, graph)
+        return TraceInvarianceReport(schedule, seed, table.state(final), 0, [], diamonds)
 
     variants: list[tuple[str, ...]] = []
     for k in range(len(events) - 1):
@@ -325,22 +315,12 @@ def check_trace_invariance(
 
     keep = mode_mask(model.space, model.mode)
     state_mismatches: list[tuple[tuple[str, ...], RecordState]] = []
-    edge_mismatches: list[tuple[str, ...]] = []
     for variant in unique_variants:
         variant_final = _run_schedule(model, table, variant)
         if not table.same(variant_final, final, keep):
             state_mismatches.append((variant, table.state(variant_final)))
-        variant_graph = explore(model, limits)
-        if _edge_sets(model, variant_graph) != base_edges:
-            edge_mismatches.append(variant)
     return TraceInvarianceReport(
-        schedule,
-        seed,
-        table.state(final),
-        len(unique_variants),
-        state_mismatches,
-        edge_mismatches,
-        [],
+        schedule, seed, table.state(final), len(unique_variants), state_mismatches, []
     )
 
 
@@ -384,23 +364,17 @@ class TaxonomyReport:
         return not self.premises_clean()
 
 
-def diagnose(
-    model: Model,
-    limits: ExplorationLimits | None = None,
-    mode: ConsistencyMode | None = None,
-) -> TaxonomyReport:
+def diagnose(model: Model, limits: ExplorationLimits | None = None) -> TaxonomyReport:
     """Full pipeline: explore, check all four premises, build influence
     graphs, detect strong cycles, and classify the outcome.
 
-    All checks always run, so the report is complete even when an early
-    premise already fails.
+    Consistency is judged under `model.mode`.  All checks always run, so the
+    report is complete even when an early premise already fails.
     """
-    if mode is not None and mode is not model.mode:
-        model = replace(model, mode=mode)
     graph = explore(model, limits)
     monotonicity = check_monotonicity(graph)
     diamonds = check_diamond(graph, model)
-    gs = check_gs(graph, model.mode)
+    gs = check_gs(graph)
     ig = build_influence_graphs(model, graph)
     cycles = find_strong_cycles(ig)
     bd = check_branch_determinacy(model, graph, ig)

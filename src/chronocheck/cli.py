@@ -144,7 +144,7 @@ def _cmd_validate(model: Model, args: argparse.Namespace):
 
 def _cmd_explore(model: Model, args: argparse.Namespace):
     graph = _explored(model, args)
-    gs = check_gs(graph, model.mode)
+    gs = check_gs(graph)
     mono = check_monotonicity(graph)
     diamonds = check_diamond(graph, model)
     clock = check_clock_monotone(graph)

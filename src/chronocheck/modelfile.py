@@ -22,14 +22,19 @@ Schema::
     }
 
 Weights may be JSON integers, decimals, or strings like "1/3"; they are
-parsed as exact rationals.  Subsets are written as lists of world labels
-and serialized back sorted.  Unknown keys anywhere are rejected.
+parsed as exact rationals.  A number whose exact numerator or denominator
+needs more digits than `sys.get_int_max_str_digits()`, the limit
+`json.loads` applies to integer literals, is rejected.  Subsets are
+written as lists of world labels and serialized back sorted.  Unknown keys
+anywhere are rejected.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
+import sys
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -93,12 +98,43 @@ def _site_subset_map(
     return out
 
 
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def _rational(text: str) -> Fraction:
+    """Exact value of a decimal literal or of a string such as "1/3".
+
+    Raises ValueError when the numerator or denominator needs more digits
+    than integer string conversion allows.  The exponent is checked before
+    it is expanded, so a literal such as 1e10000000 costs nothing.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
+    found = _EXPONENT.search(text)
+    if limit and found and abs(int(found.group(1))) > 3 * limit:
+        # int() caps the mantissa at `limit` digits on each side of the
+        # point, so only a zero mantissa leaves few enough digits; the same
+        # literal with exponent 0 checks the syntax
+        try:
+            mantissa = Fraction(text[: found.start()] + "e0")
+        except ValueError:
+            raise ValueError(f"Invalid literal for Fraction: {text!r}") from None
+        if mantissa:
+            raise ValueError(f"exact value needs more than {limit} digits")
+        return Fraction(0)
+    value = Fraction(text)
+    try:
+        str(value)  # refuses a numerator or denominator past the limit
+    except ValueError:
+        raise ValueError(f"exact value needs more than {limit} digits") from None
+    return value
+
+
 def parse_model(text: str) -> Model:
     """Parse and validate a model document; raises ModelFormatError with a
     field path on any problem."""
     try:
-        obj = json.loads(text, parse_float=Fraction)
-    except (json.JSONDecodeError, ValueError) as exc:
+        obj = json.loads(text, parse_float=_rational)
+    except (ValueError, RecursionError) as exc:
         raise ModelFormatError(f"invalid JSON: {exc}") from None
     return model_from_dict(obj)
 
@@ -128,7 +164,7 @@ def model_from_dict(obj: Any) -> Model:
             if isinstance(value, bool):
                 raise _err(f"$.measure.{label}", "bad weight: booleans are not weights")
             try:
-                weight = Fraction(value)
+                weight = _rational(value) if isinstance(value, str) else Fraction(value)
             except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
                 raise _err(f"$.measure.{label}", f"bad weight: {exc}") from None
             if weight < 0:
@@ -291,7 +327,11 @@ def model_digest(model: Model) -> str:
 
 
 def load_model(path: str | Path) -> Model:
-    return parse_model(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"{path}: not UTF-8 text: {exc}") from None
+    return parse_model(text)
 
 
 def fixture_path(name: str) -> Path:

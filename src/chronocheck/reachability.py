@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .core import ConsistencyMode, RecordState, Subset, mode_mask
+from .core import RecordState, Subset, mode_mask
 from .events import MaskState, MaskViolations, MonotonicityViolation, compile_event, independent
 from .model import Model
 
@@ -32,25 +32,19 @@ class TransitionTable:
 
     States are interned to integer ids in first-seen order; `masks[sid]`
     holds one world mask per site.  Lookups work for any interned state, so
-    checks may step past a truncated exploration frontier.  With
-    `normalize_null`, zero-weight worlds are dropped from every state
-    before it is interned, while violations compare the raw successor with
-    its source.
+    checks may step past a truncated exploration frontier.
     """
 
-    def __init__(self, model: Model, normalize_null: bool = False) -> None:
+    def __init__(self, model: Model) -> None:
         self.model = model
         self.masks: list[MaskState] = []
         self._apply = [compile_event(event) for event in model.events]
-        self._keep = model.space.positive_mask if normalize_null else None  # type: ignore[attr-defined]
         self._ids: dict[MaskState, int] = {}
         self._succ: list[list[int]] = []
         self._violations: list[list[MaskViolations]] = []
         self._states: dict[int, RecordState] = {}
 
     def _intern(self, masks: MaskState) -> int:
-        if self._keep is not None:
-            masks = tuple(mask & self._keep for mask in masks)
         sid = self._ids.get(masks)
         if sid is None:
             sid = len(self.masks)
@@ -140,16 +134,14 @@ class ReachabilityGraph:
     node_states: tuple[int, ...]
     node_occurred: tuple[int, ...]
     arcs: tuple[tuple[int, int, int], ...]
-    depths: tuple[int, ...]
     truncated: bool
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ReachabilityGraph):
             return NotImplemented
-        return (self.nodes, self.edges, self.depths, self.truncated) == (
+        return (self.nodes, self.edges, self.truncated) == (
             other.nodes,
             other.edges,
-            other.depths,
             other.truncated,
         )
 
@@ -189,13 +181,6 @@ class ReachabilityGraph:
             edges.append(Edge(src, names[event], tgt, found))
         return tuple(edges)
 
-    @cached_property
-    def _index(self) -> dict[Node, int]:
-        return {n: i for i, n in enumerate(self.nodes)}
-
-    def index_of(self, node: Node) -> int:
-        return self._index[node]
-
     def table_for(self, model: Model) -> TransitionTable:
         """The graph's transition table, checked to apply `model`'s events."""
         if model.events != self.model.events:
@@ -214,20 +199,15 @@ def _feasible(masks: MaskState) -> int:
     return feasible
 
 
-def explore(
-    model: Model,
-    limits: ExplorationLimits | None = None,
-    normalize_null: bool = False,
-) -> ReachabilityGraph:
+def explore(model: Model, limits: ExplorationLimits | None = None) -> ReachabilityGraph:
     """Breadth-first closure of the initial node under all events.
 
     Events are expanded in declaration order, so two runs produce the same
-    node and edge ordering.  `normalize_null` drops zero-weight worlds from
-    records before dedup; it is off by default because exact guards may
-    match differently on normalized states.
+    node and edge ordering.  States are kept exactly as the events write
+    them, zero-weight worlds included.
     """
     limits = limits or ExplorationLimits()
-    table = TransitionTable(model, normalize_null)
+    table = TransitionTable(model)
     n_events = len(model.events)
     init = table.intern_state(model.initial)
     states: list[int] = [init]
@@ -270,13 +250,14 @@ def explore(
             occurred_sets[occ] = names_fired
         nodes.append(Node(table.state(sid), names_fired))
     return ReachabilityGraph(
-        table, tuple(nodes), tuple(states), tuple(occurred), tuple(arcs), tuple(depths), truncated
+        table, tuple(nodes), tuple(states), tuple(occurred), tuple(arcs), truncated
     )
 
 
-def check_gs(graph: ReachabilityGraph, mode: ConsistencyMode) -> list[int]:
-    """Indices of explored nodes whose state is not globally consistent."""
-    test = mode_mask(graph.model.space, mode)
+def check_gs(graph: ReachabilityGraph) -> list[int]:
+    """Indices of explored nodes whose state is not globally consistent
+    under the model's consistency mode."""
+    test = mode_mask(graph.model.space, graph.model.mode)
     masks = graph.table.masks
     inconsistent = {sid for sid in graph.first_nodes if not _feasible(masks[sid]) & test}
     return [i for i, sid in enumerate(graph.node_states) if sid in inconsistent]
@@ -291,16 +272,11 @@ class DiamondViolation:
     e_then_f: RecordState
 
 
-def check_diamond(
-    graph: ReachabilityGraph,
-    model: Model,
-    mode: ConsistencyMode | None = None,
-) -> list[DiamondViolation]:
+def check_diamond(graph: ReachabilityGraph, model: Model) -> list[DiamondViolation]:
     """Compare both application orders of every independent pair at every
     explored state; a mismatch is a commutation failure."""
-    mode = mode or model.mode
     table = graph.table_for(model)
-    keep = mode_mask(model.space, mode)
+    keep = mode_mask(model.space, model.mode)
     events = model.events
     pairs = [
         (i, j)

@@ -186,7 +186,6 @@ def trace_json(model: Model, report: TraceInvarianceReport) -> dict[str, Any]:
             {"schedule": list(schedule), "final_state": state_json(model, state)}
             for schedule, state in report.state_mismatches
         ],
-        "edge_mismatches": [list(s) for s in report.edge_mismatches],
         "diamond_violations": [
             diamond_json(model, v) for v in report.diamond_violations
         ],

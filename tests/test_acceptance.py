@@ -268,7 +268,7 @@ def test_criterion_08_trace_invariance(capsys):
     with capsys.disabled():
         _report(
             8,
-            "final states and strong edges invariant across trace classes",
+            "final states invariant across trace classes",
             ok,
             f"models={models_checked} variants={variants_total} "
             f"mismatches={len(mismatching)}",

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -185,7 +186,7 @@ def test_diagnose_cycle_with_clean_premises_yields_suspected_verdict(
 
 
 def test_diagnose_mode_override(two_site):
-    report = diagnose(two_site, mode=ConsistencyMode.POSITIVE_MEASURE)
+    report = diagnose(replace(two_site, mode=ConsistencyMode.POSITIVE_MEASURE))
     assert report.model.mode is ConsistencyMode.POSITIVE_MEASURE
     assert report.verdict is Verdict.NO_CYCLE
 

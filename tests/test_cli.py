@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import chronocheck.chronology
 import chronocheck.cli
 from chronocheck.cli import main
@@ -61,12 +63,23 @@ def test_validate_reports_static_defects(capsys):
     assert json.loads(out)["results"]["defects"] == []
 
 
-def test_parse_error_exits_two(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"{not json",
+        b"[" * 200_000,
+        b'{"worlds": ["\xe9"], "sites": ["s"], "events": []}',
+        b'{"worlds": ["a"], "measure": {"a": "1e4301"}, "sites": ["s"], "events": []}',
+        b'{"worlds": ["a"], "measure": {"a": 1e4301}, "sites": ["s"], "events": []}',
+    ],
+    ids=["not-json", "deep-nesting", "not-utf8", "long-weight-string", "long-weight-number"],
+)
+def test_parse_error_exits_two(tmp_path, capsys, content):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
+    path.write_bytes(content)
     status, _, err = run_cli(capsys, "diagnose", str(path))
     assert status == 2
-    assert "error" in err
+    assert err.startswith("chronocheck: error: ") and err.count("\n") == 1
 
 
 def test_unknown_field_exits_two(tmp_path, capsys):
@@ -211,4 +224,4 @@ def test_trace_check_passes_exploration_limits(monkeypatch, capsys):
     )
     assert status == 0
     assert json.loads(out)["flags"]["max_states"] == 7
-    assert calls and all(limits == ExplorationLimits(7, 3) for limits in calls)
+    assert calls == [ExplorationLimits(7, 3)]

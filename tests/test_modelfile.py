@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -201,6 +202,22 @@ def test_parse_rejects_duplicate_sites_in_support():
 def test_parse_rejects_invalid_json():
     with pytest.raises(ModelFormatError, match="invalid JSON"):
         parse_model("{nope")
+
+
+@pytest.mark.parametrize("quote", ['"', ""], ids=["string", "number"])
+def test_weight_digits_stop_at_the_integer_string_limit(quote):
+    limit = sys.get_int_max_str_digits()
+
+    def weight(literal):
+        doc = '{"worlds": ["0", "1"], "sites": ["s"], "events": [], "measure": {"0": 1, "1": %s}}'
+        return parse_model(doc % f"{quote}{literal}{quote}").space.weights[1]
+
+    assert weight(f"1e{limit - 1}") == 10 ** (limit - 1)
+    assert weight(f"1e-{limit - 1}") == Fraction(1, 10 ** (limit - 1))
+    assert weight("0e10000000") == 0  # a zero mantissa is not expanded
+    for literal in (f"1e{limit}", f"1e-{limit}", "1e10000000", "25e-10000000"):
+        with pytest.raises(ModelFormatError, match=f"needs more than {limit} digits"):
+            weight(literal)
 
 
 def test_weights_parse_exactly():

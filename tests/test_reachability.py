@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chronocheck import (
-    ConsistencyMode,
     Event,
     ExplorationLimits,
     Model,
@@ -122,33 +121,24 @@ def test_every_edge_matches_direct_application(seed):
 
 
 @settings(max_examples=200)
-@given(
-    seed=st.integers(0, 10**9),
-    setting=st.sampled_from(["default", "truncated", "normalize_null"]),
-)
-def test_transition_table_matches_apply_event(seed, setting):
+@given(seed=st.integers(0, 10**9), truncated=st.booleans())
+def test_transition_table_matches_apply_event(seed, truncated):
     # mostly free-form table writes, so shrink-only violations are common
     model = random_model(
         random.Random(seed), max_sites=4, intersect_prob=0.3, monotone_bias=0.3
     )
-    if setting == "truncated":
+    if truncated:
         graph = explore(model, ExplorationLimits(max_nodes=3, max_depth=1))
     else:
-        graph = explore(model, normalize_null=setting == "normalize_null")
+        graph = explore(model)
     table = graph.table
-    positive = model.space.positive_mask
     # every interned state, including those past a truncated frontier that
     # exploration reached but did not expand
     for sid in range(len(table.masks)):
         state = table.state(sid)
         for index, event in enumerate(model.events):
             outcome = apply_event(event, state)
-            expected = outcome.next
-            if setting == "normalize_null":
-                expected = RecordState(
-                    tuple(model.space.from_mask(r.mask & positive) for r in expected)
-                )
-            assert table.state(table.step(sid, index)) == expected
+            assert table.state(table.step(sid, index)) == outcome.next
             assert table.violations(sid, index) == tuple(
                 (v.site, v.added.mask) for v in outcome.violations
             )
@@ -156,12 +146,12 @@ def test_transition_table_matches_apply_event(seed, setting):
 
 def test_check_gs_two_site_clean(two_site):
     graph = explore(two_site)
-    assert check_gs(graph, two_site.mode) == []
+    assert check_gs(graph) == []
 
 
 def test_check_gs_gadget_flags_empty_record(gadget):
     graph = explore(gadget)
-    flagged = check_gs(graph, gadget.mode)
+    flagged = check_gs(graph)
     assert flagged
     empty = gadget.space.empty()
     assert all(graph.nodes[i].state[0] == empty for i in flagged)
@@ -171,7 +161,7 @@ def test_check_gs_gadget_flags_empty_record(gadget):
 def test_check_gs_zero_event_model_clean():
     space = PossibilitySpace.create(["w"])
     model = Model(space, ("site1",), RecordState((space.full(),)), ())
-    assert check_gs(explore(model), model.mode) == []
+    assert check_gs(explore(model)) == []
 
 
 def test_diamond_two_site_clean(two_site):
@@ -298,19 +288,3 @@ def test_diamond_pairs_join_at_the_same_node(two_site):
     via_e1_e2 = successors[(successors[(0, "e1")], "e2")]
     via_e2_e1 = successors[(successors[(0, "e2")], "e1")]
     assert via_e1_e2 == via_e2_e1
-
-
-def test_null_normalization_drops_zero_weight_worlds():
-    space = PossibilitySpace.create(["u", "z"], {"u": 1, "z": 0})
-    keep = space.subset(["u", "z"])
-    model = Model(
-        space,
-        ("site1",),
-        RecordState((space.full(),)),
-        (Event.intersect("e", [0], {0: keep}),),
-        ConsistencyMode.POSITIVE_MEASURE,
-    )
-    raw = explore(model)
-    normalized = explore(model, normalize_null=True)
-    assert any("z" in node.state[0].labels() for node in raw.nodes)
-    assert all("z" not in node.state[0].labels() for node in normalized.nodes)
