@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Record the golden digests of `diagnose` reports.
 
-For every model of the fixed conformance suite and for two rungs of the
+For every model of the fixed conformance suite and for three rungs of the
 scale ladder, the report is reduced to a normalized projection and hashed.
 The projection keeps every verdict-bearing fact (verdict, weak and strong
 edges with their witnesses, chronology, cycles, monotonicity and
@@ -31,7 +31,7 @@ from chronocheck.report import state_json, taxonomy_json
 
 SUITE_SEED = 20250810
 SUITE_SIZE = 500
-LADDER_RUNGS = (8, 10)
+LADDER_RUNGS = (8, 10, 12)
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "tests" / "golden" / "diagnose_digests.json"
 
 

@@ -1,4 +1,4 @@
-"""Frozen behaviour: `diagnose` on the conformance suite and two scale-ladder
+"""Frozen behaviour: `diagnose` on the conformance suite and three scale-ladder
 rungs must keep the digests recorded in tests/golden/diagnose_digests.json.
 
 A mismatch means a verdict-bearing fact changed.  If the change is meant,
