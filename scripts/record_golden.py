@@ -67,11 +67,7 @@ def projection(report: TaxonomyReport) -> dict[str, Any]:
         _canonical(state_json(model, report.graph.nodes[i].state))
         for i in report.gs_violations
     }
-    bd_findings = set()
-    for entry in doc["bd_violations"]:
-        finding = dict(entry, state=entry["node"]["state"])
-        del finding["node"]
-        bd_findings.add(_canonical(finding))
+    bd_findings = {_canonical(entry) for entry in doc["bd_violations"]}
     return {
         "verdict": doc["verdict"],
         "influence": doc["influence"],

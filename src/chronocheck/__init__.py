@@ -88,6 +88,7 @@ from .reachability import (
     check_gs,
     check_monotonicity,
     explore,
+    occurrence_masks,
 )
 
 __version__ = "0.1.0"

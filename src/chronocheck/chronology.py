@@ -26,13 +26,13 @@ from .reachability import (
     DiamondViolation,
     ExplorationLimits,
     MonotonicityFinding,
-    Node,
     ReachabilityGraph,
     TransitionTable,
     check_diamond,
     check_gs,
     check_monotonicity,
     explore,
+    occurrence_masks,
 )
 
 
@@ -185,8 +185,7 @@ def transitive_closure(ig: InfluenceGraph) -> Chronology:
 @dataclass(frozen=True)
 class BDViolation:
     witness: StrongWitness
-    node_index: int
-    node: Node
+    state: RecordState
     polarity: str  # "e-occurred" or "e-not-occurred"
     expected: Subset
     actual: Subset
@@ -195,19 +194,25 @@ class BDViolation:
 def check_branch_determinacy(
     model: Model, graph: ReachabilityGraph, ig: InfluenceGraph
 ) -> list[BDViolation]:
-    """For each strong witness, scan every explored node whose records at
-    the influenced event's support match the witness context (with or
-    without a prior influencer, respectively) and require the written
-    branch constraint to agree with the witness branch."""
+    """For each strong witness, scan every explored state whose records at
+    the influenced event's support match the witness context, with the
+    influencer fired on some path to the state or not fired on some path,
+    and require the written branch constraint to agree with the witness
+    branch.  A state is listed at most once per witness and polarity."""
     table = graph.table_for(model)
+    fired, unfired = occurrence_masks(graph)
     violations: list[BDViolation] = []
     for witness in ig.strong_edges.values():
-        violations.extend(_branch_violations(model, graph, table, witness))
+        violations.extend(_branch_violations(model, table, witness, fired, unfired))
     return violations
 
 
 def _branch_violations(
-    model: Model, graph: ReachabilityGraph, table: TransitionTable, witness: StrongWitness
+    model: Model,
+    table: TransitionTable,
+    witness: StrongWitness,
+    fired: list[int],
+    unfired: list[int],
 ) -> list[BDViolation]:
     keep = mode_mask(model.space, model.mode)
     masks = table.masks
@@ -218,32 +223,23 @@ def _branch_violations(
     def context(sid: int) -> tuple[int, ...]:
         return tuple(masks[sid][s] & keep for s in support_f)
 
-    base = table.intern_state(witness.node.state)
-    context_without = context(base)
-    context_with = context(table.step(base, e))
-
-    def finding(sid: int, e_occurred: int) -> tuple[str, Subset, Subset] | None:
-        if not e_occurred and context(sid) == context_without:
-            expected = witness.branch0
-        elif e_occurred and context(sid) == context_with:
-            expected = witness.branch1
-        else:
-            return None
-        actual = masks[table.step(sid, f)][site] & observable
-        if not (actual ^ expected.mask) & keep:
-            return None
-        polarity = "e-occurred" if e_occurred else "e-not-occurred"
-        return polarity, expected, Subset(model.space, actual)
-
-    # a node's finding depends only on its state and on whether e occurred
-    found: dict[tuple[int, int], tuple[str, Subset, Subset] | None] = {}
+    base = witness.node_index
+    expectations = (
+        ("e-not-occurred", unfired, context(base), witness.branch0),
+        ("e-occurred", fired, context(table.step(base, e)), witness.branch1),
+    )
     violations = []
-    for idx, (sid, occurred) in enumerate(zip(graph.node_states, graph.node_occurred)):
-        key = (sid, occurred >> e & 1)
-        if key not in found:
-            found[key] = finding(*key)
-        if found[key] is not None:
-            violations.append(BDViolation(witness, idx, graph.nodes[idx], *found[key]))
+    for sid in range(len(fired)):
+        for polarity, on_some_path, expected_context, expected in expectations:
+            if not on_some_path[sid] >> e & 1 or context(sid) != expected_context:
+                continue
+            actual = masks[table.step(sid, f)][site] & observable
+            if (actual ^ expected.mask) & keep:
+                violations.append(
+                    BDViolation(
+                        witness, table.state(sid), polarity, expected, Subset(model.space, actual)
+                    )
+                )
     return violations
 
 

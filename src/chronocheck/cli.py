@@ -2,9 +2,9 @@
 
 Subcommands: validate, explore, influence, chronology, diagnose,
 trace-check.  Every run prints one JSON report to stdout; --json writes
-the same document to a file and --dot writes a Graphviz view.  Exit codes:
-0 clean, 1 violations found (listed in the report), 2 usage or parse
-error.
+the same document to a file and --dot, which validate and trace-check do
+not accept, writes a Graphviz view.  Exit codes: 0 clean, 1 violations
+found (listed in the report), 2 usage or parse error.
 """
 
 from __future__ import annotations
@@ -54,14 +54,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp: argparse.ArgumentParser) -> None:
+    def add_common(sp: argparse.ArgumentParser, dot: bool) -> None:
         sp.add_argument("model_path", nargs="?", metavar="MODEL", help="model file path")
         sp.add_argument("--model", dest="model_flag", help="model file path (alternative to the positional)")
         sp.add_argument("--mode", choices=sorted(_MODES), default=None, help="override the model's consistency mode")
-        sp.add_argument("--max-states", type=int, default=100_000, help="exploration node limit")
+        sp.add_argument("--max-states", type=int, default=100_000, help="exploration state limit")
         sp.add_argument("--max-depth", type=int, default=64, help="exploration depth limit")
         sp.add_argument("--json", dest="json_path", help="also write the report to this file")
-        sp.add_argument("--dot", dest="dot_path", help="write a Graphviz view to this file")
+        if dot:
+            sp.add_argument("--dot", dest="dot_path", help="write a Graphviz view to this file")
+        else:
+            sp.set_defaults(dot_path=None)
         sp.add_argument("--strict", action="store_true", help="treat monotonicity violations as hard errors")
 
     for name, text in [
@@ -73,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("trace-check", "schedule invariance under swaps of adjacent independent events"),
     ]:
         sp = sub.add_parser(name, help=text)
-        add_common(sp)
+        add_common(sp, dot=name not in ("validate", "trace-check"))
         if name == "trace-check":
             sp.add_argument("--schedule", required=True, help="comma-separated event names")
             sp.add_argument("--swaps", type=int, default=20, help="random swap chains to try")
@@ -264,12 +267,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             with open(args.json_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         if args.dot_path:
-            if dot_text is None:
-                print(
-                    f"chronocheck: error: --dot is not available for {args.command}",
-                    file=sys.stderr,
-                )
-                return 2
             with open(args.dot_path, "w", encoding="utf-8") as fh:
                 fh.write(dot_text)
     except OSError as exc:

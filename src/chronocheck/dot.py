@@ -49,8 +49,8 @@ def _label(parts: Sequence[str]) -> str:
 
 
 def reachability_dot(model: Model, graph: ReachabilityGraph) -> str:
-    """Nodes labeled with their record states and occurrence sets, edges
-    with event names."""
+    """One vertex per explored state, labeled with its records and the
+    events on the path that first reached it; edges carry event names."""
     lines = ["digraph reachability {"]
     for idx, node in enumerate(graph.nodes):
         parts = [

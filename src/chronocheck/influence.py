@@ -5,15 +5,15 @@ Weak influence e -> f: some reachable state and shared site where running
 e first changes the set of worlds f rules out there.  Strong influence
 e => f: running e first flips which of two disjoint, nontrivial branch
 constraints f writes on some observable at a shared site.  Witness search
-is deterministic (node insertion order, then site index), so reports are
-reproducible.
+is deterministic (exploration order of states, then site index), so
+reports are reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import RecordState, Subset, measure_of, mode_mask
+from .core import Subset, measure_of, mode_mask
 from .events import apply_event
 from .model import Model
 from .reachability import Node, ReachabilityGraph
@@ -64,11 +64,8 @@ def _influence(
     model: Model, graph: ReachabilityGraph, e_name: str, f_name: str
 ) -> tuple[WeakWitness | None, StrongWitness | None]:
     """First weak and first strong witness for e before f, found in one scan
-    of the explored states in node order, then site order.
-
-    Only the first node of each state is visited: its duplicates come later
-    and carry the same records, so they cannot yield an earlier witness.
-    Pairs with disjoint supports are dismissed outright.
+    of the explored states in exploration order, then site order.  Pairs
+    with disjoint supports are dismissed outright.
     """
     shared = _shared_sites(model, e_name, f_name)
     if not shared:
@@ -81,7 +78,7 @@ def _influence(
     step = table.step
     weak: WeakWitness | None = None
     strong: StrongWitness | None = None
-    for sid, idx in graph.first_nodes.items():
+    for sid, node in enumerate(graph.nodes):
         base = masks[sid]
         shifted_sid = step(sid, e)
         shifted = masks[shifted_sid]
@@ -97,8 +94,8 @@ def _influence(
                     weak = WeakWitness(
                         e_name,
                         f_name,
-                        idx,
-                        graph.nodes[idx],
+                        sid,
+                        node,
                         site,
                         Subset(space, delta_without),
                         Subset(space, delta_with),
@@ -108,8 +105,8 @@ def _influence(
                 strong = StrongWitness(
                     e_name,
                     f_name,
-                    idx,
-                    graph.nodes[idx],
+                    sid,
+                    node,
                     site,
                     Subset(space, observable),
                     Subset(space, p0 & observable),
@@ -189,11 +186,7 @@ def strong_influence_oracle(
     e, f = model.event(e_name), model.event(f_name)
     test = mode_mask(model.space, model.mode)
     n_masks = 1 << size
-    seen: set[RecordState] = set()
     for idx, node in enumerate(graph.nodes):
-        if node.state in seen:
-            continue
-        seen.add(node.state)
         base = node.state
         post_f_base = apply_event(f, base).next
         post_f_shifted = apply_event(f, apply_event(e, base).next).next

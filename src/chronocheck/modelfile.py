@@ -110,7 +110,11 @@ def _rational(text: str) -> Fraction:
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
     found = _EXPONENT.search(text)
-    if limit and found and abs(int(found.group(1))) > 3 * limit:
+    # compared by length first, so an exponent longer than the limit is
+    # never converted
+    exponent = found.group(1).lstrip("+-").replace("_", "").lstrip("0") if found else ""
+    too_far = len(exponent) > len(str(3 * limit)) or int(exponent or "0") > 3 * limit
+    if limit and too_far:
         # int() caps the mantissa at `limit` digits on each side of the
         # point, so only a zero mantissa leaves few enough digits; the same
         # literal with exponent 0 checks the syntax
@@ -119,7 +123,7 @@ def _rational(text: str) -> Fraction:
         except ValueError:
             raise ValueError(f"Invalid literal for Fraction: {text!r}") from None
         if mantissa:
-            raise ValueError(f"exact value needs more than {limit} digits")
+            raise ValueError(f"exponent out of range: the exact value needs more than {limit} digits")
         return Fraction(0)
     value = Fraction(text)
     try:

@@ -7,16 +7,14 @@ is the only engine code that applies an event.  Exploration and every
 check read the table; `Subset` and `RecordState` values are built only for
 the graph's nodes, witnesses and findings.
 
-Nodes pair a record state with the set of events executed at least once on
-the way there; the pair is the dedup key.  Keeping occurrence flags in the
-node identity costs up to a 2^|events| blowup but is what lets the
-branch-determinacy check distinguish histories in which a given event has
-or has not already fired.
+Exploration visits each distinct record state once.  Which events have or
+have not fired on the way to a state is a property of the paths into it,
+not of the state, so `occurrence_masks` computes it for every state at
+once with a fixpoint over the explored arcs.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -111,28 +109,26 @@ class Edge:
 
 @dataclass(frozen=True)
 class ExplorationLimits:
-    max_nodes: int = 100_000
+    max_states: int = 100_000
     max_depth: int = 64
 
     def __post_init__(self) -> None:
-        if self.max_nodes <= 0 or self.max_depth <= 0:
+        if self.max_states <= 0 or self.max_depth <= 0:
             raise ValueError("exploration limits must be positive")
 
 
 @dataclass(frozen=True, eq=False)
 class ReachabilityGraph:
-    """Explored nodes and edges over one transition table.
+    """Explored states and transitions over one transition table.
 
-    Node i is the table state `node_states[i]` together with the bitmask
-    `node_occurred[i]` of event indices that have occurred; each arc is a
-    (source node, event index, target node) triple.  `nodes` carries the
-    same nodes as values; `edges` is built from the arcs on first access.
+    Node i is table state i, paired with the events that occurred on the
+    breadth-first path that first reached it; each arc is a (source state,
+    event index, target state) triple, one per expanded state and event.
+    `edges` is built from the arcs on first access.
     """
 
     table: TransitionTable
     nodes: tuple[Node, ...]
-    node_states: tuple[int, ...]
-    node_occurred: tuple[int, ...]
     arcs: tuple[tuple[int, int, int], ...]
     truncated: bool
 
@@ -154,32 +150,22 @@ class ReachabilityGraph:
         return self.nodes[0]
 
     @cached_property
-    def first_nodes(self) -> dict[int, int]:
-        """Node index of the first node of each distinct state id, in
-        first-seen order."""
-        first: dict[int, int] = {}
-        for idx, sid in enumerate(self.node_states):
-            first.setdefault(sid, idx)
-        return first
-
-    @cached_property
     def edges(self) -> tuple[Edge, ...]:
         names = self.model.event_names
         space = self.model.space
-        table = self.table
-        violations: dict[tuple[int, int], tuple[MonotonicityViolation, ...]] = {}
-        edges = []
-        for src, event, tgt in self.arcs:
-            key = (self.node_states[src], event)
-            found = violations.get(key)
-            if found is None:
-                found = tuple(
+        violations = self.table.violations
+        return tuple(
+            Edge(
+                src,
+                names[event],
+                tgt,
+                tuple(
                     MonotonicityViolation(names[event], site, Subset(space, added))
-                    for site, added in table.violations(*key)
-                )
-                violations[key] = found
-            edges.append(Edge(src, names[event], tgt, found))
-        return tuple(edges)
+                    for site, added in violations(src, event)
+                ),
+            )
+            for src, event, tgt in self.arcs
+        )
 
     def table_for(self, model: Model) -> TransitionTable:
         """The graph's transition table, checked to apply `model`'s events."""
@@ -189,7 +175,7 @@ class ReachabilityGraph:
 
     def distinct_states(self) -> tuple[RecordState, ...]:
         """Record states in first-seen order, each listed once."""
-        return tuple(self.table.state(sid) for sid in self.first_nodes)
+        return tuple(node.state for node in self.nodes)
 
 
 def _feasible(masks: MaskState) -> int:
@@ -200,67 +186,71 @@ def _feasible(masks: MaskState) -> int:
 
 
 def explore(model: Model, limits: ExplorationLimits | None = None) -> ReachabilityGraph:
-    """Breadth-first closure of the initial node under all events.
+    """Breadth-first closure of the initial state under all events.
 
     Events are expanded in declaration order, so two runs produce the same
-    node and edge ordering.  States are kept exactly as the events write
-    them, zero-weight worlds included.
+    state and arc ordering, and the table assigns ids in the order states
+    are first reached.  `max_states` bounds the distinct states kept and
+    `max_depth` the length of the shortest path to an expanded state.
+    States are kept exactly as the events write them, zero-weight worlds
+    included.
     """
     limits = limits or ExplorationLimits()
     table = TransitionTable(model)
-    n_events = len(model.events)
-    init = table.intern_state(model.initial)
-    states: list[int] = [init]
+    table.intern_state(model.initial)
     occurred: list[int] = [0]
     depths: list[int] = [0]
-    index: dict[int, int] = {init << n_events: 0}
     arcs: list[tuple[int, int, int]] = []
     truncated = False
-    queue: deque[int] = deque([0])
-    while queue:
-        src = queue.popleft()
+    src = 0
+    while src < len(depths):
         if depths[src] >= limits.max_depth:
-            if n_events:
-                truncated = True
-            continue
-        occ = occurred[src]
-        depth = depths[src] + 1
-        for event, target in enumerate(table.row(states[src])):
-            target_occ = occ | 1 << event
-            key = target << n_events | target_occ
-            tgt = index.get(key)
-            if tgt is None:
-                if len(states) >= limits.max_nodes:
+            truncated = truncated or bool(model.events)
+        else:
+            for event, target in enumerate(table.row(src)):
+                if target >= limits.max_states:
                     truncated = True
                     continue
-                tgt = len(states)
-                index[key] = tgt
-                states.append(target)
-                occurred.append(target_occ)
-                depths.append(depth)
-                queue.append(tgt)
-            arcs.append((src, event, tgt))
+                if target == len(depths):  # ids are handed out in this order
+                    occurred.append(occurred[src] | 1 << event)
+                    depths.append(depths[src] + 1)
+                arcs.append((src, event, target))
+        src += 1
     names = model.event_names
-    occurred_sets: dict[int, frozenset[str]] = {}
-    nodes = []
-    for sid, occ in zip(states, occurred):
-        names_fired = occurred_sets.get(occ)
-        if names_fired is None:
-            names_fired = frozenset(n for i, n in enumerate(names) if occ >> i & 1)
-            occurred_sets[occ] = names_fired
-        nodes.append(Node(table.state(sid), names_fired))
-    return ReachabilityGraph(
-        table, tuple(nodes), tuple(states), tuple(occurred), tuple(arcs), truncated
+    nodes = tuple(
+        Node(table.state(sid), frozenset(n for i, n in enumerate(names) if occ >> i & 1))
+        for sid, occ in enumerate(occurred)
     )
+    return ReachabilityGraph(table, nodes, tuple(arcs), truncated)
+
+
+def occurrence_masks(graph: ReachabilityGraph) -> tuple[list[int], list[int]]:
+    """Per explored state, the event bitmask fired on some explored path to
+    it and the event bitmask not fired on some explored path to it."""
+    succ: list[list[tuple[int, int]]] = [[] for _ in graph.nodes]
+    for src, event, tgt in graph.arcs:
+        succ[src].append((1 << event, tgt))
+    fired = [0] * len(succ)
+    unfired = [0] * len(succ)
+    unfired[0] = (1 << len(graph.model.events)) - 1
+    pending = [0]
+    while pending:
+        src = pending.pop()
+        for bit, tgt in succ[src]:
+            now_fired = fired[tgt] | fired[src] | bit
+            now_unfired = unfired[tgt] | unfired[src] & ~bit
+            if now_fired != fired[tgt] or now_unfired != unfired[tgt]:
+                fired[tgt], unfired[tgt] = now_fired, now_unfired
+                pending.append(tgt)
+    return fired, unfired
 
 
 def check_gs(graph: ReachabilityGraph) -> list[int]:
-    """Indices of explored nodes whose state is not globally consistent
-    under the model's consistency mode."""
+    """Indices of explored states that are not globally consistent under
+    the model's consistency mode."""
     test = mode_mask(graph.model.space, graph.model.mode)
     masks = graph.table.masks
-    inconsistent = {sid for sid in graph.first_nodes if not _feasible(masks[sid]) & test}
-    return [i for i, sid in enumerate(graph.node_states) if sid in inconsistent]
+    return [sid for sid in range(len(graph.nodes)) if not _feasible(masks[sid]) & test]
 
 
 @dataclass(frozen=True)
@@ -288,7 +278,7 @@ def check_diamond(graph: ReachabilityGraph, model: Model) -> list[DiamondViolati
     if not pairs:
         return violations
     step = table.step
-    for sid in graph.first_nodes:
+    for sid in range(len(graph.nodes)):
         for e, f in pairs:
             f_then_e = step(step(sid, f), e)
             e_then_f = step(step(sid, e), f)
@@ -315,33 +305,16 @@ class MonotonicityFinding:
 
 
 def check_monotonicity(graph: ReachabilityGraph) -> list[MonotonicityFinding]:
-    """Union of violations recorded on edges, one entry per
+    """Violations recorded on the explored arcs, one entry per
     (event, site, source state)."""
     table = graph.table
     names = graph.model.event_names
     space = graph.model.space
-    events = range(len(names))
-    pending = {
-        (sid, event)
-        for sid in graph.first_nodes
-        for event in events
-        if table.violations(sid, event)
-    }
-    findings: list[MonotonicityFinding] = []
-    node_states = graph.node_states
-    for src, event, _ in graph.arcs:
-        if not pending:
-            break
-        key = (node_states[src], event)
-        if key in pending:
-            pending.remove(key)
-            for site, added in table.violations(*key):
-                findings.append(
-                    MonotonicityFinding(
-                        names[event], site, Subset(space, added), table.state(key[0])
-                    )
-                )
-    return findings
+    return [
+        MonotonicityFinding(names[event], site, Subset(space, added), table.state(src))
+        for src, event, _ in graph.arcs
+        for site, added in table.violations(src, event)
+    ]
 
 
 @dataclass(frozen=True)
@@ -357,11 +330,10 @@ def check_clock_monotone(graph: ReachabilityGraph) -> list[ClockViolation]:
     shrink-only writing."""
     space = graph.model.space
     masks = graph.table.masks
-    mus = {sid: space.measure_mask(_feasible(masks[sid])) for sid in graph.first_nodes}
-    node_states = graph.node_states
+    mus = [space.measure_mask(_feasible(masks[sid])) for sid in range(len(graph.nodes))]
     violations = []
     for idx, (src, _, tgt) in enumerate(graph.arcs):
-        mu_source, mu_target = mus[node_states[src]], mus[node_states[tgt]]
+        mu_source, mu_target = mus[src], mus[tgt]
         if mu_target > mu_source:
             violations.append(ClockViolation(graph.edges[idx], mu_source, mu_target))
     return violations

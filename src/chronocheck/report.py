@@ -105,7 +105,7 @@ def bd_violation_json(model: Model, v: BDViolation) -> dict[str, Any]:
         "f": v.witness.f,
         "site": model.sites[v.witness.site],
         "polarity": v.polarity,
-        "node": node_json(model, v.node),
+        "state": state_json(model, v.state),
         "expected": subset_json(v.expected),
         "actual": subset_json(v.actual),
     }
@@ -148,7 +148,7 @@ def graph_summary_json(model: Model, graph: ReachabilityGraph) -> dict[str, Any]
     return {
         "nodes": len(graph.nodes),
         "edges": len(graph.arcs),
-        "distinct_states": len(graph.first_nodes),
+        "distinct_states": len(graph.nodes),
         "truncated": graph.truncated,
     }
 

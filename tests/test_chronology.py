@@ -18,6 +18,7 @@ from chronocheck import (
     diagnose,
     explore,
     find_strong_cycles,
+    parse_model,
     states_equal,
     transitive_closure,
 )
@@ -99,12 +100,46 @@ def test_branch_determinacy_flip_model_single_violation(bd_flip):
     assert violation.polarity == "e-not-occurred"
     assert violation.expected == bd_flip.space.subset(["u"])
     assert violation.actual == bd_flip.space.subset(["v"])
-    assert violation.node.occurred == frozenset({"g"})
-    # oracle: the offending node's post-f record really does write the
+    # the offending state is the one g alone reaches
+    assert violation.state == apply_event(bd_flip.event("g"), bd_flip.initial).next
+    # oracle: the offending state's post-f record really does write the
     # other branch, by direct evaluation
     f = bd_flip.event("f")
-    post = apply_event(f, violation.node.state).next[violation.witness.site]
+    post = apply_event(f, violation.state).next[violation.witness.site]
     assert post & violation.witness.observable == bd_flip.space.subset(["v"])
+
+
+# the empty record is reached with e0, e1, e2 fired, with or without e3, so
+# it is one state along two histories in which e2 has occurred
+REACHED_TWICE = """{
+  "worlds": ["w0", "w1", "w2", "w3"],
+  "measure": {"w0": 0, "w1": 2, "w2": 2, "w3": 2},
+  "sites": ["s0"],
+  "consistency_mode": "positive_measure",
+  "initial": {"s0": ["w0", "w1"]},
+  "events": [
+    {"name": "e0", "kind": "table", "support": ["s0"], "rules": [
+      {"guard": {"s0": ["w0", "w2", "w3"]}, "result": {"s0": []}},
+      {"guard": {"s0": ["w0", "w2", "w3"]}, "result": {"s0": ["w2", "w3"]}},
+      {"guard": {}, "result": {"s0": ["w0", "w2"]}}]},
+    {"name": "e1", "kind": "table", "support": ["s0"], "rules": [
+      {"guard": {"s0": ["w0"]}, "result": {"s0": ["w3"]}}]},
+    {"name": "e2", "kind": "intersect", "support": ["s0"], "constants": {"s0": ["w0", "w1"]}},
+    {"name": "e3", "kind": "table", "support": ["s0"], "rules": [
+      {"guard": {}, "result": {"s0": ["w0", "w1", "w2"]}}]}
+  ]
+}"""
+
+
+def test_branch_determinacy_lists_each_state_once_per_polarity():
+    model = parse_model(REACHED_TWICE)
+    report = diagnose(model)
+    empty = RecordState((model.space.empty(),))
+    found = [(v.witness.e, v.witness.f, v.polarity, v.state) for v in report.bd_violations]
+    assert found == [
+        ("e2", "e1", "e-occurred", empty),
+        ("e3", "e1", "e-not-occurred", empty),
+    ]
 
 
 def test_branch_determinacy_vacuous_without_strong_edges(two_site):

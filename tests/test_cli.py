@@ -71,8 +71,16 @@ def test_validate_reports_static_defects(capsys):
         b'{"worlds": ["\xe9"], "sites": ["s"], "events": []}',
         b'{"worlds": ["a"], "measure": {"a": "1e4301"}, "sites": ["s"], "events": []}',
         b'{"worlds": ["a"], "measure": {"a": 1e4301}, "sites": ["s"], "events": []}',
+        b'{"worlds": ["a"], "measure": {"a": "1e' + b"9" * 5000 + b'"}, "sites": ["s"], "events": []}',
     ],
-    ids=["not-json", "deep-nesting", "not-utf8", "long-weight-string", "long-weight-number"],
+    ids=[
+        "not-json",
+        "deep-nesting",
+        "not-utf8",
+        "long-weight-string",
+        "long-weight-number",
+        "long-exponent",
+    ],
 )
 def test_parse_error_exits_two(tmp_path, capsys, content):
     path = tmp_path / "broken.json"
@@ -80,6 +88,7 @@ def test_parse_error_exits_two(tmp_path, capsys, content):
     status, _, err = run_cli(capsys, "diagnose", str(path))
     assert status == 2
     assert err.startswith("chronocheck: error: ") and err.count("\n") == 1
+    assert "set_int_max_str_digits" not in err  # advice for programmers, not users
 
 
 def test_unknown_field_exits_two(tmp_path, capsys):
@@ -126,6 +135,21 @@ def test_dot_export_two_site_has_isolated_vertices(tmp_path, capsys):
     dot = dot_path.read_text()
     assert '"e1";' in dot and '"e2";' in dot
     assert "->" not in dot
+
+
+@pytest.mark.parametrize("command", ["validate", "trace-check"])
+def test_dot_is_rejected_before_any_report(tmp_path, capsys, command):
+    dot_path, json_path = tmp_path / "view.dot", tmp_path / "report.json"
+    argv = [command, TWO_SITE, "--dot", str(dot_path), "--json", str(json_path)]
+    if command == "trace-check":
+        argv += ["--schedule", "e1,e2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--dot" in captured.err
+    assert not dot_path.exists() and not json_path.exists()
 
 
 def test_influence_dot_three_chain_closure_styles():

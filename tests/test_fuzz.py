@@ -28,6 +28,44 @@ documents = st.recursive(
     max_leaves=20,
 )
 
+# near-valid documents: the right keys and labels from small pools, so about
+# half of them parse and the CLI runs exploration and every check on them
+WORLDS = ("w0", "w1", "w2")
+SITES = ("s0", "s1")
+world_lists = st.lists(st.sampled_from(WORLDS), max_size=3, unique=True)
+site_maps = st.dictionaries(st.sampled_from(SITES), world_lists, max_size=2)
+supports = st.lists(st.sampled_from(SITES), min_size=1, max_size=2, unique=True)
+intersect_events = supports.flatmap(
+    lambda support: st.fixed_dictionaries(
+        {
+            "kind": st.just("intersect"),
+            "support": st.just(support),
+            "constants": st.fixed_dictionaries({site: world_lists for site in support}),
+        }
+    )
+)
+table_events = st.fixed_dictionaries(
+    {
+        "kind": st.just("table"),
+        "support": supports,
+        "rules": st.lists(st.fixed_dictionaries({"guard": site_maps, "result": site_maps}), max_size=2),
+    }
+)
+near_valid = st.fixed_dictionaries(
+    {
+        "worlds": st.lists(st.sampled_from(WORLDS), min_size=1, max_size=3, unique=True),
+        "sites": st.permutations(SITES),
+        "events": st.lists(intersect_events | table_events, max_size=3).map(
+            lambda events: [dict(event, name=f"e{i}") for i, event in enumerate(events)]
+        ),
+    },
+    optional={
+        "measure": st.dictionaries(st.sampled_from(WORLDS), st.integers(0, 2) | st.just("1/2")),
+        "initial": site_maps,
+        "consistency_mode": st.sampled_from(("nonempty", "positive_measure")),
+    },
+)
+
 REPRODUCERS = (
     b"[" * 200_000,
     b'{"worlds": ["\xe9"], "sites": ["s"], "events": []}',
@@ -59,6 +97,13 @@ def _cli_statuses(path):
 @given(documents)
 def test_cli_exit_status_on_arbitrary_documents(tmp_path_factory, document):
     path = tmp_path_factory.getbasetemp() / "fuzz-document.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    assert set(_cli_statuses(path)) <= {0, 1, 2}
+
+
+@given(near_valid)
+def test_cli_exit_status_on_near_valid_documents(tmp_path_factory, document):
+    path = tmp_path_factory.getbasetemp() / "fuzz-near-valid.json"
     path.write_text(json.dumps(document), encoding="utf-8")
     assert set(_cli_statuses(path)) <= {0, 1, 2}
 

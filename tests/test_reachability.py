@@ -22,6 +22,7 @@ from chronocheck import (
     feasible_set,
     information_content,
     measure_of,
+    occurrence_masks,
 )
 from chronocheck.randmodels import random_model
 
@@ -79,16 +80,73 @@ def test_exploration_is_deterministic(gadget):
 
 
 def test_exploration_limit_sets_truncated(gadget):
-    graph = explore(gadget, ExplorationLimits(max_nodes=2, max_depth=64))
+    graph = explore(gadget, ExplorationLimits(max_states=2, max_depth=64))
     assert graph.truncated
     assert len(graph.nodes) == 2
-    graph = explore(gadget, ExplorationLimits(max_nodes=100_000, max_depth=1))
+    graph = explore(gadget, ExplorationLimits(max_states=100_000, max_depth=1))
     assert graph.truncated
+
+
+def test_state_limit_counts_distinct_states(bd_flip):
+    # bd_flip reaches 8 states along 11 distinct (state, occurred-set) pairs
+    graph = explore(bd_flip, ExplorationLimits(max_states=8))
+    assert not graph.truncated
+    assert len(graph.nodes) == 8
+    assert explore(bd_flip, ExplorationLimits(max_states=7)).truncated
+
+
+def histories_by_path_enumeration(model):
+    """Oracle: breadth-first search over (state, occurred-set) pairs by
+    direct event application, so each state appears once per set of events
+    that can have fired on a path to it.  Returns the pairs in the order
+    they are first reached."""
+    names = model.event_names
+    start = (model.initial, frozenset())
+    seen = {start}
+    order = [start]
+    queue = deque([start])
+    while queue:
+        state, occurred = queue.popleft()
+        for name, event in zip(names, model.events):
+            pair = (apply_event(event, state).next, occurred | {name})
+            if pair not in seen:
+                seen.add(pair)
+                order.append(pair)
+                queue.append(pair)
+    return order
+
+
+@settings(max_examples=150)
+@given(seed=st.integers(0, 10**9))
+def test_occurrence_masks_match_path_enumeration(seed):
+    # free-form table writes make cycles and states reached along many
+    # histories common
+    model = random_model(random.Random(seed), intersect_prob=0.3, monotone_bias=0.3)
+    graph = explore(model)
+    fired, unfired = occurrence_masks(graph)
+    histories = histories_by_path_enumeration(model)
+    first = {}
+    for state, occurred in histories:
+        first.setdefault(state, occurred)
+    # states in the order they are first reached, each with the occurred
+    # set of its first history
+    assert [(node.state, node.occurred) for node in graph.nodes] == list(first.items())
+    index = {node.state: i for i, node in enumerate(graph.nodes)}
+    expect_fired = [0] * len(graph.nodes)
+    expect_unfired = [0] * len(graph.nodes)
+    for state, occurred in histories:
+        for bit, name in enumerate(model.event_names):
+            if name in occurred:
+                expect_fired[index[state]] |= 1 << bit
+            else:
+                expect_unfired[index[state]] |= 1 << bit
+    assert fired == expect_fired
+    assert unfired == expect_unfired
 
 
 def test_limits_must_be_positive():
     with pytest.raises(ValueError):
-        ExplorationLimits(max_nodes=0)
+        ExplorationLimits(max_states=0)
 
 
 def test_occurred_sets_replay_along_some_path(gadget):
@@ -128,7 +186,7 @@ def test_transition_table_matches_apply_event(seed, truncated):
         random.Random(seed), max_sites=4, intersect_prob=0.3, monotone_bias=0.3
     )
     if truncated:
-        graph = explore(model, ExplorationLimits(max_nodes=3, max_depth=1))
+        graph = explore(model, ExplorationLimits(max_states=3, max_depth=1))
     else:
         graph = explore(model)
     table = graph.table
