@@ -1,8 +1,11 @@
 """Frozen behaviour: `diagnose` on the conformance suite and three scale-ladder
-rungs must keep the digests recorded in tests/golden/diagnose_digests.json.
+rungs must keep the digests recorded in tests/golden/diagnose_digests.json,
+and the CLI runs of scripts/record_golden.py must keep the stdout digests
+and exit statuses recorded in tests/golden/cli_stdout_digests.json.
 
-A mismatch means a verdict-bearing fact changed.  If the change is meant,
-rerun scripts/record_golden.py and explain the difference in CHANGES.md.
+A diagnose mismatch means a verdict-bearing fact changed; a stdout mismatch
+means report bytes changed.  If the change is meant, rerun
+scripts/record_golden.py and explain the difference in CHANGES.md.
 """
 
 import importlib.util
@@ -28,3 +31,12 @@ def test_diagnose_digests_match_golden_record():
     current = record_golden.compute_digests()
     changed = sorted(k for k in recorded.keys() | current.keys() if recorded.get(k) != current.get(k))
     assert not changed, f"{len(changed)} digests changed, first: {changed[:5]}"
+
+
+def test_cli_stdout_digests_match_golden_record(tmp_path):
+    """Report bytes, model digest included, and `--help` texts are frozen."""
+    record_golden = _record_golden()
+    recorded = json.loads(record_golden.STDOUT_PATH.read_text(encoding="utf-8"))
+    current = record_golden.compute_stdout_digests(tmp_path)
+    changed = sorted(k for k in recorded.keys() | current.keys() if recorded.get(k) != current.get(k))
+    assert not changed, f"{len(changed)} of {len(recorded)} runs changed, first: {changed[:5]}"
