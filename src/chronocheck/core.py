@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 WeightLike = Union[Fraction, int, float, str]
@@ -103,6 +104,12 @@ class PossibilitySpace:
     def full(self) -> "Subset":
         return Subset(self, self.full_mask)  # type: ignore[attr-defined]
 
+    @cached_property
+    def _sorted_bits(self) -> tuple[tuple[str, int], ...]:
+        """(label, bit) for every world, in label order; computed on first
+        use, so spaces that never serialize a subset do not pay for it."""
+        return tuple(sorted((w, 1 << i) for i, w in enumerate(self.worlds)))
+
     def measure_mask(self, mask: int) -> Fraction:
         total = Fraction(0)
         while mask:
@@ -182,7 +189,8 @@ class Subset:
         return tuple(self)
 
     def sorted_labels(self) -> list[str]:
-        return sorted(self)
+        mask = self.mask
+        return [label for label, bit in self.space._sorted_bits if mask & bit]
 
     def __repr__(self) -> str:
         return "Subset({" + ", ".join(self.sorted_labels()) + "})"

@@ -37,8 +37,9 @@ import re
 import sys
 from fractions import Fraction
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .core import ConsistencyMode, PossibilitySpace, RecordState, Subset
 from .events import Event, EventKind, Rule
@@ -322,8 +323,56 @@ def model_to_dict(model: Model) -> dict:
     return out
 
 
+def dumps_indented(value: Any) -> str:
+    """The text of `json.dumps(value, indent=2) + "\\n"`, byte for byte.
+
+    With `indent` set, `json` encodes through its pure-Python generator.
+    This writer appends to one list of chunks and quotes strings with the
+    C-accelerated `encode_basestring_ascii`; scalars other than strings go
+    through `json.dumps`.  Dict keys must be strings.
+    """
+    chunks: list[str] = []
+    _write_indented(value, "\n", chunks.append)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _write_indented(value: Any, newline: str, emit: Callable[[str], None]) -> None:
+    """Emit `value`; `newline` is a line break plus the indentation of the
+    line `value` starts on."""
+    if isinstance(value, str):
+        emit(_quote(value))
+    elif isinstance(value, dict):
+        if not value:
+            emit("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            emit(separator + _quote(key) + ": ")
+            _write_indented(item, inner, emit)
+            separator = "," + inner
+        emit(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            emit("[]")
+            return
+        inner = newline + "  "
+        if all(type(item) is str for item in value):
+            emit("[" + inner + ("," + inner).join(map(_quote, value)) + newline + "]")
+        else:
+            separator = "[" + inner
+            for item in value:
+                emit(separator)
+                _write_indented(item, inner, emit)
+                separator = "," + inner
+            emit(newline + "]")
+    else:
+        emit(json.dumps(value))
+
+
 def serialize_model(model: Model) -> str:
-    return json.dumps(model_to_dict(model), indent=2) + "\n"
+    return dumps_indented(model_to_dict(model))
 
 
 def model_digest(model: Model) -> str:

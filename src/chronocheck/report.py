@@ -4,7 +4,6 @@ byte-identical documents."""
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Any
 
@@ -18,6 +17,7 @@ from .chronology import (
 from .core import RecordState, Subset, information_content
 from .influence import InfluenceGraph, StrongWitness, WeakWitness
 from .model import Model
+from .modelfile import dumps_indented
 from .reachability import (
     ClockViolation,
     DiamondViolation,
@@ -229,4 +229,4 @@ def make_report(
 
 
 def dumps_report(report: dict[str, Any]) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    return dumps_indented(report)

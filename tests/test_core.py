@@ -53,6 +53,15 @@ def test_subset_algebra_is_exact():
         space.subset(["zzz"])
 
 
+def test_sorted_labels_follow_label_order_not_declaration_order():
+    worlds = ["w2", "w10", "\u00e9", "a", "Z"]
+    space = PossibilitySpace.create(worlds)
+    assert space.full().sorted_labels() == ["Z", "a", "w10", "w2", "\u00e9"]
+    for mask in range(1 << len(worlds)):
+        subset = space.from_mask(mask)
+        assert subset.sorted_labels() == sorted(subset)
+
+
 def test_subsets_from_different_spaces_do_not_mix():
     s1 = PossibilitySpace.create(["a", "b"])
     s2 = PossibilitySpace.create(["a", "c"])

@@ -4,6 +4,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chronocheck import (
     ConsistencyMode,
@@ -14,6 +16,7 @@ from chronocheck import (
     parse_model,
     serialize_model,
 )
+from chronocheck.modelfile import dumps_indented
 from chronocheck.randmodels import random_model
 
 
@@ -242,3 +245,31 @@ def test_round_trip_random_models():
 def test_digest_is_stable_and_distinguishes_models(two_site, gadget):
     assert model_digest(two_site) == model_digest(two_site)
     assert model_digest(two_site) != model_digest(gadget)
+
+
+# Any code point, lone surrogates included, plus the characters JSON escapes.
+_TEXT = st.text(st.characters(exclude_categories=()) | st.sampled_from('"\\\x00\x1f\x7f\u2028'), max_size=6)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats()
+    | _TEXT
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.lists(_TEXT, max_size=4)
+    | st.dictionaries(_TEXT, children, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=150)
+@given(_JSON)
+@example({"": [], "k": {}, "\u00e9\"\\\n": [-0.0, 1e300, 0.1, -(2**70), True, False, None]})
+@example([{}, [], [[]], [{}], "", ["\u2603", "\\"]])
+def test_dumps_indented_matches_json_dumps(value):
+    assert dumps_indented(value) == json.dumps(value, indent=2) + "\n"
