@@ -262,7 +262,7 @@ def check_trace_invariance(
     schedule: Sequence[str],
     swaps: int = 20,
     seed: int = 0,
-    limits: ExplorationLimits | None = None,
+    graph: ReachabilityGraph | None = None,
 ) -> TraceInvarianceReport:
     """Run a schedule, then every single swap of adjacent independent
     events plus seeded random chains of such swaps, and verify the final
@@ -272,10 +272,12 @@ def check_trace_invariance(
     not depend on a schedule, so they are not compared across variants.  A
     model that fails the commutation check cannot be trace-invariant, so in
     that case the commutation failures are reported and no variants are
-    attempted.  `limits` bounds the one exploration the check runs.
+    attempted.  `graph` is the model's explored graph; when it is omitted,
+    the check explores the model once, with the default limits.
     """
     events = [model.event(name) for name in schedule]  # raises on unknown names
-    graph = explore(model, limits)
+    if graph is None:
+        graph = explore(model)
     diamonds = check_diamond(graph, model)
     schedule = tuple(schedule)
     table = graph.table

@@ -3,8 +3,10 @@
 Subcommands: validate, explore, influence, chronology, diagnose,
 trace-check.  Every run prints one JSON report to stdout; --json writes
 the same document to a file and --dot, which validate and trace-check do
-not accept, writes a Graphviz view.  Exit codes: 0 clean, 1 violations
-found (listed in the report), 2 usage or parse error.
+not accept, writes a Graphviz view.  Each handler returns its view as a
+function, so the DOT text is built only when --dot is given.  Exit codes:
+0 clean, 1 violations found (listed in the report), 2 usage or parse
+error.
 """
 
 from __future__ import annotations
@@ -45,6 +47,20 @@ class _StrictViolation(Exception):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Options shared by subcommands, each defined once in a parent parser.
+    # --strict has its own parent so that --dot keeps its place before it.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("model_path", nargs="?", metavar="MODEL", help="model file path")
+    common.add_argument("--model", dest="model_flag", help="model file path (alternative to the positional)")
+    common.add_argument("--mode", choices=sorted(_MODES), default=None, help="override the model's consistency mode")
+    common.add_argument("--max-states", type=int, default=100_000, help="exploration state limit")
+    common.add_argument("--max-depth", type=int, default=64, help="exploration depth limit")
+    common.add_argument("--json", dest="json_path", help="also write the report to this file")
+    view = argparse.ArgumentParser(add_help=False)
+    view.add_argument("--dot", dest="dot_path", help="write a Graphviz view to this file")
+    strict = argparse.ArgumentParser(add_help=False)
+    strict.add_argument("--strict", action="store_true", help="treat monotonicity violations as hard errors")
+
     parser = argparse.ArgumentParser(
         prog="chronocheck",
         description=(
@@ -52,21 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
             "monotone local updates"
         ),
     )
+    parser.set_defaults(dot_path=None)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp: argparse.ArgumentParser, dot: bool) -> None:
-        sp.add_argument("model_path", nargs="?", metavar="MODEL", help="model file path")
-        sp.add_argument("--model", dest="model_flag", help="model file path (alternative to the positional)")
-        sp.add_argument("--mode", choices=sorted(_MODES), default=None, help="override the model's consistency mode")
-        sp.add_argument("--max-states", type=int, default=100_000, help="exploration state limit")
-        sp.add_argument("--max-depth", type=int, default=64, help="exploration depth limit")
-        sp.add_argument("--json", dest="json_path", help="also write the report to this file")
-        if dot:
-            sp.add_argument("--dot", dest="dot_path", help="write a Graphviz view to this file")
-        else:
-            sp.set_defaults(dot_path=None)
-        sp.add_argument("--strict", action="store_true", help="treat monotonicity violations as hard errors")
-
     for name, text in [
         ("validate", "static checks only"),
         ("explore", "reachability plus consistency, monotonicity, commutation, and clock checks"),
@@ -75,8 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("diagnose", "full premise check and escape classification"),
         ("trace-check", "schedule invariance under swaps of adjacent independent events"),
     ]:
-        sp = sub.add_parser(name, help=text)
-        add_common(sp, dot=name not in ("validate", "trace-check"))
+        has_view = name not in ("validate", "trace-check")
+        sp = sub.add_parser(name, help=text, parents=[common, view, strict] if has_view else [common, strict])
         if name == "trace-check":
             sp.add_argument("--schedule", required=True, help="comma-separated event names")
             sp.add_argument("--swaps", type=int, default=20, help="random swap chains to try")
@@ -159,8 +162,7 @@ def _cmd_explore(model: Model, args: argparse.Namespace):
         "clock_violations": [report_mod.clock_json(model, graph, v) for v in clock],
     }
     violations = bool(gs or mono or diamonds or clock)
-    dot_text = reachability_dot(model, graph)
-    return results, violations, [], dot_text
+    return results, violations, [], lambda: reachability_dot(model, graph)
 
 
 def _cmd_influence(model: Model, args: argparse.Namespace):
@@ -168,8 +170,7 @@ def _cmd_influence(model: Model, args: argparse.Namespace):
     ig = build_influence_graphs(model, graph)
     results = report_mod.influence_json(model, ig)
     notes = report_mod.influence_notes(model, ig)
-    dot_text = influence_dot(ig.events, ig.weak_edges, ig.strong_edges)
-    return results, False, notes, dot_text
+    return results, False, notes, lambda: influence_dot(ig.events, ig.weak_edges, ig.strong_edges)
 
 
 def _cmd_chronology(model: Model, args: argparse.Namespace):
@@ -183,32 +184,27 @@ def _cmd_chronology(model: Model, args: argparse.Namespace):
         "strong_edges": [list(pair) for pair in ig.strong_edges],
     }
     notes = report_mod.influence_notes(model, ig)
-    dot_text = influence_dot(ig.events, ig.weak_edges, ig.strong_edges, chron.precedes)
-    return results, cycles.has_cycle, notes, dot_text
+    return results, cycles.has_cycle, notes, lambda: influence_dot(
+        ig.events, ig.weak_edges, ig.strong_edges, chron.precedes
+    )
 
 
 def _cmd_diagnose(model: Model, args: argparse.Namespace):
     taxonomy = diagnose(model, _limits(args))
     _check_strict(model, args, taxonomy.monotonicity_violations)
     results = report_mod.taxonomy_json(taxonomy)
-    notes = report_mod.influence_notes(model, taxonomy.influence)
+    ig, precedes = taxonomy.influence, taxonomy.chronology.precedes
+    notes = report_mod.influence_notes(model, ig)
     violations = taxonomy.any_violations() or taxonomy.has_strong_cycle
-    dot_text = influence_dot(
-        taxonomy.influence.events,
-        taxonomy.influence.weak_edges,
-        taxonomy.influence.strong_edges,
-        taxonomy.chronology.precedes,
+    return results, violations, notes, lambda: influence_dot(
+        ig.events, ig.weak_edges, ig.strong_edges, precedes
     )
-    return results, violations, notes, dot_text
 
 
 def _cmd_trace_check(model: Model, args: argparse.Namespace):
-    if args.strict:
-        _explored(model, args)
+    graph = _explored(model, args)
     schedule = [name.strip() for name in args.schedule.split(",") if name.strip()]
-    trace = check_trace_invariance(
-        model, schedule, swaps=args.swaps, seed=args.seed, limits=_limits(args)
-    )
+    trace = check_trace_invariance(model, schedule, swaps=args.swaps, seed=args.seed, graph=graph)
     results = report_mod.trace_json(model, trace)
     return results, not trace.invariant, [], None
 
@@ -232,7 +228,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"chronocheck: error: {exc}", file=sys.stderr)
         return 2
     try:
-        results, violations, notes, dot_text = _HANDLERS[args.command](model, args)
+        results, violations, notes, view = _HANDLERS[args.command](model, args)
     except (_StrictViolation, ValueError) as exc:
         print(f"chronocheck: error: {exc}", file=sys.stderr)
         return 2
@@ -268,7 +264,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 fh.write(text)
         if args.dot_path:
             with open(args.dot_path, "w", encoding="utf-8") as fh:
-                fh.write(dot_text)
+                fh.write(view())
     except OSError as exc:
         print(f"chronocheck: error: {exc}", file=sys.stderr)
         return 2

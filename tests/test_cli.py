@@ -242,10 +242,32 @@ def test_strict_diagnose_explores_once(monkeypatch, capsys):
 
 def test_trace_check_passes_exploration_limits(monkeypatch, capsys):
     calls = _record_explorations(monkeypatch)
-    status, out, _ = run_cli(
-        capsys,
-        "trace-check", TWO_SITE, "--schedule", "e1,e2", "--max-states", "7", "--max-depth", "3",
-    )
-    assert status == 0
-    assert json.loads(out)["flags"]["max_states"] == 7
-    assert calls == [ExplorationLimits(7, 3)]
+    for strict in ([], ["--strict"]):
+        calls.clear()
+        status, out, _ = run_cli(
+            capsys,
+            "trace-check", TWO_SITE, "--schedule", "e1,e2", "--max-states", "7", "--max-depth", "3", *strict,
+        )
+        assert status == 0
+        assert json.loads(out)["flags"]["max_states"] == 7
+        assert calls == [ExplorationLimits(7, 3)], strict
+
+
+@pytest.mark.parametrize("command", ["explore", "influence", "chronology", "diagnose"])
+def test_dot_text_is_built_only_for_dot(monkeypatch, tmp_path, capsys, command):
+    calls = []
+
+    def spy(original):
+        def wrapper(*args, **kwargs):
+            calls.append(original.__name__)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("reachability_dot", "influence_dot"):
+        monkeypatch.setattr(chronocheck.cli, name, spy(getattr(chronocheck.cli, name)))
+    status, without_dot, _ = run_cli(capsys, command, GADGET)
+    assert calls == []
+    dot_path = tmp_path / "view.dot"
+    assert run_cli(capsys, command, GADGET, "--dot", str(dot_path)) == (status, without_dot, "")
+    assert calls == ["reachability_dot" if command == "explore" else "influence_dot"]
+    assert dot_path.read_text().startswith("digraph")
