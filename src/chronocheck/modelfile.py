@@ -324,7 +324,7 @@ def model_to_dict(model: Model) -> dict:
 
 
 def dumps_indented(value: Any) -> str:
-    """The text of `json.dumps(value, indent=2) + "\\n"`, byte for byte.
+    """Byte for byte what `json.dumps` writes with `indent=2`, plus a newline.
 
     With `indent` set, `json` encodes through its pure-Python generator.
     This writer appends to one list of chunks and quotes strings with the
