@@ -7,6 +7,12 @@ not accept, writes a Graphviz view.  Each handler returns its view as a
 function, so the DOT text is built only when --dot is given.  Exit codes:
 0 clean, 1 violations found (listed in the report), 2 usage or parse
 error.
+
+The argument parser is built once per process, when this module is
+imported, and every `main` call reuses it; `import chronocheck` does not
+import this module.  Static defects, which `validate` lists and every
+subcommand repeats as warnings, are found once, when the `Model` is
+constructed.
 """
 
 from __future__ import annotations
@@ -85,6 +91,11 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--swaps", type=int, default=20, help="random swap chains to try")
             sp.add_argument("--seed", type=int, default=0, help="seed for the swap chains")
     return parser
+
+
+# Built once per process, when this module is imported; `import chronocheck`
+# does not import it, so API users never pay for argparse.
+_PARSER = build_parser()
 
 
 def _load(args: argparse.Namespace) -> tuple[Model, str]:
@@ -220,8 +231,7 @@ _HANDLERS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         model, path = _load(args)
     except (ModelFormatError, OSError) as exc:

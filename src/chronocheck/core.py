@@ -20,6 +20,8 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 WeightLike = Union[Fraction, int, float, str]
 
+_ONE = Fraction(1)  # the counting measure's weight, shared by every world
+
 
 class ConsistencyMode(Enum):
     """How consistency of a record state is judged: bare nonemptiness of
@@ -38,7 +40,7 @@ class PossibilitySpace:
 
     def __post_init__(self) -> None:
         worlds = tuple(self.worlds)
-        weights = tuple(Fraction(w) for w in self.weights)
+        weights = tuple(w if isinstance(w, Fraction) else Fraction(w) for w in self.weights)
         if not worlds:
             raise ValueError("possibility space needs at least one world")
         if len(set(worlds)) != len(worlds):
@@ -47,18 +49,21 @@ class PossibilitySpace:
             raise ValueError("world labels must be nonempty strings")
         if len(weights) != len(worlds):
             raise ValueError("one weight per world required")
-        if any(w < 0 for w in weights):
+        # A Fraction's sign is its numerator's.  With every weight
+        # nonnegative, the total is positive iff some weight is nonzero, so
+        # no sum of Fractions is taken.
+        if any(w.numerator < 0 for w in weights):
             raise ValueError("weights must be nonnegative")
-        if sum(weights) <= 0:
+        positive = 0
+        for i, w in enumerate(weights):
+            if w.numerator:
+                positive |= 1 << i
+        if not positive:
             raise ValueError("total weight must be positive")
         object.__setattr__(self, "worlds", worlds)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_index", {w: i for i, w in enumerate(worlds)})
         object.__setattr__(self, "full_mask", (1 << len(worlds)) - 1)
-        positive = 0
-        for i, w in enumerate(weights):
-            if w > 0:
-                positive |= 1 << i
         object.__setattr__(self, "positive_mask", positive)
 
     @classmethod
@@ -68,14 +73,15 @@ class PossibilitySpace:
         weights: Mapping[str, WeightLike] | None = None,
     ) -> "PossibilitySpace":
         """Build a space; omitted weights default to the counting measure."""
+        worlds = tuple(worlds)
         if weights is None:
-            ws = tuple(Fraction(1) for _ in worlds)
+            ws = (_ONE,) * len(worlds)
         else:
             unknown = set(weights) - set(worlds)
             if unknown:
                 raise ValueError(f"weights refer to undeclared worlds: {sorted(unknown)}")
-            ws = tuple(Fraction(weights.get(w, 1)) for w in worlds)
-        return cls(tuple(worlds), ws)
+            ws = tuple(weights.get(w, _ONE) for w in worlds)
+        return cls(worlds, ws)
 
     @property
     def size(self) -> int:

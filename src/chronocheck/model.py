@@ -32,19 +32,19 @@ class Model:
         if len(set(names)) != len(names):
             raise ValueError("event names must be unique")
         n = len(self.sites)
+        defects: list[StaticDefect] = []
         for event in self.events:
-            hard = [
-                d
-                for d in validate_event_static(event, self.space, n)
-                if d.kind == "locality"
-            ]
+            found = validate_event_static(event, self.space, n)
+            hard = [d for d in found if d.kind == "locality"]
             if hard:
                 raise ValueError(f"event {event.name}: {hard[0].message}")
+            defects.extend(found)
             for sub in self._event_subsets(event):
                 if not _same_space(sub.space, self.space):
                     raise ValueError(
                         f"event {event.name} references a foreign possibility space"
                     )
+        object.__setattr__(self, "_static_defects", tuple(defects))
         object.__setattr__(self, "_by_name", {e.name: e for e in self.events})
         object.__setattr__(self, "_site_index", {s: i for i, s in enumerate(self.sites)})
 
@@ -80,11 +80,9 @@ class Model:
         return self.sites[index]
 
     def static_defects(self) -> list[StaticDefect]:
-        """Soft defects (shadowed rules, non-shrinking results) per event."""
-        out: list[StaticDefect] = []
-        for event in self.events:
-            out.extend(validate_event_static(event, self.space, len(self.sites)))
-        return out
+        """Soft defects (shadowed rules, non-shrinking results) per event,
+        in event order; found once, when the model was constructed."""
+        return list(self._static_defects)  # type: ignore[attr-defined]
 
 
 class EventApplier:

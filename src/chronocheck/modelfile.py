@@ -72,8 +72,8 @@ def _string_list(value: Any, path: str) -> list[str]:
 
 
 def _unique(labels: list[str], path: str, what: str) -> list[str]:
-    duplicates = sorted({label for label in labels if labels.count(label) > 1})
-    if duplicates:
+    if len(set(labels)) != len(labels):
+        duplicates = sorted({label for label in labels if labels.count(label) > 1})
         raise _err(path, f"duplicate {what}: {duplicates}")
     return labels
 

@@ -1,4 +1,9 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -271,3 +276,87 @@ def test_dot_text_is_built_only_for_dot(monkeypatch, tmp_path, capsys, command):
     assert run_cli(capsys, command, GADGET, "--dot", str(dot_path)) == (status, without_dot, "")
     assert calls == ["reachability_dot" if command == "explore" else "influence_dot"]
     assert dot_path.read_text().startswith("digraph")
+
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_STDOUT = json.loads((ROOT / "tests" / "golden" / "cli_stdout_digests.json").read_text(encoding="utf-8"))
+
+
+def _env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def _fixtures_in(workdir):
+    """Copy the bundled fixtures into `workdir`, so runs can name them by
+    the relative paths the golden record uses."""
+    workdir.mkdir(exist_ok=True)
+    for name in ("two_site", "cycle_gadget", "bd_flip"):
+        (workdir / f"{name}.json").write_bytes(fixture_path(name).read_bytes())
+    return workdir
+
+
+def _digest(status, out):
+    return {"exit": status, "stdout": hashlib.sha256(out.encode("utf-8")).hexdigest()}
+
+
+def _in_process(capsys, argv):
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    return _digest(status, capsys.readouterr().out)
+
+
+def _fresh_run(argv, workdir):
+    proc = subprocess.run(
+        [sys.executable, "-m", "chronocheck", *argv],
+        cwd=workdir, env=_env(), capture_output=True, text=True,
+    )
+    return _digest(proc.returncode, proc.stdout)
+
+
+def test_main_reuses_the_parser_built_on_import(monkeypatch, tmp_path, capsys):
+    def refuse():
+        raise AssertionError("build_parser called after import")
+
+    monkeypatch.setattr(chronocheck.cli, "build_parser", refuse)
+    monkeypatch.chdir(_fixtures_in(tmp_path))
+    expected = GOLDEN_STDOUT["diagnose two_site.json"]
+    assert _in_process(capsys, ["diagnose", "two_site.json"]) == expected
+    assert _in_process(capsys, ["diagnose", "two_site.json"]) == expected
+
+
+def test_consecutive_in_process_runs_do_not_share_options(monkeypatch, tmp_path, capsys):
+    """Each run prints what a fresh interpreter prints for it, so no option
+    value or default carries over from one run on the shared parser to the
+    next."""
+    runs = [
+        ["trace-check", "two_site.json", "--schedule", "e1,e2", "--swaps", "3", "--seed", "7"],
+        ["diagnose", "two_site.json", "--strict", "--max-states", "3", "--json", "r.json", "--dot", "v.dot"],
+        ["diagnose", "two_site.json", "--max-states", "many"],
+        ["diagnose", "cycle_gadget.json"],
+    ]
+    workdir = _fixtures_in(tmp_path / "in-process")
+    monkeypatch.chdir(workdir)
+    for argv in runs:
+        got = _in_process(capsys, argv)
+        key = " ".join(argv)
+        expected = GOLDEN_STDOUT[key] if key in GOLDEN_STDOUT else _fresh_run(argv, _fixtures_in(tmp_path / "fresh"))
+        assert got == expected, key
+        if "--dot" in argv:
+            assert (workdir / "r.json").exists()
+            assert (workdir / "v.dot").read_text().startswith("digraph")
+            (workdir / "r.json").unlink()
+            (workdir / "v.dot").unlink()
+    # the last run would exit 2 under a leaked --strict, and print other
+    # bytes under a leaked --max-states; a leaked --json or --dot would
+    # write the files again
+    assert not (workdir / "r.json").exists() and not (workdir / "v.dot").exists()
+
+
+def test_importing_the_package_leaves_the_cli_unloaded():
+    code = "import sys, chronocheck; print([m for m in ('chronocheck.cli', 'argparse') if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from chronocheck import (
@@ -35,6 +35,93 @@ def test_space_rejects_bad_inputs():
         PossibilitySpace.create(["a", "b"], {"a": 0, "b": 0})
     with pytest.raises(ValueError):
         PossibilitySpace.create(["a"], {"nope": 1})
+
+
+def _reference_space(worlds, weights):
+    """The space checks as they stood before the sign tests moved to
+    numerators: (weights, positive_mask, full_mask, total weight)."""
+    worlds = tuple(worlds)
+    weights = tuple(Fraction(w) for w in weights)
+    if not worlds:
+        raise ValueError("possibility space needs at least one world")
+    if len(set(worlds)) != len(worlds):
+        raise ValueError("world labels must be unique")
+    if any(not w for w in worlds):
+        raise ValueError("world labels must be nonempty strings")
+    if len(weights) != len(worlds):
+        raise ValueError("one weight per world required")
+    if any(w < 0 for w in weights):
+        raise ValueError("weights must be nonnegative")
+    if sum(weights) <= 0:
+        raise ValueError("total weight must be positive")
+    positive = 0
+    for i, w in enumerate(weights):
+        if w > 0:
+            positive |= 1 << i
+    return weights, positive, (1 << len(worlds)) - 1, sum(weights)
+
+
+def _reference_create(worlds, weights=None):
+    if weights is None:
+        ws = tuple(Fraction(1) for _ in worlds)
+    else:
+        unknown = set(weights) - set(worlds)
+        if unknown:
+            raise ValueError(f"weights refer to undeclared worlds: {sorted(unknown)}")
+        ws = tuple(Fraction(weights.get(w, 1)) for w in worlds)
+    return _reference_space(tuple(worlds), ws)
+
+
+_LABELS = ["a", "b", "c", "d"]
+_WEIGHTS = st.one_of(
+    st.integers(-2, 4),
+    st.just(0),
+    st.fractions(min_value=-1, max_value=4, max_denominator=7),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-2, 9), st.integers(1, 9)),
+    st.floats(-1, 4, allow_nan=False),
+)
+
+
+@st.composite
+def _space_args(draw):
+    """World labels (usually valid, sometimes empty, repeated or blank), a
+    weight list (usually one per world) and an optional weight mapping."""
+    worlds = draw(
+        st.one_of(
+            st.lists(st.sampled_from(_LABELS), min_size=1, unique=True),
+            st.lists(st.sampled_from(_LABELS + [""]), max_size=4),
+        )
+    )
+    n = len(worlds) if draw(st.booleans()) else draw(st.integers(0, 4))
+    weights = draw(st.lists(_WEIGHTS, min_size=n, max_size=n))
+    mapping = draw(st.none() | st.dictionaries(st.sampled_from(worlds + ["z"]), _WEIGHTS, max_size=4))
+    return worlds, weights, mapping
+
+
+@given(args=_space_args())
+@example(args=(["a", "b", "c"], [0, "0/3", Fraction(0)], {"a": 0, "b": "0/3", "c": Fraction(0)}))
+@example(args=(["a", "b", "c"], [1, -1, "2/3"], {"b": "-1/2"}))
+@example(args=(["a", "b"], [0, "1/2"], None))
+def test_space_matches_reference_checks(args):
+    """Constructor, create(worlds, mapping) and create(worlds) give the
+    reference weights, masks and total, or the reference's ValueError."""
+    worlds, weights, mapping = args
+    cases = [
+        (lambda: PossibilitySpace(tuple(worlds), tuple(weights)), lambda: _reference_space(worlds, weights)),
+        (lambda: PossibilitySpace.create(worlds, mapping), lambda: _reference_create(worlds, mapping)),
+        (lambda: PossibilitySpace.create(worlds), lambda: _reference_create(worlds)),
+    ]
+    for build, reference in cases:
+        try:
+            expected = reference()
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                build()
+            assert str(raised.value) == str(exc)
+            continue
+        space = build()
+        assert (space.weights, space.positive_mask, space.full_mask, space.total_weight()) == expected
+        assert all(type(w) is Fraction for w in space.weights)
 
 
 def test_subset_algebra_is_exact():

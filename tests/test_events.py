@@ -1,16 +1,20 @@
 import random
+from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import chronocheck.model
 from chronocheck import (
+    ConsistencyMode,
     Event,
     PossibilitySpace,
     RecordState,
     Rule,
     apply_event,
     independent,
+    load_fixture,
     validate_event_static,
     write_effect,
 )
@@ -204,3 +208,52 @@ def test_intersect_events_are_idempotent(seed):
         once = apply_event(event, state).next
         twice = apply_event(event, once).next
         assert once == twice
+
+
+def _static_scan(model):
+    return [
+        defect
+        for event in model.events
+        for defect in validate_event_static(event, model.space, len(model.sites))
+    ]
+
+
+def _assert_static_defects_are_the_scan(model):
+    first, second = model.static_defects(), model.static_defects()
+    assert first == _static_scan(model)
+    assert second == first and second is not first
+    assert replace(model, mode=ConsistencyMode.POSITIVE_MEASURE).static_defects() == first
+
+
+@pytest.mark.parametrize("name", ["two_site", "cycle_gadget", "bd_flip"])
+def test_static_defects_on_fixtures_are_the_per_event_scan(name):
+    _assert_static_defects_are_the_scan(load_fixture(name))
+
+
+@given(seed=st.integers(0, 10**9), bias=st.floats(0, 0.9))
+@example(seed=2, bias=0.3)  # shadowed_rule and static_monotonicity defects
+@example(seed=39, bias=0.3)
+def test_static_defects_on_random_models_are_the_per_event_scan(seed, bias):
+    _assert_static_defects_are_the_scan(random_model(random.Random(seed), monotone_bias=bias))
+
+
+def test_static_defects_carry_soft_kinds():
+    kinds = {d.kind for d in random_model(random.Random(2), monotone_bias=0.3).static_defects()}
+    assert kinds == {"shadowed_rule", "static_monotonicity"}
+
+
+def test_static_scan_runs_once_per_event_per_construction(monkeypatch):
+    model = load_fixture("cycle_gadget")
+    calls = []
+    original = chronocheck.model.validate_event_static
+
+    def spy(event, space, site_count):
+        calls.append(event.name)
+        return original(event, space, site_count)
+
+    monkeypatch.setattr(chronocheck.model, "validate_event_static", spy)
+    model.static_defects()
+    model.static_defects()
+    assert calls == []
+    replace(model, mode=ConsistencyMode.POSITIVE_MEASURE).static_defects()
+    assert calls == list(model.event_names)

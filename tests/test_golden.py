@@ -8,8 +8,12 @@ means report bytes changed.  If the change is meant, rerun
 scripts/record_golden.py and explain the difference in CHANGES.md.
 """
 
+import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,3 +44,21 @@ def test_cli_stdout_digests_match_golden_record(tmp_path):
     current = record_golden.compute_stdout_digests(tmp_path)
     changed = sorted(k for k in recorded.keys() | current.keys() if recorded.get(k) != current.get(k))
     assert not changed, f"{len(changed)} of {len(recorded)} runs changed, first: {changed[:5]}"
+
+
+def test_fresh_interpreter_stdout_matches_golden_record(tmp_path):
+    """`python -m chronocheck`, the path users take, prints the recorded
+    bytes: `diagnose` on each fixture, and the program's `--help`."""
+    record_golden = _record_golden()
+    recorded = json.loads(record_golden.STDOUT_PATH.read_text(encoding="utf-8"))
+    env = dict(os.environ, COLUMNS="80")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    runs = [["diagnose", f"{name}.json"] for name in record_golden.FIXTURES] + [["--help"]]
+    for name in record_golden.FIXTURES:
+        (tmp_path / f"{name}.json").write_bytes(record_golden.fixture_path(name).read_bytes())
+    for argv in runs:
+        proc = subprocess.run(
+            [sys.executable, "-m", "chronocheck", *argv], cwd=tmp_path, env=env, capture_output=True
+        )
+        got = {"exit": proc.returncode, "stdout": hashlib.sha256(proc.stdout).hexdigest()}
+        assert got == recorded[" ".join(argv)], argv
