@@ -13,16 +13,13 @@ classifies any strong-influence cycle it finds.
 from .chronology import (
     BDViolation,
     Chronology,
-    CycleReport,
     TaxonomyReport,
     TraceInvarianceReport,
     Verdict,
     check_branch_determinacy,
     check_trace_invariance,
     closure_from_edges,
-    cycles_from_edges,
     diagnose,
-    find_strong_cycles,
     transitive_closure,
 )
 from .core import (

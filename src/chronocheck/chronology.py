@@ -2,11 +2,13 @@
 
 The strict order `precedes` is the transitive closure of the strong
 influence edges.  When it is acyclic, a linear extension assigns every
-event a rank consistent with the order.  `diagnose` runs the whole
-pipeline and classifies the model: no strong cycle, a cycle explained by
-at least one failed premise (consistency, commutation, shrink-only
-writing, branch determinacy), or a cycle that none of the premise checks
-accounts for.
+event a rank consistent with the order; when it is not, one shortest loop
+per strongly connected component represents the strong cycles.
+`closure_from_edges` derives all of these from one adjacency and one
+reachability map.  `diagnose` runs the whole pipeline and classifies the
+model: no strong cycle, a cycle explained by at least one failed premise
+(consistency, commutation, shrink-only writing, branch determinacy), or a
+cycle that none of the premise checks accounts for.
 """
 
 from __future__ import annotations
@@ -42,14 +44,7 @@ class Chronology:
     precedes: frozenset[tuple[str, str]]
     acyclic: bool
     linear_extension: tuple[tuple[str, int], ...] | None
-
-    def rank(self, event: str) -> int:
-        if self.linear_extension is None:
-            raise ValueError("no linear extension: the strong graph is cyclic")
-        for name, rank in self.linear_extension:
-            if name == event:
-                return rank
-        raise ValueError(f"unknown event: {event!r}")
+    cycles: tuple[tuple[str, ...], ...]
 
     def ranks(self) -> dict[str, int]:
         if self.linear_extension is None:
@@ -57,59 +52,43 @@ class Chronology:
         return dict(self.linear_extension)
 
 
-@dataclass
-class CycleReport:
-    cycles: list[tuple[str, ...]]
-
-    @property
-    def has_cycle(self) -> bool:
-        return bool(self.cycles)
-
-
-def _reachability(
-    events: Sequence[str], edges: Iterable[tuple[str, str]]
-) -> dict[str, set[str]]:
-    adjacency: dict[str, list[str]] = {e: [] for e in events}
-    order = {e: i for i, e in enumerate(events)}
-    for src, dst in edges:
-        if src not in adjacency or dst not in order:
-            raise ValueError(f"edge ({src}, {dst}) references unknown events")
-        adjacency[src].append(dst)
-    for targets in adjacency.values():
-        targets.sort(key=order.__getitem__)
-    reach: dict[str, set[str]] = {}
-    for start in events:
-        seen: set[str] = set()
-        queue = deque(adjacency[start])
-        while queue:
-            node = queue.popleft()
-            if node in seen:
-                continue
-            seen.add(node)
-            queue.extend(adjacency[node])
-        reach[start] = seen  # successors via paths of length >= 1
-    return reach
-
-
 def closure_from_edges(
     events: Sequence[str], edges: Iterable[tuple[str, str]]
 ) -> Chronology:
-    """Transitive closure of an edge set plus, when acyclic, a rank map
-    with ties broken lexicographically by event name."""
+    """The one analysis of an edge set: its transitive closure and whether
+    it is acyclic, then either a rank map with ties broken lexicographically
+    by event name, or one representative cycle per strongly connected
+    component of size at least two, each the shortest loop through the
+    component's first event in declaration order.
+
+    Everything is derived from one de-duplicated adjacency, sorted by
+    declaration order, and one reachability map over it."""
     events = tuple(events)
-    edge_list = list(edges)
-    reach = _reachability(events, edge_list)
-    precedes = frozenset(
-        (src, dst) for src in events for dst in events if dst in reach[src]
-    )
+    order = {e: i for i, e in enumerate(events)}
+    successors: dict[str, set[str]] = {e: set() for e in events}
+    for src, dst in edges:
+        if src not in successors or dst not in order:
+            raise ValueError(f"edge ({src}, {dst}) references unknown events")
+        successors[src].add(dst)
+    adjacency = {e: sorted(targets, key=order.__getitem__) for e, targets in successors.items()}
+    reach: dict[str, set[str]] = {}
+    for start in events:
+        seen: set[str] = set()
+        stack = list(adjacency[start])
+        while stack:
+            node = stack.pop()
+            if node not in seen:
+                seen.add(node)
+                stack.extend(adjacency[node])
+        reach[start] = seen  # successors via paths of length >= 1
+    precedes = frozenset((src, dst) for src in events for dst in reach[src])
     acyclic = all(e not in reach[e] for e in events)
     extension = None
+    cycles: list[tuple[str, ...]] = []
     if acyclic:
-        indegree = {e: 0 for e in events}
-        successors: dict[str, set[str]] = {e: set() for e in events}
-        for src, dst in edge_list:
-            if dst not in successors[src]:
-                successors[src].add(dst)
+        indegree = dict.fromkeys(events, 0)
+        for targets in adjacency.values():
+            for dst in targets:
                 indegree[dst] += 1
         ready = [e for e in events if indegree[e] == 0]
         heapq.heapify(ready)
@@ -117,65 +96,37 @@ def closure_from_edges(
         while ready:
             event = heapq.heappop(ready)
             ranks.append((event, len(ranks)))
-            for nxt in sorted(successors[event]):
+            for nxt in adjacency[event]:
                 indegree[nxt] -= 1
                 if indegree[nxt] == 0:
                     heapq.heappush(ready, nxt)
         extension = tuple(ranks)
-    return Chronology(events, precedes, acyclic, extension)
+    else:
+        assigned: set[str] = set()
+        for anchor in events:
+            if anchor in reach[anchor] and anchor not in assigned:
+                assigned |= {e for e in reach[anchor] if anchor in reach[e]}
+                cycles.append(_shortest_loop(anchor, adjacency))
+    return Chronology(events, precedes, acyclic, extension, tuple(cycles))
 
 
-def cycles_from_edges(
-    events: Sequence[str], edges: Iterable[tuple[str, str]]
-) -> list[tuple[str, ...]]:
-    """One representative cycle per strongly connected component of size
-    at least two, each found as the shortest loop through the component's
-    first event in declaration order."""
-    events = tuple(events)
-    edge_list = list(edges)
-    reach = _reachability(events, edge_list)
-    order = {e: i for i, e in enumerate(events)}
-    adjacency: dict[str, list[str]] = {e: [] for e in events}
-    for src, dst in edge_list:
-        adjacency[src].append(dst)
-    for targets in adjacency.values():
-        targets.sort(key=order.__getitem__)
-    assigned: set[str] = set()
-    cycles: list[tuple[str, ...]] = []
-    for anchor in events:
-        if anchor in assigned or anchor not in reach[anchor]:
-            continue
-        component = {
-            e for e in events if e in reach[anchor] and anchor in reach[e]
-        } | {anchor}
-        assigned |= component
-        # shortest path anchor -> ... -> anchor inside the component
-        parents: dict[str, str] = {}
-        queue = deque([anchor])
-        found = None
-        visited = {anchor}
-        while queue and found is None:
-            node = queue.popleft()
-            for nxt in adjacency[node]:
-                if nxt not in component:
-                    continue
-                if nxt == anchor:
-                    found = node
-                    break
-                if nxt not in visited:
-                    visited.add(nxt)
-                    parents[nxt] = node
-                    queue.append(nxt)
-        assert found is not None, "component member must close a loop"
-        path = [found]
-        while path[-1] != anchor:
-            path.append(parents[path[-1]])
-        cycles.append(tuple(reversed(path)))
-    return cycles
-
-
-def find_strong_cycles(ig: InfluenceGraph) -> CycleReport:
-    return CycleReport(cycles_from_edges(ig.events, ig.strong_edges.keys()))
+def _shortest_loop(anchor: str, adjacency: dict[str, list[str]]) -> tuple[str, ...]:
+    """Shortest path anchor -> ... -> anchor, found breadth first with
+    successors in adjacency order; `anchor` must reach itself."""
+    parents = {anchor: anchor}
+    queue = deque([anchor])
+    while True:
+        node = queue.popleft()
+        if anchor in adjacency[node]:
+            break
+        for nxt in adjacency[node]:
+            if nxt not in parents:
+                parents[nxt] = node
+                queue.append(nxt)
+    path = [node]
+    while path[-1] != anchor:
+        path.append(parents[path[-1]])
+    return tuple(reversed(path))
 
 
 def transitive_closure(ig: InfluenceGraph) -> Chronology:
@@ -341,14 +292,16 @@ class TaxonomyReport:
     graph: ReachabilityGraph
     influence: InfluenceGraph
     chronology: Chronology
-    cycles: CycleReport
-    has_strong_cycle: bool
     gs_violations: list[int]
     diamond_violations: list[DiamondViolation]
     monotonicity_violations: list[MonotonicityFinding]
     bd_violations: list[BDViolation]
     verdict: Verdict
     truncated: bool
+
+    @property
+    def has_strong_cycle(self) -> bool:
+        return not self.chronology.acyclic
 
     def premises_clean(self) -> bool:
         return not (
@@ -357,9 +310,6 @@ class TaxonomyReport:
             or self.monotonicity_violations
             or self.bd_violations
         )
-
-    def any_violations(self) -> bool:
-        return not self.premises_clean()
 
 
 def diagnose(model: Model, limits: ExplorationLimits | None = None) -> TaxonomyReport:
@@ -374,10 +324,9 @@ def diagnose(model: Model, limits: ExplorationLimits | None = None) -> TaxonomyR
     diamonds = check_diamond(graph, model)
     gs = check_gs(graph)
     ig = build_influence_graphs(model, graph)
-    cycles = find_strong_cycles(ig)
     bd = check_branch_determinacy(model, graph, ig)
     chronology = transitive_closure(ig)
-    if not cycles.has_cycle:
+    if chronology.acyclic:
         verdict = Verdict.NO_CYCLE
     elif gs or diamonds or monotonicity or bd:
         verdict = Verdict.CYCLE_EXPLAINED
@@ -388,8 +337,6 @@ def diagnose(model: Model, limits: ExplorationLimits | None = None) -> TaxonomyR
         graph=graph,
         influence=ig,
         chronology=chronology,
-        cycles=cycles,
-        has_strong_cycle=cycles.has_cycle,
         gs_violations=gs,
         diamond_violations=diamonds,
         monotonicity_violations=monotonicity,

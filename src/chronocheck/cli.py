@@ -22,12 +22,7 @@ import sys
 from dataclasses import replace
 from typing import Any, Sequence
 
-from .chronology import (
-    check_trace_invariance,
-    diagnose,
-    find_strong_cycles,
-    transitive_closure,
-)
+from .chronology import check_trace_invariance, diagnose, transitive_closure
 from .core import ConsistencyMode
 from .dot import influence_dot, reachability_dot
 from .influence import build_influence_graphs
@@ -188,14 +183,13 @@ def _cmd_chronology(model: Model, args: argparse.Namespace):
     graph = _explored(model, args)
     ig = build_influence_graphs(model, graph)
     chron = transitive_closure(ig)
-    cycles = find_strong_cycles(ig)
     results = {
         "chronology": report_mod.chronology_json(model, chron),
-        "cycles": report_mod.cycles_json(model, ig, cycles),
+        "cycles": report_mod.cycles_json(model, ig, chron.cycles),
         "strong_edges": [list(pair) for pair in ig.strong_edges],
     }
     notes = report_mod.influence_notes(model, ig)
-    return results, cycles.has_cycle, notes, lambda: influence_dot(
+    return results, not chron.acyclic, notes, lambda: influence_dot(
         ig.events, ig.weak_edges, ig.strong_edges, chron.precedes
     )
 
@@ -206,7 +200,7 @@ def _cmd_diagnose(model: Model, args: argparse.Namespace):
     results = report_mod.taxonomy_json(taxonomy)
     ig, precedes = taxonomy.influence, taxonomy.chronology.precedes
     notes = report_mod.influence_notes(model, ig)
-    violations = taxonomy.any_violations() or taxonomy.has_strong_cycle
+    violations = not taxonomy.premises_clean() or taxonomy.has_strong_cycle
     return results, violations, notes, lambda: influence_dot(
         ig.events, ig.weak_edges, ig.strong_edges, precedes
     )

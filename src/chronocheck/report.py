@@ -7,13 +7,7 @@ from __future__ import annotations
 import math
 from typing import Any
 
-from .chronology import (
-    BDViolation,
-    Chronology,
-    CycleReport,
-    TaxonomyReport,
-    TraceInvarianceReport,
-)
+from .chronology import BDViolation, Chronology, TaxonomyReport, TraceInvarianceReport
 from .core import RecordState, Subset, information_content
 from .influence import InfluenceGraph, StrongWitness, WeakWitness
 from .model import Model
@@ -133,9 +127,11 @@ def chronology_json(model: Model, chronology: Chronology) -> dict[str, Any]:
     }
 
 
-def cycles_json(model: Model, ig: InfluenceGraph, cycles: CycleReport) -> list[dict]:
+def cycles_json(
+    model: Model, ig: InfluenceGraph, cycles: tuple[tuple[str, ...], ...]
+) -> list[dict]:
     out = []
-    for cycle in cycles.cycles:
+    for cycle in cycles:
         edges = []
         for i, src in enumerate(cycle):
             dst = cycle[(i + 1) % len(cycle)]
@@ -172,7 +168,7 @@ def taxonomy_json(report: TaxonomyReport) -> dict[str, Any]:
         "bd_violations": [bd_violation_json(model, v) for v in report.bd_violations],
         "influence": influence_json(model, report.influence),
         "chronology": chronology_json(model, report.chronology),
-        "cycles": cycles_json(model, report.influence, report.cycles),
+        "cycles": cycles_json(model, report.influence, report.chronology.cycles),
     }
 
 

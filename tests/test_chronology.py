@@ -14,10 +14,8 @@ from chronocheck import (
     check_branch_determinacy,
     check_trace_invariance,
     closure_from_edges,
-    cycles_from_edges,
     diagnose,
     explore,
-    find_strong_cycles,
     parse_model,
     states_equal,
     transitive_closure,
@@ -66,22 +64,21 @@ def test_rank_respects_precedence():
 def test_cycles_none_without_cyclic_edges(two_site, gadget):
     for model in (two_site, gadget):
         ig = build_influence_graphs(model, explore(model))
-        assert find_strong_cycles(ig).cycles == []
+        assert transitive_closure(ig).cycles == ()
 
 
 def test_cycles_two_cycle_from_aligned_flips(aligned_flip_model):
     ig = build_influence_graphs(aligned_flip_model, explore(aligned_flip_model))
     assert set(ig.strong_edges) == {("x", "y"), ("y", "x")}
-    report = find_strong_cycles(ig)
-    assert report.cycles == [("x", "y")]
+    assert transitive_closure(ig).cycles == (("x", "y"),)
 
 
 def test_cycles_from_edges_representative_per_component():
-    cycles = cycles_from_edges(
+    chron = closure_from_edges(
         ("a", "b", "c", "d", "e"),
         [("a", "b"), ("b", "a"), ("c", "d"), ("d", "e"), ("e", "c"), ("a", "c")],
     )
-    assert cycles == [("a", "b"), ("c", "d", "e")]
+    assert chron.cycles == (("a", "b"), ("c", "d", "e"))
 
 
 def test_branch_determinacy_gadget_clean(gadget):
@@ -237,12 +234,25 @@ def warshall_closure(events, edges):
     return {(a, b) for a in events for b in reach[a]}
 
 
+def floyd_warshall_lengths(events, edges):
+    """Length of the shortest path of at least one edge between every
+    ordered pair, the diagonal included (infinite when there is none)."""
+    dist = {(a, b): 1 if (a, b) in edges else float("inf") for a in events for b in events}
+    for k in events:
+        for i in events:
+            for j in events:
+                dist[i, j] = min(dist[i, j], dist[i, k] + dist[k, j])
+    return dist
+
+
 @given(
     n_events=st.integers(2, 6),
     edge_bits=st.integers(0, 2**30),
+    declared=st.permutations([f"e{i}" for i in range(6)]),
 )
-def test_closure_matches_warshall_oracle(n_events, edge_bits):
-    events = tuple(f"e{i}" for i in range(n_events))
+def test_closure_matches_warshall_oracle(n_events, edge_bits, declared):
+    # a declaration order that is in general not the lexicographic one
+    events = tuple(declared[:n_events])
     candidates = [(a, b) for a in events for b in events if a != b]
     edges = [pair for i, pair in enumerate(candidates) if edge_bits >> i & 1]
     chron = closure_from_edges(events, edges)
@@ -253,3 +263,19 @@ def test_closure_matches_warshall_oracle(n_events, edge_bits):
         ranks = chron.ranks()
         for e, f in chron.precedes:
             assert ranks[e] < ranks[f]
+    assert bool(chron.cycles) == (not chron.acyclic)
+    # strongly connected components of size at least two, in the order of
+    # their first declared event
+    components, assigned = [], set()
+    for e in events:
+        component = {e} | {f for f in events if (e, f) in expected and (f, e) in expected}
+        if e not in assigned and len(component) >= 2:
+            components.append((e, component))
+        assigned |= component
+    assert [cycle[0] for cycle in chron.cycles] == [anchor for anchor, _ in components]
+    dist = floyd_warshall_lengths(events, edges)
+    for cycle, (anchor, component) in zip(chron.cycles, components):
+        assert len(set(cycle)) == len(cycle)
+        assert set(cycle) <= component
+        assert all(step in edges for step in zip(cycle, cycle[1:] + cycle[:1]))
+        assert len(cycle) == dist[anchor, anchor]
