@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .core import RecordState, Subset, mode_mask
-from .events import MaskState, MaskViolations, MonotonicityViolation, compile_event, independent
+from .events import MaskState, MaskViolations, compile_event, independent
 from .model import Model
 
 
@@ -104,7 +104,6 @@ class Edge:
     source: int
     event: str
     target: int
-    violations: tuple[MonotonicityViolation, ...]
 
 
 @dataclass(frozen=True)
@@ -152,20 +151,7 @@ class ReachabilityGraph:
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
         names = self.model.event_names
-        space = self.model.space
-        violations = self.table.violations
-        return tuple(
-            Edge(
-                src,
-                names[event],
-                tgt,
-                tuple(
-                    MonotonicityViolation(names[event], site, Subset(space, added))
-                    for site, added in violations(src, event)
-                ),
-            )
-            for src, event, tgt in self.arcs
-        )
+        return tuple(Edge(src, names[event], tgt) for src, event, tgt in self.arcs)
 
     def table_for(self, model: Model) -> TransitionTable:
         """The graph's transition table, checked to apply `model`'s events."""

@@ -10,6 +10,7 @@ from chronocheck import (
     Event,
     ExplorationLimits,
     Model,
+    MonotonicityFinding,
     PossibilitySpace,
     RecordState,
     Rule,
@@ -172,10 +173,15 @@ def test_occurred_sets_replay_along_some_path(gadget):
 def test_every_edge_matches_direct_application(seed):
     model = random_model(random.Random(seed))
     graph = explore(model)
+    expected = []
     for edge in graph.edges:
-        outcome = apply_event(model.event(edge.event), graph.nodes[edge.source].state)
+        source = graph.nodes[edge.source].state
+        outcome = apply_event(model.event(edge.event), source)
         assert outcome.next == graph.nodes[edge.target].state
-        assert outcome.violations == edge.violations
+        expected.extend(
+            MonotonicityFinding(v.event, v.site, v.added, source) for v in outcome.violations
+        )
+    assert check_monotonicity(graph) == expected
 
 
 @settings(max_examples=200)
