@@ -4,6 +4,7 @@ state, an event list, and the consistency mode everything is judged in."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .core import ConsistencyMode, PossibilitySpace, RecordState, Subset, _same_space
@@ -60,7 +61,7 @@ class Model:
                 for _, sub in rule.result:
                     yield sub
 
-    @property
+    @cached_property
     def event_names(self) -> tuple[str, ...]:
         return tuple(e.name for e in self.events)
 
