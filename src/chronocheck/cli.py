@@ -4,9 +4,10 @@ Subcommands: validate, explore, influence, chronology, diagnose,
 trace-check.  Every run prints one JSON report to stdout; --json writes
 the same document to a file and --dot, which validate and trace-check do
 not accept, writes a Graphviz view.  Each handler returns its view as a
-function, so the DOT text is built only when --dot is given.  Exit codes:
-0 clean, 1 violations found (listed in the report), 2 usage or parse
-error.
+function, so the DOT text is built only when --dot is given, and whether
+its exploration was truncated, which the report lists as a warning.  Exit
+codes: 0 clean, 1 violations found (listed in the report), 2 usage or
+parse error.
 
 The argument parser is built once per process, when this module is
 imported, and every `main` call reuses it; `import chronocheck` does not
@@ -151,7 +152,7 @@ def _cmd_validate(model: Model, args: argparse.Namespace):
         "sites": len(model.sites),
         "worlds": model.space.size,
     }
-    return results, bool(defects), [], None
+    return results, bool(defects), [], None, False
 
 
 def _cmd_explore(model: Model, args: argparse.Namespace):
@@ -168,7 +169,7 @@ def _cmd_explore(model: Model, args: argparse.Namespace):
         "clock_violations": [report_mod.clock_json(model, graph, v) for v in clock],
     }
     violations = bool(gs or mono or diamonds or clock)
-    return results, violations, [], lambda: reachability_dot(model, graph)
+    return results, violations, [], lambda: reachability_dot(model, graph), graph.truncated
 
 
 def _cmd_influence(model: Model, args: argparse.Namespace):
@@ -176,7 +177,9 @@ def _cmd_influence(model: Model, args: argparse.Namespace):
     ig = build_influence_graphs(model, graph)
     results = report_mod.influence_json(model, ig)
     notes = report_mod.influence_notes(model, ig)
-    return results, False, notes, lambda: influence_dot(ig.events, ig.weak_edges, ig.strong_edges)
+    return results, False, notes, lambda: influence_dot(
+        ig.events, ig.weak_edges, ig.strong_edges
+    ), graph.truncated
 
 
 def _cmd_chronology(model: Model, args: argparse.Namespace):
@@ -191,7 +194,7 @@ def _cmd_chronology(model: Model, args: argparse.Namespace):
     notes = report_mod.influence_notes(model, ig)
     return results, not chron.acyclic, notes, lambda: influence_dot(
         ig.events, ig.weak_edges, ig.strong_edges, chron.precedes
-    )
+    ), graph.truncated
 
 
 def _cmd_diagnose(model: Model, args: argparse.Namespace):
@@ -203,7 +206,7 @@ def _cmd_diagnose(model: Model, args: argparse.Namespace):
     violations = not taxonomy.premises_clean() or taxonomy.has_strong_cycle
     return results, violations, notes, lambda: influence_dot(
         ig.events, ig.weak_edges, ig.strong_edges, precedes
-    )
+    ), taxonomy.truncated
 
 
 def _cmd_trace_check(model: Model, args: argparse.Namespace):
@@ -211,7 +214,7 @@ def _cmd_trace_check(model: Model, args: argparse.Namespace):
     schedule = [name.strip() for name in args.schedule.split(",") if name.strip()]
     trace = check_trace_invariance(model, schedule, swaps=args.swaps, seed=args.seed, graph=graph)
     results = report_mod.trace_json(model, trace)
-    return results, not trace.invariant, [], None
+    return results, not trace.invariant, [], None, graph.truncated
 
 
 _HANDLERS = {
@@ -232,16 +235,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"chronocheck: error: {exc}", file=sys.stderr)
         return 2
     try:
-        results, violations, notes, view = _HANDLERS[args.command](model, args)
+        results, violations, notes, view, truncated = _HANDLERS[args.command](model, args)
     except (_StrictViolation, ValueError) as exc:
         print(f"chronocheck: error: {exc}", file=sys.stderr)
         return 2
     exit_status = 1 if violations else 0
     warnings = []
-    if isinstance(results, dict):
-        exploration = results.get("exploration")
-        if isinstance(exploration, dict) and exploration.get("truncated"):
-            warnings.append("exploration truncated: results cover the explored region only")
+    if truncated:
+        warnings.append("exploration truncated: results cover the explored region only")
     for defect in model.static_defects():
         warnings.append(f"static defect [{defect.kind}] {defect.event}: {defect.message}")
     report = report_mod.make_report(

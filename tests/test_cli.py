@@ -216,6 +216,16 @@ def test_truncation_warning_present(capsys):
     assert any("truncated" in w for w in report["warnings"])
 
 
+@pytest.mark.parametrize("command", ["influence", "chronology", "trace-check"])
+def test_truncation_warning_without_exploration_summary(capsys, command):
+    # these reports carry no exploration summary, yet still explore
+    extra = ["--schedule", "e1,e2"] if command == "trace-check" else []
+    for max_states, warned in (("3", True), ("100", False)):
+        _, out, _ = run_cli(capsys, command, TWO_SITE, "--max-states", max_states, *extra)
+        warnings = json.loads(out)["warnings"]
+        assert any("truncated" in w for w in warnings) is warned, max_states
+
+
 def _record_explorations(monkeypatch):
     """Limits of every exploration a CLI run starts."""
     calls = []
