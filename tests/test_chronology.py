@@ -75,10 +75,14 @@ def test_cycles_two_cycle_from_aligned_flips(aligned_flip_model):
 
 def test_cycles_from_edges_representative_per_component():
     chron = closure_from_edges(
-        ("a", "b", "c", "d", "e"),
-        [("a", "b"), ("b", "a"), ("c", "d"), ("d", "e"), ("e", "c"), ("a", "c")],
+        ("a", "b", "c", "d", "e", "f", "g", "h", "i", "x", "k", "j"),
+        [("a", "b"), ("b", "a"), ("c", "d"), ("d", "e"), ("e", "c"), ("a", "c")]
+        # the shortest loop through f is f, g, not the f, h, i found depth first
+        + [("f", "h"), ("f", "g"), ("h", "i"), ("i", "f"), ("g", "f")]
+        # of two equally short loops, the first declared successor's wins
+        + [("x", "j"), ("x", "k"), ("j", "x"), ("k", "x")],
     )
-    assert chron.cycles == (("a", "b"), ("c", "d", "e"))
+    assert chron.cycles == (("a", "b"), ("c", "d", "e"), ("f", "g"), ("x", "k"))
 
 
 def test_branch_determinacy_gadget_clean(gadget):
