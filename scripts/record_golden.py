@@ -103,7 +103,7 @@ def projection(report: TaxonomyReport) -> dict[str, Any]:
     model = report.model
     doc = taxonomy_json(report)
     gs_states = {
-        _canonical(state_json(model, report.graph.nodes[i].state))
+        _canonical(state_json(model, report.graph.node(i).state))
         for i in report.gs_violations
     }
     bd_findings = {_canonical(entry) for entry in doc["bd_violations"]}

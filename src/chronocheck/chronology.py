@@ -151,6 +151,8 @@ def check_branch_determinacy(
     and require the written branch constraint to agree with the witness
     branch.  A state is listed at most once per witness and polarity."""
     table = graph.table_for(model)
+    if not ig.strong_edges:
+        return []
     fired, unfired = occurrence_masks(graph)
     violations: list[BDViolation] = []
     for witness in ig.strong_edges.values():

@@ -116,6 +116,11 @@ class PossibilitySpace:
         use, so spaces that never serialize a subset do not pay for it."""
         return tuple(sorted((w, 1 << i) for i, w in enumerate(self.worlds)))
 
+    @cached_property
+    def _labels_by_mask(self) -> dict[int, tuple[str, ...]]:
+        """`Subset.sorted_labels` of every mask serialized so far."""
+        return {}
+
     def measure_mask(self, mask: int) -> Fraction:
         total = Fraction(0)
         while mask:
@@ -195,8 +200,13 @@ class Subset:
         return tuple(self)
 
     def sorted_labels(self) -> list[str]:
-        mask = self.mask
-        return [label for label, bit in self.space._sorted_bits if mask & bit]
+        """World labels in label order; the space keeps them per mask."""
+        cache = self.space._labels_by_mask
+        labels = cache.get(self.mask)
+        if labels is None:
+            mask = self.mask
+            labels = cache[mask] = tuple(label for label, bit in self.space._sorted_bits if mask & bit)
+        return list(labels)
 
     def __repr__(self) -> str:
         return "Subset({" + ", ".join(self.sorted_labels()) + "})"

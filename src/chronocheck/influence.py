@@ -7,6 +7,13 @@ e => f: running e first flips which of two disjoint, nontrivial branch
 constraints f writes on some observable at a shared site.  Witness search
 is deterministic (exploration order of states, then site index), so
 reports are reproducible.
+
+An event reads and writes only its support.  So at a state where e leaves
+every site it shares with f unchanged, e leaves all of f's support
+unchanged, f writes the same records with or without e, and neither kind
+of witness can sit there.  The search therefore computes, once per graph,
+which sites each event changes at each explored state, and scans for a
+pair (e, f) only the states where e changes a shared site.
 """
 
 from __future__ import annotations
@@ -60,30 +67,57 @@ def _shared_sites(model: Model, e_name: str, f_name: str) -> list[int]:
     return sorted(set(e.support) & set(f.support))
 
 
+_Changes = list[list[tuple[int, int, list[int], list[int]]]]
+
+
+def _changed_sites(model: Model, graph: ReachabilityGraph) -> _Changes:
+    """Per event index, one (state, changed-site bitmask, successor row of
+    the state, successor row of the event's target) entry for every
+    explored state where the event changes some site, in exploration order.
+    The rows are filled here, so the witness scan reads them directly."""
+    table = graph.table_for(model)
+    masks = table.masks
+    supports = [event.support for event in model.events]
+    changes: _Changes = [[] for _ in supports]
+    for sid in range(graph.state_count):
+        base = masks[sid]
+        row = table.row(sid)
+        for event, target in enumerate(row):
+            if target != sid:  # interned: a different id is a different state
+                moved = masks[target]
+                changed = 0
+                for site in supports[event]:  # an event writes only its support
+                    if base[site] != moved[site]:
+                        changed |= 1 << site
+                changes[event].append((sid, changed, row, table.row(target)))
+    return changes
+
+
 def _influence(
-    model: Model, graph: ReachabilityGraph, e_name: str, f_name: str
+    model: Model, graph: ReachabilityGraph, e_name: str, f_name: str, changes: _Changes
 ) -> tuple[WeakWitness | None, StrongWitness | None]:
     """First weak and first strong witness for e before f, found in one scan
-    of the explored states in exploration order, then site order.  Pairs
-    with disjoint supports are dismissed outright.
+    of the states where e changes a shared site (`changes` is
+    `_changed_sites` of the graph), in exploration order, then site order.
+    Pairs with disjoint supports are dismissed outright.
     """
     shared = _shared_sites(model, e_name, f_name)
     if not shared:
         return None, None
-    table = graph.table_for(model)
     e, f = model.event_names.index(e_name), model.event_names.index(f_name)
     test = mode_mask(model.space, model.mode)
     space = model.space
-    masks = table.masks
-    step = table.step
+    masks = graph.table.masks
+    shared_mask = sum(1 << site for site in shared)
     weak: WeakWitness | None = None
     strong: StrongWitness | None = None
-    for sid, node in enumerate(graph.nodes):
+    for sid, changed, row, shifted_row in changes[e]:
+        if not changed & shared_mask:
+            continue
         base = masks[sid]
-        shifted_sid = step(sid, e)
-        shifted = masks[shifted_sid]
-        post_f_base = masks[step(sid, f)]
-        post_f_shifted = masks[step(shifted_sid, f)]
+        shifted = masks[row[e]]
+        post_f_base = masks[row[f]]
+        post_f_shifted = masks[shifted_row[f]]
         for site in shared:
             p0 = post_f_base[site]
             p1 = post_f_shifted[site]
@@ -95,7 +129,7 @@ def _influence(
                         e_name,
                         f_name,
                         sid,
-                        node,
+                        graph.node(sid),
                         site,
                         Subset(space, delta_without),
                         Subset(space, delta_with),
@@ -106,7 +140,7 @@ def _influence(
                     e_name,
                     f_name,
                     sid,
-                    node,
+                    graph.node(sid),
                     site,
                     Subset(space, observable),
                     Subset(space, p0 & observable),
@@ -122,7 +156,7 @@ def weak_influence(
 ) -> WeakWitness | None:
     """First witness that executing e changes f's write effect at a shared
     site, or None.  Pairs with disjoint supports are dismissed outright."""
-    return _influence(model, graph, e_name, f_name)[0]
+    return _influence(model, graph, e_name, f_name, _changed_sites(model, graph))[0]
 
 
 def binary_witness(model: Model, witness: WeakWitness) -> Subset:
@@ -159,7 +193,7 @@ def strong_influence(
     nontrivial branches meets both differences.  The emitted witness uses
     the canonical observable P0 xor P1.
     """
-    return _influence(model, graph, e_name, f_name)[1]
+    return _influence(model, graph, e_name, f_name, _changed_sites(model, graph))[1]
 
 
 def strong_influence_oracle(
@@ -234,13 +268,14 @@ def verify_strong_witness(model: Model, witness: StrongWitness) -> bool:
 def build_influence_graphs(model: Model, graph: ReachabilityGraph) -> InfluenceGraph:
     """Weak and strong edges for every ordered pair of distinct events."""
     names = model.event_names
+    changes = _changed_sites(model, graph)
     weak: dict[tuple[str, str], WeakWitness] = {}
     strong: dict[tuple[str, str], StrongWitness] = {}
     for e_name in names:
         for f_name in names:
             if e_name == f_name:
                 continue
-            w, s = _influence(model, graph, e_name, f_name)
+            w, s = _influence(model, graph, e_name, f_name, changes)
             if w is not None:
                 weak[(e_name, f_name)] = w
             if s is not None:

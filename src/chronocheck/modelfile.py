@@ -329,17 +329,22 @@ def dumps_indented(value: Any) -> str:
     With `indent` set, `json` encodes through its pure-Python generator.
     This writer appends to one list of chunks and quotes strings with the
     C-accelerated `encode_basestring_ascii`; scalars other than strings go
-    through `json.dumps`.  Dict keys must be strings.
+    through `json.dumps`.  Dict keys must be strings.  Reports repeat the
+    same label lists, so the text of each distinct list of strings is
+    built once per indentation and reused within the call.
     """
     chunks: list[str] = []
-    _write_indented(value, "\n", chunks.append)
+    _write_indented(value, "\n", chunks.append, {})
     chunks.append("\n")
     return "".join(chunks)
 
 
-def _write_indented(value: Any, newline: str, emit: Callable[[str], None]) -> None:
+def _write_indented(
+    value: Any, newline: str, emit: Callable[[str], None], lists: dict[tuple, str]
+) -> None:
     """Emit `value`; `newline` is a line break plus the indentation of the
-    line `value` starts on."""
+    line `value` starts on.  `lists` maps (newline, *items) to the text of
+    each list of strings written so far."""
     if isinstance(value, str):
         emit(_quote(value))
     elif isinstance(value, dict):
@@ -350,21 +355,30 @@ def _write_indented(value: Any, newline: str, emit: Callable[[str], None]) -> No
         separator = "{" + inner
         for key, item in value.items():
             emit(separator + _quote(key) + ": ")
-            _write_indented(item, inner, emit)
+            _write_indented(item, inner, emit, lists)
             separator = "," + inner
         emit(newline + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
             emit("[]")
             return
+        # Only lists of strings are stored, and a string equals only a
+        # string, so a hit is always the text of an equal list of strings.
+        key = (newline, *value)
+        try:
+            text = lists.get(key)
+        except TypeError:  # an unhashable item: not a list of strings
+            text = None
         inner = newline + "  "
-        if all(type(item) is str for item in value):
-            emit("[" + inner + ("," + inner).join(map(_quote, value)) + newline + "]")
+        if text is None and all(type(item) is str for item in value):
+            text = lists[key] = "[" + inner + ("," + inner).join(map(_quote, value)) + newline + "]"
+        if text is not None:
+            emit(text)
         else:
             separator = "[" + inner
             for item in value:
                 emit(separator)
-                _write_indented(item, inner, emit)
+                _write_indented(item, inner, emit, lists)
                 separator = "," + inner
             emit(newline + "]")
     else:

@@ -5,17 +5,19 @@ states are interned as tuples of integer world masks, each event is
 compiled once into a function on those tuples, and `TransitionTable.step`
 is the only engine code that applies an event.  Exploration and every
 check read the table; `Subset` and `RecordState` values are built only for
-the graph's nodes, witnesses and findings.
+the states that a witness or finding names, or that a caller asks for.
 
-Exploration visits each distinct record state once.  Which events have or
-have not fired on the way to a state is a property of the paths into it,
-not of the state, so `occurrence_masks` computes it for every state at
-once with a fixpoint over the explored arcs.
+Exploration visits each distinct record state once and keeps, per state,
+the event bitmask of the breadth-first path that first reached it;
+`ReachabilityGraph.node` turns one state into a `Node` on request.  Which
+events have or have not fired on the way to a state is a property of the
+paths into it, not of the state, so `occurrence_masks` computes it for
+every state at once with a fixpoint over the explored arcs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -120,16 +122,19 @@ class ExplorationLimits:
 class ReachabilityGraph:
     """Explored states and transitions over one transition table.
 
-    Node i is table state i, paired with the events that occurred on the
-    breadth-first path that first reached it; each arc is a (source state,
-    event index, target state) triple, one per expanded state and event.
-    `edges` is built from the arcs on first access.
+    The explored states are table states 0 to `state_count - 1`;
+    `occurred[i]` is the event bitmask of the breadth-first path that first
+    reached state i.  Each arc is a (source state, event index, target
+    state) triple, one per expanded state and event.  `node(i)` builds one
+    `Node` on first request; `nodes` and `edges` are built in full on first
+    access.
     """
 
     table: TransitionTable
-    nodes: tuple[Node, ...]
+    occurred: tuple[int, ...]
     arcs: tuple[tuple[int, int, int], ...]
     truncated: bool
+    _nodes: dict[int, Node] = field(default_factory=dict, init=False, repr=False)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ReachabilityGraph):
@@ -145,8 +150,28 @@ class ReachabilityGraph:
         return self.table.model
 
     @property
+    def state_count(self) -> int:
+        return len(self.occurred)
+
+    def node(self, index: int) -> Node:
+        """Explored state `index` with the events that occurred on the path
+        that first reached it, one shared value per index."""
+        index = range(self.state_count)[index]  # IndexError past the explored states
+        node = self._nodes.get(index)
+        if node is None:
+            occ = self.occurred[index]
+            names = self.model.event_names
+            occurred = frozenset(n for i, n in enumerate(names) if occ >> i & 1)
+            node = self._nodes[index] = Node(self.table.state(index), occurred)
+        return node
+
+    @cached_property
+    def nodes(self) -> tuple[Node, ...]:
+        return tuple(map(self.node, range(self.state_count)))
+
+    @property
     def initial(self) -> Node:
-        return self.nodes[0]
+        return self.node(0)
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -161,7 +186,7 @@ class ReachabilityGraph:
 
     def distinct_states(self) -> tuple[RecordState, ...]:
         """Record states in first-seen order, each listed once."""
-        return tuple(node.state for node in self.nodes)
+        return tuple(map(self.table.state, range(self.state_count)))
 
 
 def _feasible(masks: MaskState) -> int:
@@ -202,18 +227,13 @@ def explore(model: Model, limits: ExplorationLimits | None = None) -> Reachabili
                     depths.append(depths[src] + 1)
                 arcs.append((src, event, target))
         src += 1
-    names = model.event_names
-    nodes = tuple(
-        Node(table.state(sid), frozenset(n for i, n in enumerate(names) if occ >> i & 1))
-        for sid, occ in enumerate(occurred)
-    )
-    return ReachabilityGraph(table, nodes, tuple(arcs), truncated)
+    return ReachabilityGraph(table, tuple(occurred), tuple(arcs), truncated)
 
 
 def occurrence_masks(graph: ReachabilityGraph) -> tuple[list[int], list[int]]:
     """Per explored state, the event bitmask fired on some explored path to
     it and the event bitmask not fired on some explored path to it."""
-    succ: list[list[tuple[int, int]]] = [[] for _ in graph.nodes]
+    succ: list[list[tuple[int, int]]] = [[] for _ in graph.occurred]
     for src, event, tgt in graph.arcs:
         succ[src].append((1 << event, tgt))
     fired = [0] * len(succ)
@@ -236,7 +256,7 @@ def check_gs(graph: ReachabilityGraph) -> list[int]:
     the model's consistency mode."""
     test = mode_mask(graph.model.space, graph.model.mode)
     masks = graph.table.masks
-    return [sid for sid in range(len(graph.nodes)) if not _feasible(masks[sid]) & test]
+    return [sid for sid in range(graph.state_count) if not _feasible(masks[sid]) & test]
 
 
 @dataclass(frozen=True)
@@ -263,12 +283,13 @@ def check_diamond(graph: ReachabilityGraph, model: Model) -> list[DiamondViolati
     violations: list[DiamondViolation] = []
     if not pairs:
         return violations
-    step = table.step
-    for sid in range(len(graph.nodes)):
+    row = table.row
+    for sid in range(graph.state_count):
+        after = [row(target) for target in row(sid)]
         for e, f in pairs:
-            f_then_e = step(step(sid, f), e)
-            e_then_f = step(step(sid, e), f)
-            if table.same(f_then_e, e_then_f, keep):
+            f_then_e = after[f][e]
+            e_then_f = after[e][f]
+            if f_then_e == e_then_f or table.same(f_then_e, e_then_f, keep):
                 continue
             violations.append(
                 DiamondViolation(
@@ -296,10 +317,11 @@ def check_monotonicity(graph: ReachabilityGraph) -> list[MonotonicityFinding]:
     table = graph.table
     names = graph.model.event_names
     space = graph.model.space
+    recorded = table._violations  # every arc's entry was filled by exploration
     return [
         MonotonicityFinding(names[event], site, Subset(space, added), table.state(src))
         for src, event, _ in graph.arcs
-        for site, added in table.violations(src, event)
+        for site, added in recorded[src][event]
     ]
 
 
@@ -316,7 +338,7 @@ def check_clock_monotone(graph: ReachabilityGraph) -> list[ClockViolation]:
     shrink-only writing."""
     space = graph.model.space
     masks = graph.table.masks
-    mus = [space.measure_mask(_feasible(masks[sid])) for sid in range(len(graph.nodes))]
+    mus = [space.measure_mask(_feasible(masks[sid])) for sid in range(graph.state_count)]
     violations = []
     for idx, (src, _, tgt) in enumerate(graph.arcs):
         mu_source, mu_target = mus[src], mus[tgt]

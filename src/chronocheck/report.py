@@ -80,8 +80,8 @@ def diamond_json(model: Model, violation: DiamondViolation) -> dict[str, Any]:
 
 
 def clock_json(model: Model, graph: ReachabilityGraph, v: ClockViolation) -> dict[str, Any]:
-    source = graph.nodes[v.edge.source]
-    target = graph.nodes[v.edge.target]
+    source = graph.node(v.edge.source)
+    target = graph.node(v.edge.target)
     return {
         "event": v.edge.event,
         "source": node_json(model, source),
@@ -142,9 +142,9 @@ def cycles_json(
 
 def graph_summary_json(model: Model, graph: ReachabilityGraph) -> dict[str, Any]:
     return {
-        "nodes": len(graph.nodes),
+        "nodes": graph.state_count,
         "edges": len(graph.arcs),
-        "distinct_states": len(graph.nodes),
+        "distinct_states": graph.state_count,
         "truncated": graph.truncated,
     }
 
@@ -157,7 +157,7 @@ def taxonomy_json(report: TaxonomyReport) -> dict[str, Any]:
         "truncated": report.truncated,
         "exploration": graph_summary_json(model, report.graph),
         "gs_violations": [
-            node_json(model, report.graph.nodes[i]) for i in report.gs_violations
+            node_json(model, report.graph.node(i)) for i in report.gs_violations
         ],
         "diamond_violations": [
             diamond_json(model, v) for v in report.diamond_violations

@@ -1,13 +1,16 @@
 import random
+from dataclasses import replace
 from itertools import permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chronocheck import (
+    ConsistencyMode,
     Event,
     EventApplier,
+    ExplorationLimits,
     Model,
     PossibilitySpace,
     RecordState,
@@ -24,6 +27,7 @@ from chronocheck import (
     verify_strong_witness,
     weak_influence,
 )
+from chronocheck.core import mode_mask
 from chronocheck.randmodels import random_model
 
 
@@ -252,3 +256,104 @@ def test_weak_witness_deltas_always_differ(seed):
     ig = build_influence_graphs(model, graph)
     for witness in ig.weak_edges.values():
         assert witness.delta_without != witness.delta_with
+
+
+def full_scan_witnesses(model, graph, e, f):
+    """Reference: the first weak and the first strong witness of e before f
+    as (e, f, state index, site, mask, mask) tuples, from a scan of every
+    explored state in exploration order, then site order, with events
+    applied through `apply_event`."""
+    shared = sorted(set(e.support) & set(f.support))
+    if not shared:
+        return None, None
+    test = mode_mask(model.space, model.mode)
+    weak = strong = None
+    for index, state in enumerate(graph.distinct_states()):
+        shifted = apply_event(e, state).next
+        post_f_base = apply_event(f, state).next
+        post_f_shifted = apply_event(f, shifted).next
+        for site in shared:
+            p0, p1 = post_f_base[site].mask, post_f_shifted[site].mask
+            if weak is None:
+                delta_without = state[site].mask & ~p0
+                delta_with = shifted[site].mask & ~p1
+                if (delta_without ^ delta_with) & test:
+                    weak = (e.name, f.name, index, site, delta_without, delta_with)
+            if strong is None and p0 & ~p1 & test and p1 & ~p0 & test:
+                observable = p0 ^ p1
+                strong = (e.name, f.name, index, site, observable, p0 & observable, p1 & observable)
+        if weak is not None and strong is not None:
+            break
+    return weak, strong
+
+
+@settings(max_examples=300)
+@given(
+    seed=st.integers(0, 10**9),
+    limits=st.sampled_from(
+        [
+            None,
+            ExplorationLimits(max_states=2),
+            ExplorationLimits(max_states=5),
+            ExplorationLimits(max_depth=1),
+            ExplorationLimits(max_depth=2),
+        ]
+    ),
+    mode=st.sampled_from(ConsistencyMode),
+    intersect_prob=st.sampled_from([0.0, 0.5, 1.0]),
+)
+def test_witnesses_match_full_scan(seed, limits, mode, intersect_prob):
+    # zero-weight worlds are common, so the two modes compare different
+    # worlds; truncated graphs leave states whose successors were never
+    # explored
+    model = random_model(
+        random.Random(seed), max_sites=4, intersect_prob=intersect_prob, measured_prob=0.5
+    )
+    model = replace(model, mode=mode)
+    graph = explore(model, limits)
+    ig = build_influence_graphs(model, graph)
+    for e in model.events:
+        for f in model.events:
+            if e is f:
+                continue
+            pair = (e.name, f.name)
+            expected_weak, expected_strong = full_scan_witnesses(model, graph, e, f)
+            weak, strong = ig.weak_edges.get(pair), ig.strong_edges.get(pair)
+            got_weak = weak and (
+                weak.e, weak.f, weak.node_index, weak.site, weak.delta_without.mask, weak.delta_with.mask
+            )
+            got_strong = strong and (
+                strong.e,
+                strong.f,
+                strong.node_index,
+                strong.site,
+                strong.observable.mask,
+                strong.branch0.mask,
+                strong.branch1.mask,
+            )
+            assert got_weak == expected_weak
+            assert got_strong == expected_strong
+            for witness in (weak, strong):
+                if witness is not None:
+                    assert witness.node == graph.nodes[witness.node_index]
+            assert weak_influence(model, graph, *pair) == weak
+            assert strong_influence(model, graph, *pair) == strong
+
+
+def test_influencer_that_moves_only_zero_weight_worlds_is_scanned():
+    # e removes only the zero-weight world w0, yet f's guard reads the exact
+    # record, so f writes differently with and without e: a state counts as
+    # changed by e when any world of a shared record changes, weighted or not
+    space = PossibilitySpace(("w0", "w1", "w2"), (0, 1, 1))
+    e = Event.intersect("e", [0], {0: space.subset(["w1", "w2"])})
+    f = Event.table("f", [0], [Rule.of({0: space.full()}, {0: space.subset(["w1"])})])
+    model = Model(space, ("s",), RecordState((space.full(),)), (e, f), ConsistencyMode.POSITIVE_MEASURE)
+    graph = explore(model)
+    witness = weak_influence(model, graph, "e", "f")
+    assert witness is not None
+    assert (witness.node_index, witness.delta_without, witness.delta_with) == (
+        0,
+        space.subset(["w0", "w2"]),
+        space.empty(),
+    )
+    assert full_scan_witnesses(model, graph, e, f)[0] == ("e", "f", 0, 0, 0b101, 0)

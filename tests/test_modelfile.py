@@ -271,5 +271,10 @@ _JSON = st.recursive(
 @given(_JSON)
 @example({"": [], "k": {}, "\u00e9\"\\\n": [-0.0, 1e300, 0.1, -(2**70), True, False, None]})
 @example([{}, [], [[]], [{}], "", ["\u2603", "\\"]])
+# one label list at two depths, and equal-comparing lists of other types
+# next to lists of strings: a list's text is reused only for an equal list
+# of strings at the same depth
+@example({"a": ["w0", "w1"], "b": {"c": ["w0", "w1"], "d": [["w0", "w1"]]}, "e": ["w0", "w1"]})
+@example([["1"], [1], [True], [1.0], ("a",), ["a"], [1], ["1"]])
 def test_dumps_indented_matches_json_dumps(value):
     assert dumps_indented(value) == json.dumps(value, indent=2) + "\n"

@@ -11,21 +11,27 @@ from chronocheck import (
     ExplorationLimits,
     Model,
     MonotonicityFinding,
+    Node,
     PossibilitySpace,
     RecordState,
     Rule,
+    TransitionTable,
     apply_event,
     check_clock_monotone,
     check_diamond,
     check_gs,
     check_monotonicity,
+    diagnose,
     explore,
     feasible_set,
     information_content,
+    load_fixture,
     measure_of,
     occurrence_masks,
 )
+from chronocheck import reachability
 from chronocheck.randmodels import random_model
+from chronocheck.report import taxonomy_json
 
 
 def states_by_sequence_enumeration(model, max_len):
@@ -143,6 +149,39 @@ def test_occurrence_masks_match_path_enumeration(seed):
                 expect_unfired[index[state]] |= 1 << bit
     assert fired == expect_fired
     assert unfired == expect_unfired
+
+
+def test_explore_builds_nodes_on_request(bd_flip, monkeypatch):
+    built = []
+    state = TransitionTable.state
+    monkeypatch.setattr(TransitionTable, "state", lambda table, sid: built.append(sid) or state(table, sid))
+    graph = explore(bd_flip)
+    assert built == []
+    assert graph.state_count == 8
+    assert graph.nodes == tuple(graph.node(i) for i in range(graph.state_count))
+    assert graph.node(3) is graph.nodes[3]
+    assert graph.node(-1) is graph.nodes[7]
+    with pytest.raises(IndexError):
+        graph.node(8)
+
+
+@pytest.mark.parametrize("name", ["bd_flip", "cycle_gadget"])
+def test_diagnose_builds_only_the_nodes_it_names(name, monkeypatch):
+    built = []
+
+    def recording_node(state, occurred):
+        built.append(state)
+        return Node(state, occurred)
+
+    monkeypatch.setattr(reachability, "Node", recording_node)
+    report = diagnose(load_fixture(name))
+    taxonomy_json(report)
+    ig = report.influence
+    named = {w.node_index for w in (*ig.weak_edges.values(), *ig.strong_edges.values())}
+    named |= set(report.gs_violations)
+    assert 0 < len(named) < report.graph.state_count
+    table = report.graph.table
+    assert sorted(table.intern_state(state) for state in built) == sorted(named)
 
 
 def test_limits_must_be_positive():
