@@ -29,13 +29,7 @@ from .core import (
     Subset,
     feasible_set,
     information_content,
-    is_consistent,
     measure_of,
-    null_equiv,
-    restrict,
-    restriction_equal,
-    sets_equal,
-    states_equal,
 )
 from .events import (
     Event,

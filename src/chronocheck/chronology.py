@@ -299,7 +299,10 @@ class TaxonomyReport:
     monotonicity_violations: list[MonotonicityFinding]
     bd_violations: list[BDViolation]
     verdict: Verdict
-    truncated: bool
+
+    @property
+    def truncated(self) -> bool:
+        return self.graph.truncated
 
     @property
     def has_strong_cycle(self) -> bool:
@@ -344,5 +347,4 @@ def diagnose(model: Model, limits: ExplorationLimits | None = None) -> TaxonomyR
         monotonicity_violations=monotonicity,
         bd_violations=bd,
         verdict=verdict,
-        truncated=graph.truncated,
     )

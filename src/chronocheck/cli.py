@@ -162,7 +162,7 @@ def _cmd_explore(model: Model, args: argparse.Namespace):
     diamonds = check_diamond(graph, model)
     clock = check_clock_monotone(graph)
     results = {
-        "exploration": report_mod.graph_summary_json(model, graph),
+        "exploration": report_mod.graph_summary_json(graph),
         "gs_violations": [report_mod.node_json(model, graph.node(i)) for i in gs],
         "monotonicity_violations": [report_mod.monotonicity_json(model, v) for v in mono],
         "diamond_violations": [report_mod.diamond_json(model, v) for v in diamonds],
@@ -176,7 +176,7 @@ def _cmd_influence(model: Model, args: argparse.Namespace):
     graph = _explored(model, args)
     ig = build_influence_graphs(model, graph)
     results = report_mod.influence_json(model, ig)
-    notes = report_mod.influence_notes(model, ig)
+    notes = report_mod.influence_notes(ig)
     return results, False, notes, lambda: influence_dot(
         ig.events, ig.weak_edges, ig.strong_edges
     ), graph.truncated
@@ -187,11 +187,11 @@ def _cmd_chronology(model: Model, args: argparse.Namespace):
     ig = build_influence_graphs(model, graph)
     chron = transitive_closure(ig)
     results = {
-        "chronology": report_mod.chronology_json(model, chron),
+        "chronology": report_mod.chronology_json(chron),
         "cycles": report_mod.cycles_json(model, ig, chron.cycles),
         "strong_edges": [list(pair) for pair in ig.strong_edges],
     }
-    notes = report_mod.influence_notes(model, ig)
+    notes = report_mod.influence_notes(ig)
     return results, not chron.acyclic, notes, lambda: influence_dot(
         ig.events, ig.weak_edges, ig.strong_edges, chron.precedes
     ), graph.truncated
@@ -202,7 +202,7 @@ def _cmd_diagnose(model: Model, args: argparse.Namespace):
     _check_strict(model, args, taxonomy.monotonicity_violations)
     results = report_mod.taxonomy_json(taxonomy)
     ig, precedes = taxonomy.influence, taxonomy.chronology.precedes
-    notes = report_mod.influence_notes(model, ig)
+    notes = report_mod.influence_notes(ig)
     violations = not taxonomy.premises_clean() or taxonomy.has_strong_cycle
     return results, violations, notes, lambda: influence_dot(
         ig.events, ig.weak_edges, ig.strong_edges, precedes

@@ -253,19 +253,8 @@ def mode_mask(space: PossibilitySpace, mode: ConsistencyMode) -> int:
     return space.positive_mask  # type: ignore[attr-defined]
 
 
-def is_consistent(state: RecordState, mode: ConsistencyMode) -> bool:
-    feasible = feasible_set(state)
-    return feasible.mask & mode_mask(feasible.space, mode) != 0
-
-
 def measure_of(subset: Subset) -> Fraction:
     return subset.space.measure_mask(subset.mask)
-
-
-def null_equiv(a: Subset, b: Subset) -> bool:
-    """True iff the symmetric difference carries zero weight."""
-    a._check(b)
-    return (a.mask ^ b.mask) & a.space.positive_mask == 0  # type: ignore[attr-defined]
 
 
 def information_content(state: RecordState) -> float:
@@ -284,32 +273,3 @@ def information_content(state: RecordState) -> float:
     except (OverflowError, ValueError):
         return -(math.log(mu.numerator) - math.log(mu.denominator))
 
-
-def restrict(state: RecordState, sites: Iterable[int]) -> tuple[Subset, ...]:
-    """Sub-vector of the record state on the given site indices (ascending).
-
-    Site indices are 0-based positions into the model's site list.
-    """
-    picked = sorted(set(sites))
-    for i in picked:
-        if i < 0 or i >= len(state):
-            raise ValueError(f"unknown site index: {i}")
-    return tuple(state[i] for i in picked)
-
-
-def sets_equal(a: Subset, b: Subset, mode: ConsistencyMode) -> bool:
-    if mode is ConsistencyMode.NONEMPTY:
-        return a == b
-    return null_equiv(a, b)
-
-
-def restriction_equal(
-    a: Sequence[Subset], b: Sequence[Subset], mode: ConsistencyMode
-) -> bool:
-    if len(a) != len(b):
-        return False
-    return all(sets_equal(x, y, mode) for x, y in zip(a, b))
-
-
-def states_equal(a: RecordState, b: RecordState, mode: ConsistencyMode) -> bool:
-    return restriction_equal(a.records, b.records, mode)

@@ -8,7 +8,7 @@ import math
 from typing import Any
 
 from .chronology import BDViolation, Chronology, TaxonomyReport, TraceInvarianceReport
-from .core import RecordState, Subset, information_content
+from .core import RecordState, information_content
 from .influence import InfluenceGraph, StrongWitness, WeakWitness
 from .model import Model
 from .modelfile import dumps_indented
@@ -19,10 +19,6 @@ from .reachability import (
     Node,
     ReachabilityGraph,
 )
-
-
-def subset_json(subset: Subset) -> list[str]:
-    return subset.sorted_labels()
 
 
 def state_json(model: Model, state: RecordState) -> dict[str, list[str]]:
@@ -43,8 +39,8 @@ def weak_witness_json(model: Model, w: WeakWitness) -> dict[str, Any]:
         "f": w.f,
         "site": model.sites[w.site],
         "node": node_json(model, w.node),
-        "delta_without": subset_json(w.delta_without),
-        "delta_with": subset_json(w.delta_with),
+        "delta_without": w.delta_without.sorted_labels(),
+        "delta_with": w.delta_with.sorted_labels(),
     }
 
 
@@ -54,9 +50,9 @@ def strong_witness_json(model: Model, w: StrongWitness) -> dict[str, Any]:
         "f": w.f,
         "site": model.sites[w.site],
         "node": node_json(model, w.node),
-        "observable": subset_json(w.observable),
-        "branch0": subset_json(w.branch0),
-        "branch1": subset_json(w.branch1),
+        "observable": w.observable.sorted_labels(),
+        "branch0": w.branch0.sorted_labels(),
+        "branch1": w.branch1.sorted_labels(),
     }
 
 
@@ -64,7 +60,7 @@ def monotonicity_json(model: Model, finding: MonotonicityFinding) -> dict[str, A
     return {
         "event": finding.event,
         "site": model.sites[finding.site],
-        "added": subset_json(finding.added),
+        "added": finding.added.sorted_labels(),
         "state": state_json(model, finding.state),
     }
 
@@ -100,8 +96,8 @@ def bd_violation_json(model: Model, v: BDViolation) -> dict[str, Any]:
         "site": model.sites[v.witness.site],
         "polarity": v.polarity,
         "state": state_json(model, v.state),
-        "expected": subset_json(v.expected),
-        "actual": subset_json(v.actual),
+        "expected": v.expected.sorted_labels(),
+        "actual": v.actual.sorted_labels(),
     }
 
 
@@ -114,7 +110,7 @@ def influence_json(model: Model, ig: InfluenceGraph) -> dict[str, Any]:
     }
 
 
-def chronology_json(model: Model, chronology: Chronology) -> dict[str, Any]:
+def chronology_json(chronology: Chronology) -> dict[str, Any]:
     order = {name: i for i, name in enumerate(chronology.events)}
     precedes = sorted(chronology.precedes, key=lambda p: (order[p[0]], order[p[1]]))
     extension: Any = None
@@ -140,11 +136,10 @@ def cycles_json(
     return out
 
 
-def graph_summary_json(model: Model, graph: ReachabilityGraph) -> dict[str, Any]:
+def graph_summary_json(graph: ReachabilityGraph) -> dict[str, Any]:
     return {
         "nodes": graph.state_count,
         "edges": len(graph.arcs),
-        "distinct_states": graph.state_count,
         "truncated": graph.truncated,
     }
 
@@ -155,7 +150,7 @@ def taxonomy_json(report: TaxonomyReport) -> dict[str, Any]:
         "verdict": report.verdict.value,
         "has_strong_cycle": report.has_strong_cycle,
         "truncated": report.truncated,
-        "exploration": graph_summary_json(model, report.graph),
+        "exploration": graph_summary_json(report.graph),
         "gs_violations": [
             node_json(model, report.graph.node(i)) for i in report.gs_violations
         ],
@@ -167,7 +162,7 @@ def taxonomy_json(report: TaxonomyReport) -> dict[str, Any]:
         ],
         "bd_violations": [bd_violation_json(model, v) for v in report.bd_violations],
         "influence": influence_json(model, report.influence),
-        "chronology": chronology_json(model, report.chronology),
+        "chronology": chronology_json(report.chronology),
         "cycles": cycles_json(model, report.influence, report.chronology.cycles),
     }
 
@@ -189,7 +184,7 @@ def trace_json(model: Model, report: TraceInvarianceReport) -> dict[str, Any]:
     }
 
 
-def influence_notes(model: Model, ig: InfluenceGraph) -> list[str]:
+def influence_notes(ig: InfluenceGraph) -> list[str]:
     """Surface pairs with weak but no strong influence: a dependence was
     observed, but no reachable state yields two nonempty exclusive branch
     constraints on any observable."""

@@ -17,7 +17,6 @@ from chronocheck import (
     diagnose,
     explore,
     parse_model,
-    states_equal,
     transitive_closure,
 )
 from chronocheck.randmodels import random_model, random_schedule
@@ -156,7 +155,7 @@ def test_trace_invariance_two_site(two_site):
     expected = RecordState(
         (two_site.space.subset(["00", "01"]), two_site.space.subset(["00", "10"]))
     )
-    assert states_equal(report.final_state, expected, two_site.mode)
+    assert report.final_state == expected
 
 
 def test_trace_invariance_gadget_vacuous(gadget):

@@ -7,16 +7,17 @@ from hypothesis import strategies as st
 
 from chronocheck import (
     ConsistencyMode,
+    Model,
     PossibilitySpace,
     RecordState,
+    TransitionTable,
+    check_gs,
+    explore,
     feasible_set,
     information_content,
-    is_consistent,
     measure_of,
-    null_equiv,
-    restrict,
-    restriction_equal,
 )
+from chronocheck.core import mode_mask
 
 NONEMPTY = ConsistencyMode.NONEMPTY
 MEASURE = ConsistencyMode.POSITIVE_MEASURE
@@ -180,54 +181,84 @@ def test_feasible_set_requires_at_least_one_site():
         feasible_set(RecordState(()))
 
 
+def _still_model(space, records, mode):
+    """A model with one site per record and no events: its only reachable
+    state is the initial one."""
+    sites = tuple(f"s{i}" for i in range(len(records)))
+    return Model(space, sites, RecordState(tuple(records)), (), mode)
+
+
+def _consistent(space, records, mode):
+    return check_gs(explore(_still_model(space, records, mode))) == []
+
+
+def _same(a, b, mode):
+    """`TransitionTable.same` on the one-site states holding `a` and `b`,
+    keeping the worlds that count in `mode`."""
+    table = TransitionTable(_still_model(a.space, [a], mode))
+    ids = [table.intern_state(RecordState((x,))) for x in (a, b)]
+    return table.same(*ids, mode_mask(a.space, mode))
+
+
 def test_is_consistent_modes():
     space = PossibilitySpace.create(["w0", "w1"])
-    empty = RecordState((space.empty(),))
-    assert not is_consistent(empty, NONEMPTY)
-    assert not is_consistent(empty, MEASURE)
-    full = RecordState((space.full(), space.full()))
-    assert is_consistent(full, NONEMPTY)
-    assert is_consistent(full, MEASURE)
+    assert not _consistent(space, [space.empty()], NONEMPTY)
+    assert not _consistent(space, [space.empty()], MEASURE)
+    assert _consistent(space, [space.full(), space.full()], NONEMPTY)
+    assert _consistent(space, [space.full(), space.full()], MEASURE)
 
 
 def test_is_consistent_zero_weight_world():
     space = PossibilitySpace.create(["w0", "w1"], {"w0": 0, "w1": 1})
-    state = RecordState((space.subset(["w0"]),))
-    assert is_consistent(state, NONEMPTY)
-    assert not is_consistent(state, MEASURE)
+    assert _consistent(space, [space.subset(["w0"])], NONEMPTY)
+    assert not _consistent(space, [space.subset(["w0"])], MEASURE)
 
 
 def test_null_equiv_examples():
     counting = PossibilitySpace.create(["w0", "w1"])
     a = counting.subset(["w0"])
-    assert null_equiv(a, a)
-    assert not null_equiv(a, counting.subset(["w1"]))
+    assert _same(a, a, MEASURE)
+    assert not _same(a, counting.subset(["w1"]), MEASURE)
     weighted = PossibilitySpace.create(["w0", "w1"], {"w0": 0, "w1": 1})
-    assert null_equiv(weighted.subset(["w0", "w1"]), weighted.subset(["w1"]))
+    both, w1 = weighted.subset(["w0", "w1"]), weighted.subset(["w1"])
+    assert _same(both, w1, MEASURE)
+    assert not _same(both, w1, NONEMPTY)
 
 
 @given(
     masks=st.tuples(st.integers(0, 15), st.integers(0, 15), st.integers(0, 15)),
     zero_worlds=st.sets(st.integers(0, 3)),
+    mode=st.sampled_from([NONEMPTY, MEASURE]),
 )
-def test_null_equiv_is_an_equivalence_relation(masks, zero_worlds):
+def test_null_equiv_is_an_equivalence_relation(masks, zero_worlds, mode):
     worlds = ["w0", "w1", "w2", "w3"]
     weights = {w: (0 if i in zero_worlds else 1) for i, w in enumerate(worlds)}
     if not any(weights.values()):
         weights["w0"] = 1
     space = PossibilitySpace.create(worlds, weights)
     a, b, c = (space.from_mask(m) for m in masks)
-    assert null_equiv(a, a)
-    assert null_equiv(a, b) == null_equiv(b, a)
-    if null_equiv(a, b) and null_equiv(b, c):
-        assert null_equiv(a, c)
+    assert _same(a, a, mode)
+    assert _same(a, b, mode) == _same(b, a, mode)
+    if _same(a, b, mode) and _same(b, c, mode):
+        assert _same(a, c, mode)
 
 
-@given(mask_a=st.integers(0, 15), mask_b=st.integers(0, 15))
-def test_null_equiv_is_equality_under_counting(mask_a, mask_b):
-    space = PossibilitySpace.create(["w0", "w1", "w2", "w3"])
-    a, b = space.from_mask(mask_a), space.from_mask(mask_b)
-    assert null_equiv(a, b) == (a == b)
+@given(
+    mask_a=st.integers(0, 15),
+    mask_b=st.integers(0, 15),
+    zero_worlds=st.sets(st.integers(0, 3)),
+)
+def test_null_equiv_is_equality_under_counting(mask_a, mask_b, zero_worlds):
+    counting = PossibilitySpace.create(["w0", "w1", "w2", "w3"])
+    a, b = counting.from_mask(mask_a), counting.from_mask(mask_b)
+    assert _same(a, b, MEASURE) == (a == b)
+    # in nonempty mode every world counts, whatever its weight
+    worlds = counting.worlds
+    weights = {w: (0 if i in zero_worlds else 1) for i, w in enumerate(worlds)}
+    weights["w0"] = 1
+    weighted = PossibilitySpace.create(worlds, weights)
+    a, b = weighted.from_mask(mask_a), weighted.from_mask(mask_b)
+    assert _same(a, b, NONEMPTY) == (a == b)
 
 
 def test_measure_of_examples():
@@ -276,22 +307,3 @@ def test_information_content_extreme_weights(exponent):
     value = information_content(RecordState((space.full(),)))
     assert value == pytest.approx(-exponent * math.log(10), rel=1e-12)
 
-
-def test_restrict_examples():
-    space = PossibilitySpace.create(["w0", "w1"])
-    a, b = space.subset(["w0"]), space.subset(["w1"])
-    state = RecordState((a, b))
-    assert restrict(state, [0]) == (a,)
-    assert restrict(state, [0, 1]) == (a, b)
-    assert restrict(state, []) == ()
-    assert restriction_equal(restrict(state, []), (), NONEMPTY)
-    with pytest.raises(ValueError):
-        restrict(state, [2])
-
-
-def test_restriction_equal_up_to_null_in_measure_mode():
-    space = PossibilitySpace.create(["w0", "w1"], {"w0": 0, "w1": 1})
-    left = (space.subset(["w0", "w1"]),)
-    right = (space.subset(["w1"]),)
-    assert not restriction_equal(left, right, NONEMPTY)
-    assert restriction_equal(left, right, MEASURE)
