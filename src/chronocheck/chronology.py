@@ -168,25 +168,22 @@ def _branch_violations(
     unfired: list[int],
 ) -> list[BDViolation]:
     keep = mode_mask(model.space, model.mode)
-    masks = table.masks
+    packed = table.packed
     e, f = model.event_names.index(witness.e), model.event_names.index(witness.f)
-    support_f = model.events[f].support
-    site, observable = witness.site, witness.observable.mask
-
-    def context(sid: int) -> tuple[int, ...]:
-        return tuple(masks[sid][s] & keep for s in support_f)
-
+    # f's records with only the worlds that count, as one packed mask
+    context = table.spread(keep, model.events[f].support)
+    shift, observable = witness.site * table.width, witness.observable.mask
     base = witness.node_index
     expectations = (
-        ("e-not-occurred", unfired, context(base), witness.branch0),
-        ("e-occurred", fired, context(table.step(base, e)), witness.branch1),
+        ("e-not-occurred", unfired, packed[base] & context, witness.branch0),
+        ("e-occurred", fired, packed[table.step(base, e)] & context, witness.branch1),
     )
     violations = []
     for sid in range(len(fired)):
         for polarity, on_some_path, expected_context, expected in expectations:
-            if not on_some_path[sid] >> e & 1 or context(sid) != expected_context:
+            if not on_some_path[sid] >> e & 1 or packed[sid] & context != expected_context:
                 continue
-            actual = masks[table.step(sid, f)][site] & observable
+            actual = packed[table.step(sid, f)] >> shift & observable
             if (actual ^ expected.mask) & keep:
                 violations.append(
                     BDViolation(

@@ -111,50 +111,62 @@ def apply_event(event: Event, state: RecordState) -> UpdateOutcome:
     return UpdateOutcome(nxt, tuple(violations))
 
 
-MaskState = tuple[int, ...]
+MaskState = int
+"""A whole record state as one int, site-major: with W worlds, site s holds
+its record's world mask in bits [s*W, (s+1)*W)."""
 MaskViolations = tuple[tuple[int, int], ...]
 
 
-def compile_event(event: Event) -> Callable[[MaskState], tuple[MaskState, MaskViolations]]:
-    """The event as a function on per-site world masks.
+def compile_event(
+    event: Event, width: int
+) -> Callable[[MaskState], tuple[MaskState, MaskViolations]]:
+    """The event as a function on packed record states of `width` worlds
+    per site (see `MaskState`).
 
-    It returns the successor masks and the shrink-only violations as
-    (site, added mask) pairs, and agrees with `apply_event`, which stays
+    An intersect event is one AND with a keep mask that holds each
+    constant at its site and all ones elsewhere.  A table rule matches when
+    the state, masked to the guarded sites, equals the packed guard; its
+    result clears the written sites and sets the packed replacements.  The
+    function returns the successor and the shrink-only violations as
+    (site, added mask) pairs in support order, split out of `nxt & ~state`
+    only when that is nonzero.  It agrees with `apply_event`, which stays
     the reference semantics.
     """
-    if event.kind is EventKind.INTERSECT:
-        constants = tuple((site, constant.mask) for site, constant in event.constants)
+    field = (1 << width) - 1
 
-        def intersect(masks: MaskState) -> tuple[MaskState, MaskViolations]:
-            nxt = list(masks)
-            for site, constant in constants:
-                nxt[site] &= constant
-            return tuple(nxt), ()
+    def cover(items: Iterable[tuple[int, Subset]]) -> int:
+        return sum(field << site * width for site, _ in items)
+
+    def place(items: Iterable[tuple[int, Subset]]) -> int:
+        return sum(sub.mask << site * width for site, sub in items)
+
+    if event.kind is EventKind.INTERSECT:
+        keep = ~cover(event.constants) | place(event.constants)
+
+        def intersect(state: MaskState) -> tuple[MaskState, MaskViolations]:
+            return state & keep, ()
 
         return intersect
 
     rules = tuple(
-        (
-            tuple((site, required.mask) for site, required in rule.guard),
-            tuple((site, replacement.mask) for site, replacement in rule.result),
-        )
+        (cover(rule.guard), place(rule.guard), ~cover(rule.result), place(rule.result))
         for rule in event.rules
     )
-    support = event.support
+    shifts = tuple((site, site * width) for site in event.support)
 
-    def table(masks: MaskState) -> tuple[MaskState, MaskViolations]:
-        for guard, result in rules:
-            if all(masks[site] == required for site, required in guard):
+    def table(state: MaskState) -> tuple[MaskState, MaskViolations]:
+        for guarded, guard, clear, result in rules:
+            if state & guarded == guard:
                 break
         else:
-            return masks, ()
-        nxt = list(masks)
-        for site, replacement in result:
-            nxt[site] = replacement
-        added = tuple(
-            (site, nxt[site] & ~masks[site]) for site in support if nxt[site] & ~masks[site]
+            return state, ()
+        nxt = state & clear | result
+        added = nxt & ~state
+        if not added:
+            return nxt, ()
+        return nxt, tuple(
+            (site, added >> shift & field) for site, shift in shifts if added >> shift & field
         )
-        return tuple(nxt), added
 
     return table
 

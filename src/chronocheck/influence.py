@@ -14,11 +14,20 @@ unchanged, f writes the same records with or without e, and neither kind
 of witness can sit there.  The search therefore computes, once per graph,
 which sites each event changes at each explored state, and scans for a
 pair (e, f) only the states where e changes a shared site.
+
+The scan reads the transition table's packed states (one int per state,
+site-major, see `events.MaskState`).  Each event's support and the mode
+mask are packed once per graph, so both tests run on whole states: the
+weak test over every shared site in one expression, its witness site the
+one holding the lowest set bit; the strong test gated by two whole-state
+ANDs and then checked per site, because both one-sided differences must
+lie on the same site.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .core import Subset, measure_of, mode_mask
 from .events import apply_event
@@ -67,88 +76,121 @@ def _shared_sites(model: Model, e_name: str, f_name: str) -> list[int]:
     return sorted(set(e.support) & set(f.support))
 
 
-_Changes = list[list[tuple[int, int, list[int], list[int]]]]
+_Changes = list[tuple[int, int, list[int], list[int]]]
 
 
-def _changed_sites(model: Model, graph: ReachabilityGraph) -> _Changes:
-    """Per event index, one (state, changed-site bitmask, successor row of
-    the state, successor row of the event's target) entry for every
-    explored state where the event changes some site, in exploration order.
-    The rows are filled here, so the witness scan reads them directly."""
+def _context(model: Model, graph: ReachabilityGraph) -> tuple[list[int], int]:
+    """Per graph: each event's support as a packed mask of whole site
+    fields, and the mode mask repeated at every site."""
     table = graph.table_for(model)
-    masks = table.masks
-    supports = [event.support for event in model.events]
-    changes: _Changes = [[] for _ in supports]
+    field = (1 << table.width) - 1
+    supports = [table.spread(field, event.support) for event in model.events]
+    test = table.spread(mode_mask(model.space, model.mode), range(len(model.sites)))
+    return supports, test
+
+
+def _changed_sites(graph: ReachabilityGraph, events: Sequence[int]) -> list[_Changes]:
+    """Per event index in `events`, one (state, packed state xor successor,
+    successor row of the state, successor row of the event's target) entry
+    for every explored state where the event changes some site, in
+    exploration order.  The rows are filled here, so the witness scan reads
+    them directly."""
+    table = graph.table
+    packed = table.packed
+    changes: list[_Changes] = [[] for _ in events]
     for sid in range(graph.state_count):
-        base = masks[sid]
+        base = packed[sid]
         row = table.row(sid)
-        for event, target in enumerate(row):
+        for entries, event in zip(changes, events):
+            target = row[event]
             if target != sid:  # interned: a different id is a different state
-                moved = masks[target]
-                changed = 0
-                for site in supports[event]:  # an event writes only its support
-                    if base[site] != moved[site]:
-                        changed |= 1 << site
-                changes[event].append((sid, changed, row, table.row(target)))
+                entries.append((sid, base ^ packed[target], row, table.row(target)))
     return changes
 
 
 def _influence(
-    model: Model, graph: ReachabilityGraph, e_name: str, f_name: str, changes: _Changes
+    model: Model,
+    graph: ReachabilityGraph,
+    e: int,
+    f: int,
+    changes: _Changes,
+    supports: list[int],
+    test: int,
 ) -> tuple[WeakWitness | None, StrongWitness | None]:
-    """First weak and first strong witness for e before f, found in one scan
-    of the states where e changes a shared site (`changes` is
-    `_changed_sites` of the graph), in exploration order, then site order.
-    Pairs with disjoint supports are dismissed outright.
+    """First weak and first strong witness for event index e before f,
+    found in one scan of e's change entries (`changes`, from
+    `_changed_sites`), in exploration order, then site order.  `supports`
+    and `test` are the graph's `_context`.  Pairs with disjoint supports
+    are dismissed outright.
     """
-    shared = _shared_sites(model, e_name, f_name)
+    shared = supports[e] & supports[f]
     if not shared:
         return None, None
-    e, f = model.event_names.index(e_name), model.event_names.index(f_name)
-    test = mode_mask(model.space, model.mode)
+    test &= shared
+    width = graph.table.width
+    field = (1 << width) - 1
+    packed = graph.table.packed
     space = model.space
-    masks = graph.table.masks
-    shared_mask = sum(1 << site for site in shared)
+    e_name, f_name = model.event_names[e], model.event_names[f]
     weak: WeakWitness | None = None
     strong: StrongWitness | None = None
-    for sid, changed, row, shifted_row in changes[e]:
-        if not changed & shared_mask:
+    for sid, moved, row, shifted_row in changes:
+        if not moved & shared:
             continue
-        base = masks[sid]
-        shifted = masks[row[e]]
-        post_f_base = masks[row[f]]
-        post_f_shifted = masks[shifted_row[f]]
-        for site in shared:
-            p0 = post_f_base[site]
-            p1 = post_f_shifted[site]
-            if weak is None:
-                delta_without = base[site] & ~p0
-                delta_with = shifted[site] & ~p1
-                if (delta_without ^ delta_with) & test:
-                    weak = WeakWitness(
-                        e_name,
-                        f_name,
-                        sid,
-                        graph.node(sid),
-                        site,
-                        Subset(space, delta_without),
-                        Subset(space, delta_with),
-                    )
-            if strong is None and p0 & ~p1 & test and p1 & ~p0 & test:
-                observable = p0 ^ p1
-                strong = StrongWitness(
+        base = packed[sid]
+        shifted = packed[row[e]]
+        p0 = packed[row[f]]
+        p1 = packed[shifted_row[f]]
+        if weak is None:
+            delta_without = base & ~p0
+            delta_with = shifted & ~p1
+            differ = (delta_without ^ delta_with) & test
+            if differ:
+                site = ((differ & -differ).bit_length() - 1) // width
+                shift = site * width
+                weak = WeakWitness(
                     e_name,
                     f_name,
                     sid,
                     graph.node(sid),
                     site,
-                    Subset(space, observable),
-                    Subset(space, p0 & observable),
-                    Subset(space, p1 & observable),
+                    Subset(space, delta_without >> shift & field),
+                    Subset(space, delta_with >> shift & field),
                 )
+        if strong is None:
+            only0 = p0 & ~p1 & test
+            only1 = p1 & ~p0 & test
+            if only0 and only1:
+                for site in model.events[e].support:
+                    shift = site * width
+                    if only0 >> shift & field and only1 >> shift & field:
+                        observable = (p0 ^ p1) >> shift & field
+                        strong = StrongWitness(
+                            e_name,
+                            f_name,
+                            sid,
+                            graph.node(sid),
+                            site,
+                            Subset(space, observable),
+                            Subset(space, p0 >> shift & observable),
+                            Subset(space, p1 >> shift & observable),
+                        )
+                        break
         if weak is not None and strong is not None:
             break
     return weak, strong
+
+
+def _single_pair(
+    model: Model, graph: ReachabilityGraph, e_name: str, f_name: str
+) -> tuple[WeakWitness | None, StrongWitness | None]:
+    """`_influence` for one pair, with change entries built for e only."""
+    e = model.events.index(model.event(e_name))
+    f = model.events.index(model.event(f_name))
+    supports, test = _context(model, graph)
+    if not supports[e] & supports[f]:
+        return None, None
+    return _influence(model, graph, e, f, _changed_sites(graph, (e,))[0], supports, test)
 
 
 def weak_influence(
@@ -156,7 +198,7 @@ def weak_influence(
 ) -> WeakWitness | None:
     """First witness that executing e changes f's write effect at a shared
     site, or None.  Pairs with disjoint supports are dismissed outright."""
-    return _influence(model, graph, e_name, f_name, _changed_sites(model, graph))[0]
+    return _single_pair(model, graph, e_name, f_name)[0]
 
 
 def binary_witness(model: Model, witness: WeakWitness) -> Subset:
@@ -193,7 +235,7 @@ def strong_influence(
     nontrivial branches meets both differences.  The emitted witness uses
     the canonical observable P0 xor P1.
     """
-    return _influence(model, graph, e_name, f_name, _changed_sites(model, graph))[1]
+    return _single_pair(model, graph, e_name, f_name)[1]
 
 
 def strong_influence_oracle(
@@ -268,16 +310,16 @@ def verify_strong_witness(model: Model, witness: StrongWitness) -> bool:
 def build_influence_graphs(model: Model, graph: ReachabilityGraph) -> InfluenceGraph:
     """Weak and strong edges for every ordered pair of distinct events."""
     names = model.event_names
-    changes = _changed_sites(model, graph)
+    supports, test = _context(model, graph)
     weak: dict[tuple[str, str], WeakWitness] = {}
     strong: dict[tuple[str, str], StrongWitness] = {}
-    for e_name in names:
-        for f_name in names:
-            if e_name == f_name:
+    for e, changes in enumerate(_changed_sites(graph, range(len(names)))):
+        for f in range(len(names)):
+            if f == e or not changes:
                 continue
-            w, s = _influence(model, graph, e_name, f_name, changes)
+            w, s = _influence(model, graph, e, f, changes, supports, test)
             if w is not None:
-                weak[(e_name, f_name)] = w
+                weak[(names[e], names[f])] = w
             if s is not None:
-                strong[(e_name, f_name)] = s
+                strong[(names[e], names[f])] = s
     return InfluenceGraph(names, weak, strong)

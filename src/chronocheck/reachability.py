@@ -1,11 +1,15 @@
 """Explicit-state exploration of the transition system over record states.
 
-Every transition comes from one `TransitionTable` per exploration: record
-states are interned as tuples of integer world masks, each event is
-compiled once into a function on those tuples, and `TransitionTable.step`
-is the only engine code that applies an event.  Exploration and every
-check read the table; `Subset` and `RecordState` values are built only for
-the states that a witness or finding names, or that a caller asks for.
+Every transition comes from one `TransitionTable` per exploration.  A
+record state is one int, site-major: with W worlds, site s holds its
+record's world mask in bits [s*W, (s+1)*W).  Each event is compiled once
+into a function on those ints, states are interned to integer ids, and
+`TransitionTable.row` is the only engine code that applies an event: it
+fills a state's successors and shrink-only violations under every event in
+one loop.  Exploration and every check read the table and test whole
+states with single int operations; `Subset` and `RecordState` values are
+built only for the states that a witness or finding names, or that a
+caller asks for.
 
 Exploration visits each distinct record state once and keeps, per state,
 the event bitmask of the breadth-first path that first reached it;
@@ -20,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import Iterable
 
 from .core import RecordState, Subset, mode_mask
 from .events import MaskState, MaskViolations, compile_event, independent
@@ -28,69 +33,102 @@ from .model import Model
 
 class TransitionTable:
     """Successor state ids and shrink-only violations of every event at every
-    record state the engine visits, filled on first lookup.
+    record state the engine visits, filled one whole row on first lookup.
 
-    States are interned to integer ids in first-seen order; `masks[sid]`
-    holds one world mask per site.  Lookups work for any interned state, so
-    checks may step past a truncated exploration frontier.
+    States are interned to integer ids in first-seen order; `packed[sid]`
+    is the state as one site-major int (see `events.MaskState`), `width`
+    worlds per site.  `state` and `intern_state` convert to and from
+    `RecordState` at the API boundary.  Lookups work for any interned
+    state, so checks may step past a truncated exploration frontier.
     """
 
     def __init__(self, model: Model) -> None:
         self.model = model
-        self.masks: list[MaskState] = []
-        self._apply = [compile_event(event) for event in model.events]
+        self.width = model.space.size
+        self.packed: list[MaskState] = []
+        self._apply = [compile_event(event, self.width) for event in model.events]
         self._ids: dict[MaskState, int] = {}
-        self._succ: list[list[int]] = []
-        self._violations: list[list[MaskViolations]] = []
+        self._succ: list[list[int] | None] = []
+        self._violations: list[list[MaskViolations] | None] = []
         self._states: dict[int, RecordState] = {}
 
-    def _intern(self, masks: MaskState) -> int:
-        sid = self._ids.get(masks)
+    def _intern(self, packed: MaskState) -> int:
+        sid = self._ids.get(packed)
         if sid is None:
-            sid = len(self.masks)
-            self._ids[masks] = sid
-            self.masks.append(masks)
-            self._succ.append([-1] * len(self._apply))
-            self._violations.append([()] * len(self._apply))
+            sid = self._ids[packed] = len(self.packed)
+            self.packed.append(packed)
+            self._succ.append(None)
+            self._violations.append(None)
         return sid
 
     def intern_state(self, state: RecordState) -> int:
         """Id of `state`, assigned on first sight."""
-        return self._intern(tuple(rec.mask for rec in state))
+        width = self.width
+        return self._intern(sum(rec.mask << site * width for site, rec in enumerate(state)))
+
+    def row(self, sid: int) -> list[int]:
+        """Successor ids of every event from `sid`, in event order.  The
+        first lookup applies every event and records its violations; new
+        successors are interned in event order."""
+        row = self._succ[sid]
+        if row is None:
+            state = self.packed[sid]
+            ids = self._ids
+            row = []
+            violations = []
+            for apply in self._apply:
+                nxt, added = apply(state)
+                target = ids.get(nxt)
+                row.append(self._intern(nxt) if target is None else target)
+                violations.append(added)
+            self._succ[sid] = row
+            self._violations[sid] = violations
+        return row
 
     def step(self, sid: int, event: int) -> int:
         """Id of the state reached by event index `event` from state `sid`."""
-        target = self._succ[sid][event]
-        if target < 0:
-            nxt, added = self._apply[event](self.masks[sid])
-            target = self._intern(nxt)
-            self._succ[sid][event] = target
-            self._violations[sid][event] = added
-        return target
-
-    def row(self, sid: int) -> list[int]:
-        """Successor ids of every event from `sid`, in event order."""
-        row = self._succ[sid]
-        if -1 in row:
-            for event in range(len(row)):
-                self.step(sid, event)
-        return row
+        return self.row(sid)[event]
 
     def violations(self, sid: int, event: int) -> MaskViolations:
         """(site, added mask) pairs for every shrink-only violation of the step."""
-        self.step(sid, event)
-        return self._violations[sid][event]
+        self.row(sid)
+        return self._violations[sid][event]  # type: ignore[index]
+
+    def spread(self, mask: int, sites: Iterable[int]) -> int:
+        """The world mask `mask` repeated at each of `sites`, packed."""
+        width = self.width
+        return sum(mask << site * width for site in sites)
 
     def same(self, a: int, b: int, keep: int) -> bool:
         """True iff states `a` and `b` agree on every world in `keep`."""
-        return a == b or all(not (x ^ y) & keep for x, y in zip(self.masks[a], self.masks[b]))
+        return a == b or not (self.packed[a] ^ self.packed[b]) & self.spread(
+            keep, range(len(self.model.sites))
+        )
+
+    def feasible(self, count: int) -> list[int]:
+        """For each state id below `count`, the world mask of the worlds
+        that every site's record allows, folded out of the packed int."""
+        packed = self.packed[:count]
+        feasible = packed
+        for site in range(1, len(self.model.sites)):
+            shift = site * self.width
+            feasible = [f & p >> shift for f, p in zip(feasible, packed)]
+        full = (1 << self.width) - 1
+        return [f & full for f in feasible]
 
     def state(self, sid: int) -> RecordState:
         """The state as a `RecordState`, one shared value per id."""
         state = self._states.get(sid)
         if state is None:
             space = self.model.space
-            state = RecordState(tuple(Subset(space, mask) for mask in self.masks[sid]))
+            packed, width = self.packed[sid], self.width
+            full = (1 << width) - 1
+            state = RecordState(
+                tuple(
+                    Subset(space, packed >> site * width & full)
+                    for site in range(len(self.model.sites))
+                )
+            )
             self._states[sid] = state
         return state
 
@@ -189,13 +227,6 @@ class ReachabilityGraph:
         return tuple(map(self.table.state, range(self.state_count)))
 
 
-def _feasible(masks: MaskState) -> int:
-    feasible = -1
-    for mask in masks:
-        feasible &= mask
-    return feasible
-
-
 def explore(model: Model, limits: ExplorationLimits | None = None) -> ReachabilityGraph:
     """Breadth-first closure of the initial state under all events.
 
@@ -255,8 +286,8 @@ def check_gs(graph: ReachabilityGraph) -> list[int]:
     """Indices of explored states that are not globally consistent under
     the model's consistency mode."""
     test = mode_mask(graph.model.space, graph.model.mode)
-    masks = graph.table.masks
-    return [sid for sid in range(graph.state_count) if not _feasible(masks[sid]) & test]
+    feasible = graph.table.feasible(graph.state_count)
+    return [sid for sid, worlds in enumerate(feasible) if not worlds & test]
 
 
 @dataclass(frozen=True)
@@ -337,11 +368,10 @@ def check_clock_monotone(graph: ReachabilityGraph) -> list[ClockViolation]:
     information clock ticks backwards.  Empty whenever no edge violates
     shrink-only writing."""
     space = graph.model.space
-    masks = graph.table.masks
-    mus = [space.measure_mask(_feasible(masks[sid])) for sid in range(graph.state_count)]
-    violations = []
-    for idx, (src, _, tgt) in enumerate(graph.arcs):
-        mu_source, mu_target = mus[src], mus[tgt]
-        if mu_target > mu_source:
-            violations.append(ClockViolation(graph.edges[idx], mu_source, mu_target))
-    return violations
+    names = graph.model.event_names
+    mus = [space.measure_mask(worlds) for worlds in graph.table.feasible(graph.state_count)]
+    return [
+        ClockViolation(Edge(src, names[event], tgt), mus[src], mus[tgt])
+        for src, event, tgt in graph.arcs
+        if mus[tgt] > mus[src]
+    ]

@@ -357,3 +357,48 @@ def test_influencer_that_moves_only_zero_weight_worlds_is_scanned():
         space.empty(),
     )
     assert full_scan_witnesses(model, graph, e, f)[0] == ("e", "f", 0, 0, 0b101, 0)
+
+
+def _two_site_pair(space, e, f):
+    model = Model(space, ("s0", "s1"), RecordState((space.full(), space.full())), (e, f))
+    return model, explore(model)
+
+
+def test_one_sided_differences_on_different_sites_are_not_strong():
+    # without e, f keeps w1 at s0 and drops it at s1; with e, the reverse:
+    # P0\P1 is {w1} at s0 only and P1\P0 is {w1} at s1 only, so no single
+    # site carries both branches
+    space = PossibilitySpace.create(["w0", "w1"])
+    w0, full = space.subset(["w0"]), space.full()
+    e = Event.intersect("e", [0, 1], {0: w0, 1: full})
+    f = Event.table(
+        "f",
+        [0, 1],
+        [Rule.of({0: full}, {0: full, 1: w0}), Rule.of({0: w0}, {0: w0, 1: full})],
+    )
+    model, graph = _two_site_pair(space, e, f)
+    weak, strong = full_scan_witnesses(model, graph, e, f)
+    assert strong is None
+    assert strong_influence(model, graph, "e", "f") is None
+    assert strong_influence_oracle(model, graph, "e", "f") is None
+    assert weak == ("e", "f", 0, 1, 0b10, 0)
+    witness = weak_influence(model, graph, "e", "f")
+    assert (witness.node_index, witness.site) == (0, 1)
+    assert (witness.delta_without.mask, witness.delta_with.mask) == (0b10, 0)
+
+
+def test_weak_witness_names_the_first_differing_shared_site():
+    # f removes w1 at both sites; e already removed it at s1 only, so the
+    # write effects agree at s0 and differ at s1
+    space = PossibilitySpace.create(["w0", "w1"])
+    w0, full = space.subset(["w0"]), space.full()
+    e = Event.intersect("e", [0, 1], {0: full, 1: w0})
+    f = Event.intersect("f", [0, 1], {0: w0, 1: w0})
+    model, graph = _two_site_pair(space, e, f)
+    weak, strong = full_scan_witnesses(model, graph, e, f)
+    assert weak == ("e", "f", 0, 1, 0b10, 0)
+    assert strong is None
+    witness = weak_influence(model, graph, "e", "f")
+    assert (witness.node_index, witness.site) == (0, 1)
+    assert (witness.delta_without.mask, witness.delta_with.mask) == (0b10, 0)
+    assert build_influence_graphs(model, graph).weak_edges[("e", "f")] == witness

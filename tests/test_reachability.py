@@ -1,12 +1,18 @@
+import importlib.util
 import math
 import random
 from collections import deque
+from dataclasses import replace
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chronocheck import (
+    ClockViolation,
+    Edge,
     Event,
     ExplorationLimits,
     Model,
@@ -15,6 +21,7 @@ from chronocheck import (
     PossibilitySpace,
     RecordState,
     Rule,
+    Subset,
     TransitionTable,
     apply_event,
     check_clock_monotone,
@@ -30,6 +37,7 @@ from chronocheck import (
     occurrence_masks,
 )
 from chronocheck import reachability
+from chronocheck.modelfile import model_from_dict
 from chronocheck.randmodels import random_model
 from chronocheck.report import taxonomy_json
 
@@ -223,13 +231,51 @@ def test_every_edge_matches_direct_application(seed):
     assert check_monotonicity(graph) == expected
 
 
-@settings(max_examples=200)
-@given(seed=st.integers(0, 10**9), truncated=st.booleans())
-def test_transition_table_matches_apply_event(seed, truncated):
-    # mostly free-form table writes, so shrink-only violations are common
-    model = random_model(
-        random.Random(seed), max_sites=4, intersect_prob=0.3, monotone_bias=0.3
+def _remapped(model, space, remap):
+    """`model` moved into `space`, every record mask passed through `remap`."""
+
+    def moved(pairs):
+        return tuple((site, Subset(space, remap(sub.mask))) for site, sub in pairs)
+
+    events = tuple(
+        replace(
+            event,
+            rules=tuple(Rule(moved(rule.guard), moved(rule.result)) for rule in event.rules),
+            constants=moved(event.constants),
+        )
+        for event in model.events
     )
+    initial = RecordState(tuple(Subset(space, remap(rec.mask)) for rec in model.initial))
+    return Model(space, model.sites, initial, events)
+
+
+WIDE = PossibilitySpace.create([f"w{i}" for i in range(40)])
+ONE_WORLD = PossibilitySpace.create(["w0"])
+
+
+@settings(max_examples=300)
+@given(
+    seed=st.integers(0, 10**9),
+    truncated=st.booleans(),
+    shape=st.sampled_from(["drawn", "wide", "one_world"]),
+)
+# five 40-world sites (200 bits), shrink-only violations, and table rules
+# that guard two or more sites and match explored states
+@example(seed=69, truncated=False, shape="wide")
+def test_transition_table_matches_apply_event(seed, truncated, shape):
+    # mostly free-form table writes, so shrink-only violations are common
+    rng = random.Random(seed)
+    if shape == "wide":
+        # three worlds placed at the top of 40-world fields: two sites
+        # already pack past 64 bits, and exact guards still match often
+        model = random_model(rng, max_worlds=3, max_sites=5, intersect_prob=0.3, monotone_bias=0.3)
+        model = _remapped(
+            model, WIDE, lambda mask: sum(1 << 39 - i for i in range(3) if mask >> i & 1)
+        )
+    else:
+        model = random_model(rng, max_sites=4, intersect_prob=0.3, monotone_bias=0.3)
+        if shape == "one_world":
+            model = _remapped(model, ONE_WORLD, lambda mask: mask & 1)
     if truncated:
         graph = explore(model, ExplorationLimits(max_states=3, max_depth=1))
     else:
@@ -237,8 +283,9 @@ def test_transition_table_matches_apply_event(seed, truncated):
     table = graph.table
     # every interned state, including those past a truncated frontier that
     # exploration reached but did not expand
-    for sid in range(len(table.masks)):
+    for sid in range(len(table.packed)):
         state = table.state(sid)
+        assert table.intern_state(state) == sid
         for index, event in enumerate(model.events):
             outcome = apply_event(event, state)
             assert table.state(table.step(sid, index)) == outcome.next
@@ -354,6 +401,23 @@ def test_identity_edges_keep_clock_value(gadget):
             src = information_content(graph.nodes[edge.source].state)
             dst = information_content(graph.nodes[edge.target].state)
             assert src == dst
+
+
+def test_clock_fixture_builds_only_the_violating_edges():
+    # the clock model frozen in the golden CLI record: `grow` adds weight
+    # back from {c} and from {a}
+    spec = importlib.util.spec_from_file_location(
+        "record_golden", Path(__file__).resolve().parents[1] / "scripts" / "record_golden.py"
+    )
+    record_golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(record_golden)
+    model = model_from_dict(record_golden.CLOCK_MODEL)
+    graph = explore(model)
+    assert check_clock_monotone(graph) == [
+        ClockViolation(Edge(1, "grow", 0), Fraction(0), Fraction(1)),
+        ClockViolation(Edge(2, "grow", 4), Fraction(1), Fraction(4, 3)),
+    ]
+    assert "edges" not in vars(graph)
 
 
 @given(seed=st.integers(0, 10**9))
