@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .core import RecordState, Subset, mode_mask
+from .core import RecordState, Subset
 from .events import independent
 from .influence import InfluenceGraph, StrongWitness, build_influence_graphs
 from .model import Model
@@ -167,27 +167,35 @@ def _branch_violations(
     fired: list[int],
     unfired: list[int],
 ) -> list[BDViolation]:
-    keep = mode_mask(model.space, model.mode)
-    packed = table.packed
+    packed, keep = table.packed, table.keep
     e, f = model.event_names.index(witness.e), model.event_names.index(witness.f)
     # f's records with only the worlds that count, as one packed mask
-    context = table.spread(keep, model.events[f].support)
-    shift, observable = witness.site * table.width, witness.observable.mask
+    context = table.supports[f] & keep
+    # the observable and both branches, packed once at the witness site
+    site = witness.site
+    observable, branch0, branch1 = (
+        table.spread(sub.mask, (site,))
+        for sub in (witness.observable, witness.branch0, witness.branch1)
+    )
     base = witness.node_index
     expectations = (
-        ("e-not-occurred", unfired, packed[base] & context, witness.branch0),
-        ("e-occurred", fired, packed[table.step(base, e)] & context, witness.branch1),
+        ("e-not-occurred", unfired, packed[base] & context, witness.branch0, branch0),
+        ("e-occurred", fired, packed[table.step(base, e)] & context, witness.branch1, branch1),
     )
     violations = []
     for sid in range(len(fired)):
-        for polarity, on_some_path, expected_context, expected in expectations:
+        for polarity, on_some_path, expected_context, expected, branch in expectations:
             if not on_some_path[sid] >> e & 1 or packed[sid] & context != expected_context:
                 continue
-            actual = packed[table.step(sid, f)] >> shift & observable
-            if (actual ^ expected.mask) & keep:
+            actual = packed[table.step(sid, f)] & observable
+            if (actual ^ branch) & keep:
                 violations.append(
                     BDViolation(
-                        witness, table.state(sid), polarity, expected, Subset(model.space, actual)
+                        witness,
+                        table.state(sid),
+                        polarity,
+                        expected,
+                        Subset(model.space, table.field(actual, site)),
                     )
                 )
     return violations
@@ -225,7 +233,8 @@ def check_trace_invariance(
     attempted.  `graph` is the model's explored graph; when it is omitted,
     the check explores the model once, with the default limits.
     """
-    events = [model.event(name) for name in schedule]  # raises on unknown names
+    for name in schedule:
+        model.event(name)  # raises on unknown names
     if graph is None:
         graph = explore(model)
     diamonds = check_diamond(graph, model)
@@ -235,37 +244,35 @@ def check_trace_invariance(
     if diamonds:
         return TraceInvarianceReport(schedule, seed, table.state(final), 0, [], diamonds)
 
+    def swappable(seq: Sequence[str]) -> list[int]:
+        """Positions k where events seq[k] and seq[k + 1] are independent."""
+        return [
+            k
+            for k in range(len(seq) - 1)
+            if independent(model.event(seq[k]), model.event(seq[k + 1]))
+        ]
+
     variants: list[tuple[str, ...]] = []
-    for k in range(len(events) - 1):
-        if independent(events[k], events[k + 1]):
-            swapped = list(schedule)
-            swapped[k], swapped[k + 1] = swapped[k + 1], swapped[k]
-            variants.append(tuple(swapped))
+    for k in swappable(schedule):
+        seq = list(schedule)
+        seq[k], seq[k + 1] = seq[k + 1], seq[k]
+        variants.append(tuple(seq))
     rng = random.Random(seed)
     for _ in range(swaps):
         seq = list(schedule)
         for _ in range(max(1, len(seq))):
-            positions = [
-                k
-                for k in range(len(seq) - 1)
-                if independent(model.event(seq[k]), model.event(seq[k + 1]))
-            ]
+            positions = swappable(seq)
             if not positions:
                 break
             k = rng.choice(positions)
             seq[k], seq[k + 1] = seq[k + 1], seq[k]
         variants.append(tuple(seq))
+    unique_variants = [variant for variant in dict.fromkeys(variants) if variant != schedule]
 
-    unique_variants: list[tuple[str, ...]] = []
-    for variant in variants:
-        if variant != schedule and variant not in unique_variants:
-            unique_variants.append(variant)
-
-    keep = mode_mask(model.space, model.mode)
     state_mismatches: list[tuple[tuple[str, ...], RecordState]] = []
     for variant in unique_variants:
         variant_final = _run_schedule(model, table, variant)
-        if not table.same(variant_final, final, keep):
+        if not table.same(variant_final, final):
             state_mismatches.append((variant, table.state(variant_final)))
     return TraceInvarianceReport(
         schedule, seed, table.state(final), len(unique_variants), state_mismatches, []

@@ -156,9 +156,10 @@ def _cmd_validate(model: Model, args: argparse.Namespace):
 
 
 def _cmd_explore(model: Model, args: argparse.Namespace):
-    graph = _explored(model, args)
-    gs = check_gs(graph)
+    graph = explore(model, _limits(args))
     mono = check_monotonicity(graph)
+    _check_strict(model, args, mono)
+    gs = check_gs(graph)
     diamonds = check_diamond(graph, model)
     clock = check_clock_monotone(graph)
     results = {
@@ -245,9 +246,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         warnings.append("exploration truncated: results cover the explored region only")
     for defect in model.static_defects():
         warnings.append(f"static defect [{defect.kind}] {defect.event}: {defect.message}")
-    report = report_mod.make_report(
-        command=args.command,
-        model_info={
+    report = {
+        "command": args.command,
+        "model": {
             "path": path,
             "digest": model_digest(model),
             "worlds": model.space.size,
@@ -255,12 +256,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             "events": len(model.events),
             "mode": model.mode.value,
         },
-        flags=_flags(args),
-        results=results,
-        warnings=warnings,
-        notes=notes,
-        exit_status=exit_status,
-    )
+        "flags": _flags(args),
+        "results": results,
+        "warnings": warnings,
+        "notes": notes,
+        "exit_status": exit_status,
+    }
     text = report_mod.dumps_report(report)
     sys.stdout.write(text)
     try:

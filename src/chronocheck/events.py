@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .core import PossibilitySpace, RecordState, Subset
 
@@ -109,66 +109,6 @@ def apply_event(event: Event, state: RecordState) -> UpdateOutcome:
         if added.mask:
             violations.append(MonotonicityViolation(event.name, site, added))
     return UpdateOutcome(nxt, tuple(violations))
-
-
-MaskState = int
-"""A whole record state as one int, site-major: with W worlds, site s holds
-its record's world mask in bits [s*W, (s+1)*W)."""
-MaskViolations = tuple[tuple[int, int], ...]
-
-
-def compile_event(
-    event: Event, width: int
-) -> Callable[[MaskState], tuple[MaskState, MaskViolations]]:
-    """The event as a function on packed record states of `width` worlds
-    per site (see `MaskState`).
-
-    An intersect event is one AND with a keep mask that holds each
-    constant at its site and all ones elsewhere.  A table rule matches when
-    the state, masked to the guarded sites, equals the packed guard; its
-    result clears the written sites and sets the packed replacements.  The
-    function returns the successor and the shrink-only violations as
-    (site, added mask) pairs in support order, split out of `nxt & ~state`
-    only when that is nonzero.  It agrees with `apply_event`, which stays
-    the reference semantics.
-    """
-    field = (1 << width) - 1
-
-    def cover(items: Iterable[tuple[int, Subset]]) -> int:
-        return sum(field << site * width for site, _ in items)
-
-    def place(items: Iterable[tuple[int, Subset]]) -> int:
-        return sum(sub.mask << site * width for site, sub in items)
-
-    if event.kind is EventKind.INTERSECT:
-        keep = ~cover(event.constants) | place(event.constants)
-
-        def intersect(state: MaskState) -> tuple[MaskState, MaskViolations]:
-            return state & keep, ()
-
-        return intersect
-
-    rules = tuple(
-        (cover(rule.guard), place(rule.guard), ~cover(rule.result), place(rule.result))
-        for rule in event.rules
-    )
-    shifts = tuple((site, site * width) for site in event.support)
-
-    def table(state: MaskState) -> tuple[MaskState, MaskViolations]:
-        for guarded, guard, clear, result in rules:
-            if state & guarded == guard:
-                break
-        else:
-            return state, ()
-        nxt = state & clear | result
-        added = nxt & ~state
-        if not added:
-            return nxt, ()
-        return nxt, tuple(
-            (site, added >> shift & field) for site, shift in shifts if added >> shift & field
-        )
-
-    return table
 
 
 def write_effect(event: Event, state: RecordState, site: int) -> Subset:

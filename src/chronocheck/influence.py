@@ -15,13 +15,13 @@ of witness can sit there.  The search therefore computes, once per graph,
 which sites each event changes at each explored state, and scans for a
 pair (e, f) only the states where e changes a shared site.
 
-The scan reads the transition table's packed states (one int per state,
-site-major, see `events.MaskState`).  Each event's support and the mode
-mask are packed once per graph, so both tests run on whole states: the
-weak test over every shared site in one expression, its witness site the
-one holding the lowest set bit; the strong test gated by two whole-state
-ANDs and then checked per site, because both one-sided differences must
-lie on the same site.
+The scan reads the packed states of the graph's `TransitionTable` (see
+`reachability`), and both tests run on whole states, masked with the
+table's `supports` and `keep`: the weak test over every shared site in
+one expression, its witness site the table's `first_site` of the
+difference; the strong test gated by two whole-state ANDs and then
+checked per site with the table's `field`, because both one-sided
+differences must lie on the same site.
 """
 
 from __future__ import annotations
@@ -71,22 +71,7 @@ class InfluenceGraph:
     strong_edges: dict[tuple[str, str], StrongWitness]
 
 
-def _shared_sites(model: Model, e_name: str, f_name: str) -> list[int]:
-    e, f = model.event(e_name), model.event(f_name)
-    return sorted(set(e.support) & set(f.support))
-
-
 _Changes = list[tuple[int, int, list[int], list[int]]]
-
-
-def _context(model: Model, graph: ReachabilityGraph) -> tuple[list[int], int]:
-    """Per graph: each event's support as a packed mask of whole site
-    fields, and the mode mask repeated at every site."""
-    table = graph.table_for(model)
-    field = (1 << table.width) - 1
-    supports = [table.spread(field, event.support) for event in model.events]
-    test = table.spread(mode_mask(model.space, model.mode), range(len(model.sites)))
-    return supports, test
 
 
 def _changed_sites(graph: ReachabilityGraph, events: Sequence[int]) -> list[_Changes]:
@@ -109,27 +94,18 @@ def _changed_sites(graph: ReachabilityGraph, events: Sequence[int]) -> list[_Cha
 
 
 def _influence(
-    model: Model,
-    graph: ReachabilityGraph,
-    e: int,
-    f: int,
-    changes: _Changes,
-    supports: list[int],
-    test: int,
+    model: Model, graph: ReachabilityGraph, e: int, f: int, changes: _Changes
 ) -> tuple[WeakWitness | None, StrongWitness | None]:
     """First weak and first strong witness for event index e before f,
     found in one scan of e's change entries (`changes`, from
-    `_changed_sites`), in exploration order, then site order.  `supports`
-    and `test` are the graph's `_context`.  Pairs with disjoint supports
-    are dismissed outright.
+    `_changed_sites`), in exploration order, then site order.  Callers
+    dismiss pairs with disjoint supports before building the entries.
     """
-    shared = supports[e] & supports[f]
-    if not shared:
-        return None, None
-    test &= shared
-    width = graph.table.width
-    field = (1 << width) - 1
-    packed = graph.table.packed
+    table = graph.table
+    shared = table.supports[e] & table.supports[f]
+    test = table.keep & shared
+    field = table.field
+    packed = table.packed
     space = model.space
     e_name, f_name = model.event_names[e], model.event_names[f]
     weak: WeakWitness | None = None
@@ -146,25 +122,23 @@ def _influence(
             delta_with = shifted & ~p1
             differ = (delta_without ^ delta_with) & test
             if differ:
-                site = ((differ & -differ).bit_length() - 1) // width
-                shift = site * width
+                site = table.first_site(differ)
                 weak = WeakWitness(
                     e_name,
                     f_name,
                     sid,
                     graph.node(sid),
                     site,
-                    Subset(space, delta_without >> shift & field),
-                    Subset(space, delta_with >> shift & field),
+                    Subset(space, field(delta_without, site)),
+                    Subset(space, field(delta_with, site)),
                 )
         if strong is None:
             only0 = p0 & ~p1 & test
             only1 = p1 & ~p0 & test
             if only0 and only1:
                 for site in model.events[e].support:
-                    shift = site * width
-                    if only0 >> shift & field and only1 >> shift & field:
-                        observable = (p0 ^ p1) >> shift & field
+                    if field(only0, site) and field(only1, site):
+                        observable = field(p0 ^ p1, site)
                         strong = StrongWitness(
                             e_name,
                             f_name,
@@ -172,8 +146,8 @@ def _influence(
                             graph.node(sid),
                             site,
                             Subset(space, observable),
-                            Subset(space, p0 >> shift & observable),
-                            Subset(space, p1 >> shift & observable),
+                            Subset(space, field(p0, site) & observable),
+                            Subset(space, field(p1, site) & observable),
                         )
                         break
         if weak is not None and strong is not None:
@@ -187,10 +161,10 @@ def _single_pair(
     """`_influence` for one pair, with change entries built for e only."""
     e = model.events.index(model.event(e_name))
     f = model.events.index(model.event(f_name))
-    supports, test = _context(model, graph)
+    supports = graph.table_for(model).supports
     if not supports[e] & supports[f]:
         return None, None
-    return _influence(model, graph, e, f, _changed_sites(graph, (e,))[0], supports, test)
+    return _influence(model, graph, e, f, _changed_sites(graph, (e,))[0])
 
 
 def weak_influence(
@@ -256,10 +230,10 @@ def strong_influence_oracle(
         raise ValueError(
             f"oracle enumeration infeasible: {size} worlds > {ORACLE_MAX_WORLDS}"
         )
-    shared = _shared_sites(model, e_name, f_name)
+    e, f = model.event(e_name), model.event(f_name)
+    shared = sorted(set(e.support) & set(f.support))
     if not shared:
         return None
-    e, f = model.event(e_name), model.event(f_name)
     test = mode_mask(model.space, model.mode)
     n_masks = 1 << size
     for idx, node in enumerate(graph.nodes):
@@ -310,14 +284,14 @@ def verify_strong_witness(model: Model, witness: StrongWitness) -> bool:
 def build_influence_graphs(model: Model, graph: ReachabilityGraph) -> InfluenceGraph:
     """Weak and strong edges for every ordered pair of distinct events."""
     names = model.event_names
-    supports, test = _context(model, graph)
+    supports = graph.table_for(model).supports
     weak: dict[tuple[str, str], WeakWitness] = {}
     strong: dict[tuple[str, str], StrongWitness] = {}
     for e, changes in enumerate(_changed_sites(graph, range(len(names)))):
         for f in range(len(names)):
-            if f == e or not changes:
+            if f == e or not changes or not supports[e] & supports[f]:
                 continue
-            w, s = _influence(model, graph, e, f, changes, supports, test)
+            w, s = _influence(model, graph, e, f, changes)
             if w is not None:
                 weak[(names[e], names[f])] = w
             if s is not None:

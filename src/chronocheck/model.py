@@ -47,7 +47,6 @@ class Model:
                     )
         object.__setattr__(self, "_static_defects", tuple(defects))
         object.__setattr__(self, "_by_name", {e.name: e for e in self.events})
-        object.__setattr__(self, "_site_index", {s: i for i, s in enumerate(self.sites)})
 
     @staticmethod
     def _event_subsets(event: Event) -> Iterable[Subset]:
@@ -70,12 +69,6 @@ class Model:
             return self._by_name[name]  # type: ignore[attr-defined]
         except KeyError:
             raise ValueError(f"unknown event: {name!r}") from None
-
-    def site_index(self, name: str) -> int:
-        try:
-            return self._site_index[name]  # type: ignore[attr-defined]
-        except KeyError:
-            raise ValueError(f"unknown site: {name!r}") from None
 
     def site_name(self, index: int) -> str:
         return self.sites[index]

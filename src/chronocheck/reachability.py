@@ -1,15 +1,18 @@
 """Explicit-state exploration of the transition system over record states.
 
 Every transition comes from one `TransitionTable` per exploration.  A
-record state is one int, site-major: with W worlds, site s holds its
-record's world mask in bits [s*W, (s+1)*W).  Each event is compiled once
-into a function on those ints, states are interned to integer ids, and
+record state is one int, site-major (see `MaskState`), and this module is
+the only one that knows that layout.  Each event is compiled once into a
+function on those ints, states are interned to integer ids, and
 `TransitionTable.row` is the only engine code that applies an event: it
 fills a state's successors and shrink-only violations under every event in
 one loop.  Exploration and every check read the table and test whole
-states with single int operations; `Subset` and `RecordState` values are
-built only for the states that a witness or finding names, or that a
-caller asks for.
+states with single int operations, against masks the table packs once:
+the worlds that count at every site (`keep`) and each event's support
+(`supports`).  They read one site out of a packed value only through
+`TransitionTable.field` and `TransitionTable.first_site`.  `Subset` and
+`RecordState` values are built only for the states that a witness or
+finding names, or that a caller asks for.
 
 Exploration visits each distinct record state once and keeps, per state,
 the event bitmask of the breadth-first path that first reached it;
@@ -24,11 +27,70 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .core import RecordState, Subset, mode_mask
-from .events import MaskState, MaskViolations, compile_event, independent
+from .events import Event, EventKind, independent
 from .model import Model
+
+MaskState = int
+"""A whole record state as one int, site-major: with W worlds, site s holds
+its record's world mask in bits [s*W, (s+1)*W)."""
+MaskViolations = tuple[tuple[int, int], ...]
+
+
+def compile_event(
+    event: Event, width: int
+) -> Callable[[MaskState], tuple[MaskState, MaskViolations]]:
+    """The event as a function on packed record states of `width` worlds
+    per site (see `MaskState`).
+
+    An intersect event is one AND with a keep mask that holds each
+    constant at its site and all ones elsewhere.  A table rule matches when
+    the state, masked to the guarded sites, equals the packed guard; its
+    result clears the written sites and sets the packed replacements.  The
+    function returns the successor and the shrink-only violations as
+    (site, added mask) pairs in support order, split out of `nxt & ~state`
+    only when that is nonzero.  It agrees with `apply_event`, which stays
+    the reference semantics.
+    """
+    full = (1 << width) - 1
+
+    def cover(items: Iterable[tuple[int, Subset]]) -> int:
+        return sum(full << site * width for site, _ in items)
+
+    def place(items: Iterable[tuple[int, Subset]]) -> int:
+        return sum(sub.mask << site * width for site, sub in items)
+
+    if event.kind is EventKind.INTERSECT:
+        keep = ~cover(event.constants) | place(event.constants)
+
+        def intersect(state: MaskState) -> tuple[MaskState, MaskViolations]:
+            return state & keep, ()
+
+        return intersect
+
+    rules = tuple(
+        (cover(rule.guard), place(rule.guard), ~cover(rule.result), place(rule.result))
+        for rule in event.rules
+    )
+    shifts = tuple((site, site * width) for site in event.support)
+
+    def table(state: MaskState) -> tuple[MaskState, MaskViolations]:
+        for guarded, guard, clear, result in rules:
+            if state & guarded == guard:
+                break
+        else:
+            return state, ()
+        nxt = state & clear | result
+        added = nxt & ~state
+        if not added:
+            return nxt, ()
+        return nxt, tuple(
+            (site, added >> shift & full) for site, shift in shifts if added >> shift & full
+        )
+
+    return table
 
 
 class TransitionTable:
@@ -36,15 +98,21 @@ class TransitionTable:
     record state the engine visits, filled one whole row on first lookup.
 
     States are interned to integer ids in first-seen order; `packed[sid]`
-    is the state as one site-major int (see `events.MaskState`), `width`
-    worlds per site.  `state` and `intern_state` convert to and from
-    `RecordState` at the API boundary.  Lookups work for any interned
-    state, so checks may step past a truncated exploration frontier.
+    is the state as one `MaskState` of `width` worlds per site.  `keep`
+    holds the worlds that count in the model's mode at every site, and
+    `supports[i]` every world of event i's supported sites.  `field` and
+    `first_site` read one site out of a packed value.  `state` and
+    `intern_state` convert to and from `RecordState` at the API boundary.
+    Lookups work for any interned state, so checks may step past a
+    truncated exploration frontier.
     """
 
     def __init__(self, model: Model) -> None:
         self.model = model
         self.width = model.space.size
+        self._full = (1 << self.width) - 1
+        self.keep = self.spread(mode_mask(model.space, model.mode), range(len(model.sites)))
+        self.supports = [self.spread(self._full, event.support) for event in model.events]
         self.packed: list[MaskState] = []
         self._apply = [compile_event(event, self.width) for event in model.events]
         self._ids: dict[MaskState, int] = {}
@@ -99,11 +167,18 @@ class TransitionTable:
         width = self.width
         return sum(mask << site * width for site in sites)
 
-    def same(self, a: int, b: int, keep: int) -> bool:
-        """True iff states `a` and `b` agree on every world in `keep`."""
-        return a == b or not (self.packed[a] ^ self.packed[b]) & self.spread(
-            keep, range(len(self.model.sites))
-        )
+    def field(self, value: int, site: int) -> int:
+        """The world mask that packed `value` holds at `site`."""
+        return value >> site * self.width & self._full
+
+    def first_site(self, value: int) -> int:
+        """The site that holds the lowest set bit of nonzero packed `value`."""
+        return ((value & -value).bit_length() - 1) // self.width
+
+    def same(self, a: int, b: int) -> bool:
+        """True iff states `a` and `b` agree on every world that counts in
+        the model's mode."""
+        return a == b or not (self.packed[a] ^ self.packed[b]) & self.keep
 
     def feasible(self, count: int) -> list[int]:
         """For each state id below `count`, the world mask of the worlds
@@ -113,16 +188,14 @@ class TransitionTable:
         for site in range(1, len(self.model.sites)):
             shift = site * self.width
             feasible = [f & p >> shift for f, p in zip(feasible, packed)]
-        full = (1 << self.width) - 1
-        return [f & full for f in feasible]
+        return [f & self._full for f in feasible]
 
     def state(self, sid: int) -> RecordState:
         """The state as a `RecordState`, one shared value per id."""
         state = self._states.get(sid)
         if state is None:
-            space = self.model.space
-            packed, width = self.packed[sid], self.width
-            full = (1 << width) - 1
+            space, packed = self.model.space, self.packed[sid]
+            width, full = self.width, self._full
             state = RecordState(
                 tuple(
                     Subset(space, packed >> site * width & full)
@@ -163,7 +236,8 @@ class ReachabilityGraph:
     The explored states are table states 0 to `state_count - 1`;
     `occurred[i]` is the event bitmask of the breadth-first path that first
     reached state i.  Each arc is a (source state, event index, target
-    state) triple, one per expanded state and event.  `node(i)` builds one
+    state) triple, one per expanded state and event, except that arcs to
+    states past the `max_states` limit are dropped.  `node(i)` builds one
     `Node` on first request; `nodes` and `edges` are built in full on first
     access.
     """
@@ -217,9 +291,10 @@ class ReachabilityGraph:
         return tuple(Edge(src, names[event], tgt) for src, event, tgt in self.arcs)
 
     def table_for(self, model: Model) -> TransitionTable:
-        """The graph's transition table, checked to apply `model`'s events."""
-        if model.events != self.model.events:
-            raise ValueError("the graph was explored from a model with other events")
+        """The graph's transition table, checked to apply `model`'s events
+        and to judge in `model`'s mode."""
+        if (model.events, model.mode) != (self.model.events, self.model.mode):
+            raise ValueError("the graph was explored from a model with other events or mode")
         return self.table
 
     def distinct_states(self) -> tuple[RecordState, ...]:
@@ -303,7 +378,6 @@ def check_diamond(graph: ReachabilityGraph, model: Model) -> list[DiamondViolati
     """Compare both application orders of every independent pair at every
     explored state; a mismatch is a commutation failure."""
     table = graph.table_for(model)
-    keep = mode_mask(model.space, model.mode)
     events = model.events
     pairs = [
         (i, j)
@@ -320,7 +394,7 @@ def check_diamond(graph: ReachabilityGraph, model: Model) -> list[DiamondViolati
         for e, f in pairs:
             f_then_e = after[f][e]
             e_then_f = after[e][f]
-            if f_then_e == e_then_f or table.same(f_then_e, e_then_f, keep):
+            if f_then_e == e_then_f or table.same(f_then_e, e_then_f):
                 continue
             violations.append(
                 DiamondViolation(

@@ -199,25 +199,5 @@ def influence_notes(ig: InfluenceGraph) -> list[str]:
     return notes
 
 
-def make_report(
-    command: str,
-    model_info: dict[str, Any],
-    flags: dict[str, Any],
-    results: dict[str, Any],
-    warnings: list[str],
-    notes: list[str],
-    exit_status: int,
-) -> dict[str, Any]:
-    return {
-        "command": command,
-        "model": model_info,
-        "flags": flags,
-        "results": results,
-        "warnings": warnings,
-        "notes": notes,
-        "exit_status": exit_status,
-    }
-
-
 def dumps_report(report: dict[str, Any]) -> str:
     return dumps_indented(report)

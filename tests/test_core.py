@@ -17,7 +17,6 @@ from chronocheck import (
     information_content,
     measure_of,
 )
-from chronocheck.core import mode_mask
 
 NONEMPTY = ConsistencyMode.NONEMPTY
 MEASURE = ConsistencyMode.POSITIVE_MEASURE
@@ -194,10 +193,10 @@ def _consistent(space, records, mode):
 
 def _same(a, b, mode):
     """`TransitionTable.same` on the one-site states holding `a` and `b`,
-    keeping the worlds that count in `mode`."""
+    in a table whose model judges in `mode`."""
     table = TransitionTable(_still_model(a.space, [a], mode))
     ids = [table.intern_state(RecordState((x,))) for x in (a, b)]
-    return table.same(*ids, mode_mask(a.space, mode))
+    return table.same(*ids)
 
 
 def test_is_consistent_modes():

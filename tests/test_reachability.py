@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from chronocheck import (
     ClockViolation,
+    ConsistencyMode,
     Edge,
     Event,
     ExplorationLimits,
@@ -286,6 +287,16 @@ def test_transition_table_matches_apply_event(seed, truncated, shape):
     for sid in range(len(table.packed)):
         state = table.state(sid)
         assert table.intern_state(state) == sid
+        packed = table.packed[sid]
+        for site, record in enumerate(state):
+            assert table.field(packed, site) == record.mask
+            # the state with every record before `site` emptied
+            suffix = packed & ~table.spread(model.space.full().mask, range(site))
+            later = [s for s in range(site, len(state)) if state[s].mask]
+            if later:
+                assert table.first_site(suffix) == later[0]
+            else:
+                assert suffix == 0
         for index, event in enumerate(model.events):
             outcome = apply_event(event, state)
             assert table.state(table.step(sid, index)) == outcome.next
@@ -316,6 +327,13 @@ def test_check_gs_zero_event_model_clean():
 
 def test_diamond_two_site_clean(two_site):
     assert check_diamond(explore(two_site), two_site) == []
+
+
+def test_checks_refuse_a_model_in_another_mode(two_site):
+    # the graph's table judges equality in the mode it was explored in
+    graph = explore(two_site)
+    with pytest.raises(ValueError):
+        check_diamond(graph, replace(two_site, mode=ConsistencyMode.POSITIVE_MEASURE))
 
 
 def test_diamond_gadget_vacuous(gadget):
