@@ -55,8 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("model_path", nargs="?", metavar="MODEL", help="model file path")
     common.add_argument("--model", dest="model_flag", help="model file path (alternative to the positional)")
     common.add_argument("--mode", choices=sorted(_MODES), default=None, help="override the model's consistency mode")
-    common.add_argument("--max-states", type=int, default=100_000, help="exploration state limit")
-    common.add_argument("--max-depth", type=int, default=64, help="exploration depth limit")
+    common.add_argument("--max-states", type=int, default=ExplorationLimits.max_states, help="exploration state limit")
+    common.add_argument("--max-depth", type=int, default=ExplorationLimits.max_depth, help="exploration depth limit")
     common.add_argument("--json", dest="json_path", help="also write the report to this file")
     view = argparse.ArgumentParser(add_help=False)
     view.add_argument("--dot", dest="dot_path", help="write a Graphviz view to this file")
@@ -125,7 +125,7 @@ def _check_strict(model: Model, args: argparse.Namespace, findings: list[Monoton
         first = findings[0]
         raise _StrictViolation(
             f"monotonicity violation: event {first.event} adds worlds "
-            f"{first.added.sorted_labels()} at site {model.site_name(first.site)}"
+            f"{first.added.sorted_labels()} at site {model.sites[first.site]}"
         )
 
 

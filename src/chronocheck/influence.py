@@ -159,8 +159,9 @@ def _single_pair(
     model: Model, graph: ReachabilityGraph, e_name: str, f_name: str
 ) -> tuple[WeakWitness | None, StrongWitness | None]:
     """`_influence` for one pair, with change entries built for e only."""
-    e = model.events.index(model.event(e_name))
-    f = model.events.index(model.event(f_name))
+    for name in (e_name, f_name):
+        model.event(name)  # raises on unknown names
+    e, f = model.event_names.index(e_name), model.event_names.index(f_name)
     supports = graph.table_for(model).supports
     if not supports[e] & supports[f]:
         return None, None
@@ -191,7 +192,7 @@ def binary_witness(model: Model, witness: WeakWitness) -> Subset:
         raise WitnessPostcheckError(
             f"observable {observable.sorted_labels()} does not separate the "
             f"post-{witness.f} records at node {witness.node_index} "
-            f"(site {model.site_name(witness.site)})"
+            f"(site {model.sites[witness.site]})"
         )
     return observable
 

@@ -70,9 +70,6 @@ class Model:
         except KeyError:
             raise ValueError(f"unknown event: {name!r}") from None
 
-    def site_name(self, index: int) -> str:
-        return self.sites[index]
-
     def static_defects(self) -> list[StaticDefect]:
         """Soft defects (shadowed rules, non-shrinking results) per event,
         in event order; found once, when the model was constructed."""

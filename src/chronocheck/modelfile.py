@@ -156,6 +156,8 @@ def model_from_dict(obj: Any) -> Model:
         raise _err("$.worlds", "at least one world required")
     if len(set(worlds)) != len(worlds):
         raise _err("$.worlds", "world labels must be unique")
+    if not all(worlds):
+        raise _err("$.worlds", "world labels must be nonempty strings")
 
     weights = None
     if "measure" in obj:

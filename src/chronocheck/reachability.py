@@ -3,16 +3,18 @@
 Every transition comes from one `TransitionTable` per exploration.  A
 record state is one int, site-major (see `MaskState`), and this module is
 the only one that knows that layout.  Each event is compiled once into a
-function on those ints, states are interned to integer ids, and
-`TransitionTable.row` is the only engine code that applies an event: it
-fills a state's successors and shrink-only violations under every event in
-one loop.  Exploration and every check read the table and test whole
-states with single int operations, against masks the table packs once:
-the worlds that count at every site (`keep`) and each event's support
-(`supports`).  They read one site out of a packed value only through
-`TransitionTable.field` and `TransitionTable.first_site`.  `Subset` and
-`RecordState` values are built only for the states that a witness or
-finding names, or that a caller asks for.
+function from one packed state to the next, states are interned to integer
+ids, and `TransitionTable.row` is the only engine code that applies an
+event: it fills a state's successor ids under every event in one loop.
+The table stores those ids and nothing else; shrink-only violations are
+read off the packed source and target of an arc.  Exploration and every
+check read the table and test whole states with single int operations,
+against masks the table packs once: the worlds that count at every site
+(`keep`) and each event's support (`supports`).  They read one site out of
+a packed value only through `TransitionTable.field` and
+`TransitionTable.first_site`, and pack (site, record) pairs only through
+`TransitionTable.pack`.  `Subset` and `RecordState` values are built only
+for the states that a witness or finding names, or that a caller asks for.
 
 Exploration visits each distinct record state once and keeps, per state,
 the event bitmask of the breadth-first path that first reached it;
@@ -36,75 +38,57 @@ from .model import Model
 MaskState = int
 """A whole record state as one int, site-major: with W worlds, site s holds
 its record's world mask in bits [s*W, (s+1)*W)."""
-MaskViolations = tuple[tuple[int, int], ...]
 
 
-def compile_event(
-    event: Event, width: int
-) -> Callable[[MaskState], tuple[MaskState, MaskViolations]]:
-    """The event as a function on packed record states of `width` worlds
-    per site (see `MaskState`).
+def compile_event(event: Event, table: TransitionTable) -> Callable[[MaskState], MaskState]:
+    """The event as a function from a packed record state of `table`'s
+    layout to the packed state it leads to (see `MaskState`).
 
     An intersect event is one AND with a keep mask that holds each
     constant at its site and all ones elsewhere.  A table rule matches when
     the state, masked to the guarded sites, equals the packed guard; its
-    result clears the written sites and sets the packed replacements.  The
-    function returns the successor and the shrink-only violations as
-    (site, added mask) pairs in support order, split out of `nxt & ~state`
-    only when that is nonzero.  It agrees with `apply_event`, which stays
-    the reference semantics.
+    result clears the written sites and sets the packed replacements.  It
+    agrees with `apply_event`, which stays the reference semantics.
     """
-    full = (1 << width) - 1
+    pack, spread, full = table.pack, table.spread, table.model.space.full_mask
 
     def cover(items: Iterable[tuple[int, Subset]]) -> int:
-        return sum(full << site * width for site, _ in items)
-
-    def place(items: Iterable[tuple[int, Subset]]) -> int:
-        return sum(sub.mask << site * width for site, sub in items)
+        return spread(full, (site for site, _ in items))
 
     if event.kind is EventKind.INTERSECT:
-        keep = ~cover(event.constants) | place(event.constants)
+        keep = ~cover(event.constants) | pack(event.constants)
 
-        def intersect(state: MaskState) -> tuple[MaskState, MaskViolations]:
-            return state & keep, ()
+        def intersect(state: MaskState) -> MaskState:
+            return state & keep
 
         return intersect
 
     rules = tuple(
-        (cover(rule.guard), place(rule.guard), ~cover(rule.result), place(rule.result))
+        (cover(rule.guard), pack(rule.guard), ~cover(rule.result), pack(rule.result))
         for rule in event.rules
     )
-    shifts = tuple((site, site * width) for site in event.support)
 
-    def table(state: MaskState) -> tuple[MaskState, MaskViolations]:
+    def first_match(state: MaskState) -> MaskState:
         for guarded, guard, clear, result in rules:
             if state & guarded == guard:
-                break
-        else:
-            return state, ()
-        nxt = state & clear | result
-        added = nxt & ~state
-        if not added:
-            return nxt, ()
-        return nxt, tuple(
-            (site, added >> shift & full) for site, shift in shifts if added >> shift & full
-        )
+                return state & clear | result
+        return state
 
-    return table
+    return first_match
 
 
 class TransitionTable:
-    """Successor state ids and shrink-only violations of every event at every
-    record state the engine visits, filled one whole row on first lookup.
+    """Successor state ids of every event at every record state the engine
+    visits, filled one whole row on first lookup.
 
     States are interned to integer ids in first-seen order; `packed[sid]`
     is the state as one `MaskState` of `width` worlds per site.  `keep`
     holds the worlds that count in the model's mode at every site, and
-    `supports[i]` every world of event i's supported sites.  `field` and
-    `first_site` read one site out of a packed value.  `state` and
-    `intern_state` convert to and from `RecordState` at the API boundary.
-    Lookups work for any interned state, so checks may step past a
-    truncated exploration frontier.
+    `supports[i]` every world of event i's supported sites.  `pack` builds
+    a packed value from (site, record) pairs, and `field` and `first_site`
+    read one site out of one.  `state` and `intern_state` convert to and
+    from `RecordState` at the API boundary.  Lookups work for any interned
+    state, so checks may step past a truncated exploration frontier.
     """
 
     def __init__(self, model: Model) -> None:
@@ -114,10 +98,9 @@ class TransitionTable:
         self.keep = self.spread(mode_mask(model.space, model.mode), range(len(model.sites)))
         self.supports = [self.spread(self._full, event.support) for event in model.events]
         self.packed: list[MaskState] = []
-        self._apply = [compile_event(event, self.width) for event in model.events]
+        self._apply = [compile_event(event, self) for event in model.events]
         self._ids: dict[MaskState, int] = {}
         self._succ: list[list[int] | None] = []
-        self._violations: list[list[MaskViolations] | None] = []
         self._states: dict[int, RecordState] = {}
 
     def _intern(self, packed: MaskState) -> int:
@@ -126,41 +109,36 @@ class TransitionTable:
             sid = self._ids[packed] = len(self.packed)
             self.packed.append(packed)
             self._succ.append(None)
-            self._violations.append(None)
         return sid
 
     def intern_state(self, state: RecordState) -> int:
         """Id of `state`, assigned on first sight."""
-        width = self.width
-        return self._intern(sum(rec.mask << site * width for site, rec in enumerate(state)))
+        return self._intern(self.pack(enumerate(state)))
 
     def row(self, sid: int) -> list[int]:
         """Successor ids of every event from `sid`, in event order.  The
-        first lookup applies every event and records its violations; new
-        successors are interned in event order."""
+        first lookup applies every event; new successors are interned in
+        event order."""
         row = self._succ[sid]
         if row is None:
             state = self.packed[sid]
             ids = self._ids
             row = []
-            violations = []
             for apply in self._apply:
-                nxt, added = apply(state)
+                nxt = apply(state)
                 target = ids.get(nxt)
                 row.append(self._intern(nxt) if target is None else target)
-                violations.append(added)
             self._succ[sid] = row
-            self._violations[sid] = violations
         return row
 
     def step(self, sid: int, event: int) -> int:
         """Id of the state reached by event index `event` from state `sid`."""
         return self.row(sid)[event]
 
-    def violations(self, sid: int, event: int) -> MaskViolations:
-        """(site, added mask) pairs for every shrink-only violation of the step."""
-        self.row(sid)
-        return self._violations[sid][event]  # type: ignore[index]
+    def pack(self, records: Iterable[tuple[int, Subset]]) -> int:
+        """Each (site, record) pair's world mask at its site, packed."""
+        width = self.width
+        return sum(record.mask << site * width for site, record in records)
 
     def spread(self, mask: int, sites: Iterable[int]) -> int:
         """The world mask `mask` repeated at each of `sites`, packed."""
@@ -179,16 +157,6 @@ class TransitionTable:
         """True iff states `a` and `b` agree on every world that counts in
         the model's mode."""
         return a == b or not (self.packed[a] ^ self.packed[b]) & self.keep
-
-    def feasible(self, count: int) -> list[int]:
-        """For each state id below `count`, the world mask of the worlds
-        that every site's record allows, folded out of the packed int."""
-        packed = self.packed[:count]
-        feasible = packed
-        for site in range(1, len(self.model.sites)):
-            shift = site * self.width
-            feasible = [f & p >> shift for f, p in zip(feasible, packed)]
-        return [f & self._full for f in feasible]
 
     def state(self, sid: int) -> RecordState:
         """The state as a `RecordState`, one shared value per id."""
@@ -238,8 +206,8 @@ class ReachabilityGraph:
     reached state i.  Each arc is a (source state, event index, target
     state) triple, one per expanded state and event, except that arcs to
     states past the `max_states` limit are dropped.  `node(i)` builds one
-    `Node` on first request; `nodes` and `edges` are built in full on first
-    access.
+    `Node` on first request; `nodes`, `edges` and the feasible world masks
+    `feasible` are built in full on first access.
     """
 
     table: TransitionTable
@@ -289,6 +257,18 @@ class ReachabilityGraph:
     def edges(self) -> tuple[Edge, ...]:
         names = self.model.event_names
         return tuple(Edge(src, names[event], tgt) for src, event, tgt in self.arcs)
+
+    @cached_property
+    def feasible(self) -> tuple[int, ...]:
+        """Per explored state, the world mask of the worlds that every
+        site's record allows, folded out of the packed int once per graph."""
+        table = self.table
+        packed = table.packed[: self.state_count]
+        feasible = packed
+        for site in range(1, len(self.model.sites)):
+            shift = site * table.width
+            feasible = [f & p >> shift for f, p in zip(feasible, packed)]
+        return tuple(f & self.model.space.full_mask for f in feasible)
 
     def table_for(self, model: Model) -> TransitionTable:
         """The graph's transition table, checked to apply `model`'s events
@@ -361,8 +341,7 @@ def check_gs(graph: ReachabilityGraph) -> list[int]:
     """Indices of explored states that are not globally consistent under
     the model's consistency mode."""
     test = mode_mask(graph.model.space, graph.model.mode)
-    feasible = graph.table.feasible(graph.state_count)
-    return [sid for sid, worlds in enumerate(feasible) if not worlds & test]
+    return [sid for sid, worlds in enumerate(graph.feasible) if not worlds & test]
 
 
 @dataclass(frozen=True)
@@ -417,16 +396,21 @@ class MonotonicityFinding:
 
 
 def check_monotonicity(graph: ReachabilityGraph) -> list[MonotonicityFinding]:
-    """Violations recorded on the explored arcs, one entry per
-    (event, site, source state)."""
+    """Shrink-only violations on the explored arcs, one entry per
+    (event, site, source state), in arc order and then support order.  An
+    arc's added worlds are the target's packed bits that its source lacks."""
     table = graph.table
-    names = graph.model.event_names
+    packed, field = table.packed, table.field
+    events = graph.model.events
     space = graph.model.space
-    recorded = table._violations  # every arc's entry was filled by exploration
     return [
-        MonotonicityFinding(names[event], site, Subset(space, added), table.state(src))
-        for src, event, _ in graph.arcs
-        for site, added in recorded[src][event]
+        MonotonicityFinding(
+            events[event].name, site, Subset(space, field(added, site)), table.state(src)
+        )
+        for src, event, tgt in graph.arcs
+        if (added := packed[tgt] & ~packed[src])
+        for site in events[event].support
+        if field(added, site)
     ]
 
 
@@ -443,7 +427,7 @@ def check_clock_monotone(graph: ReachabilityGraph) -> list[ClockViolation]:
     shrink-only writing."""
     space = graph.model.space
     names = graph.model.event_names
-    mus = [space.measure_mask(worlds) for worlds in graph.table.feasible(graph.state_count)]
+    mus = [space.measure_mask(worlds) for worlds in graph.feasible]
     return [
         ClockViolation(Edge(src, names[event], tgt), mus[src], mus[tgt])
         for src, event, tgt in graph.arcs

@@ -68,6 +68,13 @@ def test_weak_influence_requires_shared_site(two_site):
     assert weak_influence(two_site, graph, "e2", "e1") is None
 
 
+def test_pair_queries_name_an_unknown_event(two_site):
+    graph = explore(two_site)
+    for query in (weak_influence, strong_influence):
+        with pytest.raises(ValueError, match="unknown event: 'zzz'"):
+            query(two_site, graph, "e1", "zzz")
+
+
 def test_weak_influence_identity_target_has_no_edge(gadget):
     space = gadget.space
     noop = Event.table("noop", [0], [])

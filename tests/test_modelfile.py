@@ -151,6 +151,12 @@ def test_parse_rejects_empty_worlds():
         _parse(doc)
 
 
+def test_parse_rejects_empty_world_label_at_worlds():
+    # the model has no measure, so the error must not name one
+    with pytest.raises(ModelFormatError, match=r"\$\.worlds: world labels must be nonempty"):
+        parse_model('{"worlds": [""], "sites": ["s"], "events": []}')
+
+
 def test_parse_rejects_duplicate_event_names():
     doc = _base_doc()
     doc["events"].append(dict(doc["events"][0]))
