@@ -1,0 +1,127 @@
+"""Metamorphic properties: `diagnose` on a model and on a renamed or padded
+copy of it must agree on every fact the renaming cannot change.
+
+A permutation of the worlds moves every bit of every packed field; one of
+the sites moves whole fields, across bit 64 in the `wide` shape; one of the
+event declaration order changes the exploration order and so every state
+id.  Facts are compared by world, site and event names, never by index.
+"""
+
+import random
+from collections import Counter
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from chronocheck import diagnose
+from chronocheck.modelfile import model_from_dict, model_to_dict
+from chronocheck.randmodels import random_model
+
+
+def drawn(seed, shape):
+    """One model from `seed`.  "probe" draws the probe population's recipe;
+    "wide" puts at most three worlds at the top of 40-world fields of up to
+    five sites (200 bits), as the transition-table test does."""
+    rng = random.Random(seed)
+    if shape == "probe":
+        return random_model(
+            rng,
+            intersect_prob=rng.choice((0, 0.3, 0.5)),
+            monotone_bias=rng.choice((0.3, 0.7, 1.0)),
+            max_events=rng.choice((3, 4, 5)),
+        )
+    model = random_model(rng, max_worlds=3, max_sites=5, intersect_prob=0.3, monotone_bias=0.3)
+    padding = [f"pad{i}" for i in range(40 - model.space.size)]
+    # every record named, so that no record holds a padding world
+    initial = {name: record.sorted_labels() for name, record in zip(model.sites, model.initial)}
+    return rebuilt(model, worlds=padding + list(model.space.worlds), initial=initial)
+
+
+def rebuilt(model, **fields):
+    """`model` read back from its model-file form with `fields` replaced."""
+    return model_from_dict(dict(model_to_dict(model), **fields))
+
+
+def facts(model, witnesses=False, of=None):
+    """What `diagnose(model)` finds, by name, restricted to the sites and
+    events of `of` (default: `model`).  With `witnesses`, also each
+    witness's state id and site."""
+    report = diagnose(model)
+    names = model.sites
+    sites = (of or model).sites
+    events = set((of or model).event_names)
+
+    def ours(pairs):
+        return {pair for pair in pairs if events.issuperset(pair)}
+
+    def state(records):
+        by_name = dict(zip(names, records))
+        return tuple((site, tuple(by_name[site].sorted_labels())) for site in sorted(sites))
+
+    ig = report.influence
+    found = {
+        "verdict": report.verdict,
+        "weak": ours(ig.weak_edges),
+        "strong": ours(ig.strong_edges),
+        "precedes": ours(report.chronology.precedes),
+        "inconsistent": len(report.gs_violations),
+        "shrink_only": Counter(
+            (f.event, names[f.site], tuple(f.added.sorted_labels()), state(f.state))
+            for f in report.monotonicity_violations
+        ),
+        "bd": Counter(
+            (v.witness.e, v.witness.f, v.polarity, state(v.state))
+            for v in report.bd_violations
+            if events.issuperset((v.witness.e, v.witness.f))
+        ),
+        "state_count": report.graph.state_count,
+    }
+    if witnesses:
+        for kind, edges in (("weak", ig.weak_edges), ("strong", ig.strong_edges)):
+            found[f"{kind}_witnesses"] = {
+                pair: (edges[pair].node_index, names[edges[pair].site]) for pair in ours(edges)
+            }
+    return found
+
+
+seeds = st.integers(0, 10**9)
+shapes = st.sampled_from(("probe", "wide"))
+
+
+@given(seed=seeds, shape=shapes, data=st.data())
+def test_permuting_worlds_keeps_every_fact(seed, shape, data):
+    model = drawn(seed, shape)
+    worlds = data.draw(st.permutations(model.space.worlds))
+    assert facts(rebuilt(model, worlds=worlds), witnesses=True) == facts(model, witnesses=True)
+
+
+@given(seed=seeds, shape=shapes, data=st.data())
+def test_permuting_sites_keeps_every_fact_but_the_witnesses(seed, shape, data):
+    model = drawn(seed, shape)
+    sites = data.draw(st.permutations(model.sites))
+    assert facts(rebuilt(model, sites=sites)) == facts(model)
+
+
+@given(seed=seeds, shape=shapes, data=st.data())
+def test_permuting_events_keeps_every_fact_but_the_witnesses(seed, shape, data):
+    model = drawn(seed, shape)
+    events = data.draw(st.permutations(model_to_dict(model)["events"]))
+    assert facts(rebuilt(model, events=events)) == facts(model)
+
+
+@given(seed=seeds, shape=shapes)
+def test_an_idle_site_keeps_the_facts_of_the_original_events(seed, shape):
+    model = drawn(seed, shape)
+    padded = rebuilt(model, sites=[*model.sites, "idle"])
+    assert facts(padded, witnesses=True, of=model) == facts(model, witnesses=True)
+
+
+@given(seed=seeds, shape=shapes)
+def test_a_ruleless_event_keeps_the_facts_of_the_original_events(seed, shape):
+    model = drawn(seed, shape)
+    noop = {"name": "noop", "kind": "table", "support": [model.sites[0]], "rules": []}
+    padded = rebuilt(model, events=[*model_to_dict(model)["events"], noop])
+    # strong edges into the identity event exist (its post-records are the
+    # records e leaves), but none leave it, so the original events' facts
+    # and the verdict stay
+    assert facts(padded, witnesses=True, of=model) == facts(model, witnesses=True)
