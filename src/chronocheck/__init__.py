@@ -34,7 +34,7 @@ from .core import (
 from .events import (
     Event,
     EventKind,
-    MonotonicityViolation,
+    MonotonicityFinding,
     Rule,
     StaticDefect,
     UpdateOutcome,
@@ -55,7 +55,7 @@ from .influence import (
     verify_strong_witness,
     weak_influence,
 )
-from .model import EventApplier, Model
+from .model import Model
 from .modelfile import (
     ModelFormatError,
     fixture_path,
@@ -70,7 +70,6 @@ from .reachability import (
     DiamondViolation,
     Edge,
     ExplorationLimits,
-    MonotonicityFinding,
     Node,
     ReachabilityGraph,
     TransitionTable,

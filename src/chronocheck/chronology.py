@@ -5,10 +5,11 @@ influence edges.  When it is acyclic, a linear extension assigns every
 event a rank consistent with the order; when it is not, one shortest loop
 per strongly connected component represents the strong cycles.
 `closure_from_edges` derives all of these from one adjacency and one
-reachability map.  `diagnose` runs the whole pipeline and classifies the
-model: no strong cycle, a cycle explained by at least one failed premise
-(consistency, commutation, shrink-only writing, branch determinacy), or a
-cycle that none of the premise checks accounts for.
+reachability map.  `diagnose` runs the whole pipeline into a
+`TaxonomyReport`, whose verdict is derived from the chronology and the
+premise findings alone: no strong cycle, a cycle explained by at least one
+failed premise (consistency, commutation, shrink-only writing, branch
+determinacy), or a cycle that none of the premise checks accounts for.
 """
 
 from __future__ import annotations
@@ -21,13 +22,12 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .core import RecordState, Subset
-from .events import independent
+from .events import MonotonicityFinding, independent
 from .influence import InfluenceGraph, StrongWitness, build_influence_graphs
 from .model import Model
 from .reachability import (
     DiamondViolation,
     ExplorationLimits,
-    MonotonicityFinding,
     ReachabilityGraph,
     TransitionTable,
     check_diamond,
@@ -302,7 +302,6 @@ class TaxonomyReport:
     diamond_violations: list[DiamondViolation]
     monotonicity_violations: list[MonotonicityFinding]
     bd_violations: list[BDViolation]
-    verdict: Verdict
 
     @property
     def truncated(self) -> bool:
@@ -320,10 +319,21 @@ class TaxonomyReport:
             or self.bd_violations
         )
 
+    @property
+    def verdict(self) -> Verdict:
+        """No strong cycle; a cycle with some failed premise to explain it;
+        or a cycle that no premise check accounts for."""
+        if self.chronology.acyclic:
+            return Verdict.NO_CYCLE
+        if self.premises_clean():
+            return Verdict.THEOREM_VIOLATION_SUSPECTED
+        return Verdict.CYCLE_EXPLAINED
+
 
 def diagnose(model: Model, limits: ExplorationLimits | None = None) -> TaxonomyReport:
     """Full pipeline: explore, check all four premises, build influence
-    graphs, detect strong cycles, and classify the outcome.
+    graphs and derive the chronology; the report's `verdict` classifies the
+    outcome.
 
     Consistency is judged under `model.mode`.  All checks always run, so the
     report is complete even when an early premise already fails.
@@ -334,21 +344,13 @@ def diagnose(model: Model, limits: ExplorationLimits | None = None) -> TaxonomyR
     gs = check_gs(graph)
     ig = build_influence_graphs(model, graph)
     bd = check_branch_determinacy(model, graph, ig)
-    chronology = transitive_closure(ig)
-    if chronology.acyclic:
-        verdict = Verdict.NO_CYCLE
-    elif gs or diamonds or monotonicity or bd:
-        verdict = Verdict.CYCLE_EXPLAINED
-    else:
-        verdict = Verdict.THEOREM_VIOLATION_SUSPECTED
     return TaxonomyReport(
         model=model,
         graph=graph,
         influence=ig,
-        chronology=chronology,
+        chronology=transitive_closure(ig),
         gs_violations=gs,
         diamond_violations=diamonds,
         monotonicity_violations=monotonicity,
         bd_violations=bd,
-        verdict=verdict,
     )

@@ -26,12 +26,12 @@ from typing import Any, Sequence
 from .chronology import check_trace_invariance, diagnose, transitive_closure
 from .core import ConsistencyMode
 from .dot import influence_dot, reachability_dot
+from .events import MonotonicityFinding
 from .influence import build_influence_graphs
 from .model import Model
 from .modelfile import ModelFormatError, load_model, model_digest
 from .reachability import (
     ExplorationLimits,
-    MonotonicityFinding,
     ReachabilityGraph,
     check_clock_monotone,
     check_diamond,

@@ -137,17 +137,14 @@ def _same_space(a: PossibilitySpace, b: PossibilitySpace) -> bool:
     return a is b or (a.worlds == b.worlds and a.weights == b.weights)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Subset:
-    """Immutable subset of a space's worlds, stored as a bit mask."""
+    """Immutable subset of a space's worlds, stored as a bit mask.  Two
+    subsets are equal when their masks and their spaces' worlds and weights
+    are."""
 
     space: PossibilitySpace
     mask: int
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Subset):
-            return NotImplemented
-        return self.mask == other.mask and _same_space(self.space, other.space)
 
     def __hash__(self) -> int:
         return hash(self.mask)

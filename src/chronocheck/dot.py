@@ -25,15 +25,13 @@ def influence_dot(
     def ordered(pairs: Iterable[tuple[str, str]]) -> list[tuple[str, str]]:
         return sorted(set(pairs), key=lambda p: (order[p[0]], order[p[1]]))
 
-    strong = ordered(strong_pairs)
-    weak_only = ordered(p for p in weak_pairs if p not in set(strong))
-    closure_only = ordered(
-        p for p in closure_pairs if p not in set(strong) and p[0] != p[1]
-    )
+    strong = set(strong_pairs)
+    weak_only = ordered(p for p in weak_pairs if p not in strong)
+    closure_only = ordered(p for p in closure_pairs if p not in strong and p[0] != p[1])
     lines = ["digraph influence {", "  rankdir=LR;"]
     for name in events:
         lines.append(f"  {_quote(name)};")
-    for a, b in strong:
+    for a, b in ordered(strong):
         lines.append(f"  {_quote(a)} -> {_quote(b)} [style=solid];")
     for a, b in weak_only:
         lines.append(f"  {_quote(a)} -> {_quote(b)} [style=dashed];")

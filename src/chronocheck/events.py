@@ -6,7 +6,10 @@ an ordered list of guards, first match wins, and replace the supported
 records with the matched rule's result; no matching rule means identity.
 INTERSECT events intersect each supported record with a fixed constant.
 Shrink-only behaviour is checked after the fact and reported as data, not
-repaired: diagnosing non-monotone writes is part of the tool's job.
+repaired: diagnosing non-monotone writes is part of the tool's job.  A
+`MonotonicityFinding` is the one form of that data, whether `apply_event`
+reports it for one state or `reachability.check_monotonicity` for every
+explored arc.
 """
 
 from __future__ import annotations
@@ -69,18 +72,20 @@ class Event:
 
 
 @dataclass(frozen=True)
-class MonotonicityViolation:
-    """Worlds an event added back to a site record instead of removing."""
+class MonotonicityFinding:
+    """Worlds an event added back to a site record instead of removing,
+    with the record state the event was applied to."""
 
     event: str
     site: int
     added: Subset
+    state: RecordState
 
 
 @dataclass(frozen=True)
 class UpdateOutcome:
     next: RecordState
-    violations: tuple[MonotonicityViolation, ...]
+    violations: tuple[MonotonicityFinding, ...]
 
 
 def apply_event(event: Event, state: RecordState) -> UpdateOutcome:
@@ -107,7 +112,7 @@ def apply_event(event: Event, state: RecordState) -> UpdateOutcome:
     for site in event.support:
         added = nxt[site] - state[site]
         if added.mask:
-            violations.append(MonotonicityViolation(event.name, site, added))
+            violations.append(MonotonicityFinding(event.name, site, added, state))
     return UpdateOutcome(nxt, tuple(violations))
 
 

@@ -90,6 +90,3 @@ class EventApplier:
             outcome = apply_event(event, state)
             self._cache[key] = outcome
         return outcome
-
-    def apply_name(self, event_name: str, state: RecordState) -> UpdateOutcome:
-        return self.apply(self.model.event(event_name), state)

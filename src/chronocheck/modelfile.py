@@ -187,6 +187,8 @@ def model_from_dict(obj: Any) -> Model:
         raise _err("$.sites", "at least one site required")
     if len(set(sites)) != len(sites):
         raise _err("$.sites", "site names must be unique")
+    if not all(name.strip() for name in sites):
+        raise _err("$.sites", "site names must not be empty or blank")
     site_index = {name: i for i, name in enumerate(sites)}
 
     mode = ConsistencyMode.NONEMPTY

@@ -32,7 +32,7 @@ from functools import cached_property
 from typing import Callable, Iterable
 
 from .core import RecordState, Subset, mode_mask
-from .events import Event, EventKind, independent
+from .events import Event, EventKind, MonotonicityFinding, independent
 from .model import Model
 
 MaskState = int
@@ -216,15 +216,6 @@ class ReachabilityGraph:
     truncated: bool
     _nodes: dict[int, Node] = field(default_factory=dict, init=False, repr=False)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ReachabilityGraph):
-            return NotImplemented
-        return (self.nodes, self.edges, self.truncated) == (
-            other.nodes,
-            other.edges,
-            other.truncated,
-        )
-
     @property
     def model(self) -> Model:
         return self.table.model
@@ -385,14 +376,6 @@ def check_diamond(graph: ReachabilityGraph, model: Model) -> list[DiamondViolati
                 )
             )
     return violations
-
-
-@dataclass(frozen=True)
-class MonotonicityFinding:
-    event: str
-    site: int
-    added: Subset
-    state: RecordState
 
 
 def check_monotonicity(graph: ReachabilityGraph) -> list[MonotonicityFinding]:

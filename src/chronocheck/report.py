@@ -9,13 +9,13 @@ from typing import Any
 
 from .chronology import BDViolation, Chronology, TaxonomyReport, TraceInvarianceReport
 from .core import RecordState, information_content
+from .events import MonotonicityFinding
 from .influence import InfluenceGraph, StrongWitness, WeakWitness
 from .model import Model
 from .modelfile import dumps_indented
 from .reachability import (
     ClockViolation,
     DiamondViolation,
-    MonotonicityFinding,
     Node,
     ReachabilityGraph,
 )

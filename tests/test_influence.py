@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from chronocheck import (
     ConsistencyMode,
     Event,
-    EventApplier,
     ExplorationLimits,
     Model,
     PossibilitySpace,
@@ -94,11 +93,9 @@ def test_binary_witness_gadget(gadget):
     # frozen separation check: post-b record of the full state is {0},
     # of the tightened state it is empty, so the difference within the
     # observable carries weight 1
-    applier = EventApplier(gadget)
-    post0 = applier.apply_name("b", witness.node.state).next[0]
-    post1 = applier.apply_name(
-        "b", applier.apply_name("a", witness.node.state).next
-    ).next[0]
+    a, b = gadget.event("a"), gadget.event("b")
+    post0 = apply_event(b, witness.node.state).next[0]
+    post1 = apply_event(b, apply_event(a, witness.node.state).next).next[0]
     assert measure_of((post0 & observable) ^ (post1 & observable)) == 1
 
 
@@ -129,10 +126,10 @@ def test_binary_witness_fails_when_influencer_absorbs_the_difference(
     with pytest.raises(WitnessPostcheckError):
         binary_witness(model, witness)
     # exhaustive confirmation: no (state, observable) pair separates
-    applier = EventApplier(model)
+    e, f = model.event("e"), model.event("f")
     for state in graph.distinct_states():
-        post0 = applier.apply_name("f", state).next[0]
-        post1 = applier.apply_name("f", applier.apply_name("e", state).next).next[0]
+        post0 = apply_event(f, state).next[0]
+        post1 = apply_event(f, apply_event(e, state).next).next[0]
         assert post0 == post1
 
 

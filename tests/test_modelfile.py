@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from chronocheck import (
     ConsistencyMode,
     EventKind,
     ModelFormatError,
+    fixture_path,
     load_fixture,
     model_digest,
     parse_model,
@@ -155,6 +157,74 @@ def test_parse_rejects_empty_world_label_at_worlds():
     # the model has no measure, so the error must not name one
     with pytest.raises(ModelFormatError, match=r"\$\.worlds: world labels must be nonempty"):
         parse_model('{"worlds": [""], "sites": ["s"], "events": []}')
+
+
+@pytest.mark.parametrize("name", ["", " ", "\t"], ids=["empty", "space", "tab"])
+def test_parse_rejects_blank_site_name_at_sites(name):
+    # a --strict message or a DOT label would name the site as nothing
+    doc = {"worlds": ["a", "b"], "sites": ["s", name], "initial": {name: ["a"]}, "events": []}
+    with pytest.raises(ModelFormatError, match=r"\$\.sites: "):
+        parse_model(json.dumps(doc))
+
+
+def _set(**fields):
+    return lambda doc: doc.update(fields)
+
+
+def _set_event(**fields):
+    return lambda doc: doc["events"][0].update(fields)
+
+
+def _event(**fields):
+    return _set(events=[dict({"name": "e", "support": ["site1"]}, **fields)])
+
+
+@pytest.mark.parametrize(
+    "edit, path",
+    [
+        (_set(worlds=["0", 1]), "$.worlds"),
+        (_set(worlds=["0", "1", "0"]), "$.worlds"),
+        (_set(measure=[1, 1]), "$.measure"),
+        (_set(sites=[]), "$.sites"),
+        (_set(sites=["site1", "site1"]), "$.sites"),
+        (_set(initial=[]), "$.initial"),
+        (_set(events={}), "$.events"),
+        (_set_event(name=""), "$.events[0].name"),
+        (_set_event(name=7), "$.events[0].name"),
+        (_set_event(kind="table"), "$.events[0]"),
+        (_event(kind="table", rules={}), "$.events[0].rules"),
+        (_set_event(rules=[]), "$.events[0]"),
+        (_event(kind="intersect"), "$.events[0]"),
+        (_set_event(kind="merge"), "$.events[0].kind"),
+    ],
+    ids=[
+        "worlds-not-strings",
+        "duplicate-worlds",
+        "measure-not-object",
+        "no-sites",
+        "duplicate-sites",
+        "initial-not-object",
+        "events-not-list",
+        "empty-event-name",
+        "event-name-not-string",
+        "table-with-constants",
+        "rules-not-list",
+        "intersect-with-rules",
+        "intersect-without-constants",
+        "unknown-kind",
+    ],
+)
+def test_parse_rejections_name_their_path(edit, path):
+    # any document yields a Model or a ModelFormatError that names where it is wrong
+    doc = _base_doc()
+    edit(doc)
+    with pytest.raises(ModelFormatError, match=re.escape(path) + ": "):
+        _parse(doc)
+
+
+def test_fixture_path_rejects_an_unknown_name():
+    with pytest.raises(ValueError, match="no bundled fixture named 'nope'"):
+        fixture_path("nope")
 
 
 def test_parse_rejects_duplicate_event_names():
