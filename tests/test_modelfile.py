@@ -159,14 +159,6 @@ def test_parse_rejects_empty_world_label_at_worlds():
         parse_model('{"worlds": [""], "sites": ["s"], "events": []}')
 
 
-@pytest.mark.parametrize("name", ["", " ", "\t"], ids=["empty", "space", "tab"])
-def test_parse_rejects_blank_site_name_at_sites(name):
-    # a --strict message or a DOT label would name the site as nothing
-    doc = {"worlds": ["a", "b"], "sites": ["s", name], "initial": {name: ["a"]}, "events": []}
-    with pytest.raises(ModelFormatError, match=r"\$\.sites: "):
-        parse_model(json.dumps(doc))
-
-
 def _set(**fields):
     return lambda doc: doc.update(fields)
 
@@ -187,6 +179,9 @@ def _event(**fields):
         (_set(measure=[1, 1]), "$.measure"),
         (_set(sites=[]), "$.sites"),
         (_set(sites=["site1", "site1"]), "$.sites"),
+        # a --strict message or a DOT label would name such a site as nothing
+        (_set(sites=["site1", ""]), "$.sites"),
+        (_set(sites=["site1", " \t"]), "$.sites"),
         (_set(initial=[]), "$.initial"),
         (_set(events={}), "$.events"),
         (_set_event(name=""), "$.events[0].name"),
@@ -203,6 +198,8 @@ def _event(**fields):
         "measure-not-object",
         "no-sites",
         "duplicate-sites",
+        "empty-site-name",
+        "blank-site-name",
         "initial-not-object",
         "events-not-list",
         "empty-event-name",
