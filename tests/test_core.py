@@ -154,6 +154,10 @@ def test_subsets_from_different_spaces_do_not_mix():
     s2 = PossibilitySpace.create(["a", "c"])
     with pytest.raises(ValueError):
         s1.subset(["a"]) & s2.subset(["a"])
+    # subsets are equal only over spaces with the same worlds and weights
+    assert s1.subset(["a"]) == PossibilitySpace.create(["a", "b"]).subset(["a"])
+    assert s1.subset(["a"]) != s2.subset(["a"])
+    assert s1.subset(["a"]) != PossibilitySpace.create(["a", "b"], {"a": 1, "b": 2}).subset(["a"])
 
 
 def test_feasible_set_single_site():
