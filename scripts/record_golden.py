@@ -16,8 +16,18 @@ four flag sets, of `diagnose` on two ladder rungs, and of each `--help` text (80
 columns).  Runs take their model by a relative path, so the `path` each
 report echoes does not depend on where the checkout lives.
 
+The third record pins how model files are read: the outcome of
+`parse_model` on seeded mutations of each bundled fixture and of each
+suite model's serialization.  Mutations drop required keys, give fields
+wrong types, add unknown keys, labels and sites, repeat labels and
+support sites, name sites outside an event's support, and break kinds,
+modes and weights; some documents get two mutations, so the order in
+which faults are checked is pinned too.  An outcome is the
+`ModelFormatError` text, or the model digest and the static defects of
+the model read.
+
 Usage:
-    PYTHONPATH=src python scripts/record_golden.py   # rewrites both files under tests/golden/
+    PYTHONPATH=src python scripts/record_golden.py   # rewrites the three files under tests/golden/
 
 tests/test_golden.py checks the recorded digests.
 """
@@ -35,9 +45,9 @@ import tempfile
 from pathlib import Path
 from typing import Any, Iterator
 
-from chronocheck import Model, TaxonomyReport, diagnose
+from chronocheck import Model, ModelFormatError, TaxonomyReport, diagnose, parse_model
 from chronocheck.cli import main as cli_main
-from chronocheck.modelfile import fixture_path, load_model, serialize_model
+from chronocheck.modelfile import fixture_path, load_model, model_digest, serialize_model
 from chronocheck.randmodels import model_suite, random_model
 from chronocheck.report import state_json, taxonomy_json
 
@@ -46,6 +56,7 @@ SUITE_SIZE = 500
 LADDER_RUNGS = (8, 10, 12)
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "tests" / "golden" / "diagnose_digests.json"
 STDOUT_PATH = GOLDEN_PATH.with_name("cli_stdout_digests.json")
+PARSE_PATH = GOLDEN_PATH.with_name("parse_outcomes.json")
 FIXTURES = ("two_site", "cycle_gadget", "bd_flip")
 COMMANDS = ("validate", "explore", "influence", "chronology", "diagnose", "trace-check")
 FLAG_SETS = ((), ("--mode", "measure"), ("--max-states", "3"), ("--strict",))
@@ -175,16 +186,256 @@ def compute_stdout_digests(workdir: Path) -> dict[str, dict[str, Any]]:
             os.environ["COLUMNS"] = saved_columns
 
 
-def _write(path: Path, value: Any) -> None:
+# --- parse outcomes ---------------------------------------------------------
+
+REQUIRED_KEYS = {"top": ("worlds", "sites", "events"), "event": ("name", "kind", "support"), "rule": ("guard", "result")}
+WRONG_VALUES = (7, -1.5, "x", [], {}, None, True, ["w"], {"x": 1})
+
+
+def _events(doc: dict) -> list[dict]:
+    events = doc.get("events")
+    return [e for e in events if isinstance(e, dict)] if isinstance(events, list) else []
+
+
+def _rules(doc: dict) -> list[dict]:
+    return [
+        rule
+        for event in _events(doc)
+        if isinstance(event.get("rules"), list)
+        for rule in event["rules"]
+        if isinstance(rule, dict)
+    ]
+
+
+def _site_maps(doc: dict) -> list[dict]:
+    """Every site-to-world-list map: initial records, guards, results and
+    intersect constants."""
+    maps = [doc["initial"]] if isinstance(doc.get("initial"), dict) else []
+    maps += [e["constants"] for e in _events(doc) if isinstance(e.get("constants"), dict)]
+    maps += [r[key] for r in _rules(doc) for key in ("guard", "result") if isinstance(r.get(key), dict)]
+    return maps
+
+
+def _slots(value: Any) -> Iterator[tuple[Any, Any]]:
+    """(container, key) of every value nested in `value`."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield value, key
+        yield from _slots(item)
+
+
+def _some_map(doc: dict, rng: random.Random) -> dict:
+    maps = _site_maps(doc)
+    if maps:
+        return rng.choice(maps)
+    doc["initial"] = {}
+    return doc["initial"]
+
+
+def _some_event(doc: dict, rng: random.Random) -> dict:
+    events = _events(doc)
+    if events:
+        return rng.choice(events)
+    event = {"name": "added", "kind": "intersect", "support": [], "constants": {}}
+    doc.setdefault("events", []).append(event)
+    return event
+
+
+def _drop_key(doc: dict, rng: random.Random) -> None:
+    owners = [(doc, "top")] + [(e, "event") for e in _events(doc)] + [(r, "rule") for r in _rules(doc)]
+    owner, kind = rng.choice(owners)
+    keys = [key for key in REQUIRED_KEYS[kind] if key in owner]
+    if keys:
+        del owner[rng.choice(keys)]
+
+
+def _wrong_type(doc: dict, rng: random.Random) -> None:
+    container, key = rng.choice(list(_slots(doc)))
+    old = container[key]
+    container[key] = rng.choice([v for v in WRONG_VALUES if type(v) is not type(old)])
+
+
+def _unknown_key(doc: dict, rng: random.Random) -> None:
+    rng.choice([doc, *_events(doc), *_rules(doc)])["bogus"] = 1
+
+
+def _world_list(doc: dict, rng: random.Random) -> list:
+    lists = [m[k] for m in _site_maps(doc) for k in m if isinstance(m[k], list)]
+    if lists:
+        return rng.choice(lists)
+    doc["initial"] = {"x": []}
+    return doc["initial"]["x"]
+
+
+def _unknown_world(doc: dict, rng: random.Random) -> None:
+    labels = _world_list(doc, rng)
+    labels.insert(rng.randint(0, len(labels)), "zz")
+
+
+def _duplicate_world(doc: dict, rng: random.Random) -> None:
+    labels = _world_list(doc, rng)
+    label = rng.choice(labels) if labels else "zz"
+    labels.insert(rng.randint(0, len(labels)), label)
+
+
+def _unknown_site(doc: dict, rng: random.Random) -> None:
+    if rng.random() < 0.25:
+        support = _some_event(doc, rng).get("support")
+        if isinstance(support, list):
+            support.insert(rng.randint(0, len(support)), "zz")
+            return
+    _some_map(doc, rng)["zz"] = []
+
+
+def _duplicate_support(doc: dict, rng: random.Random) -> None:
+    support = _some_event(doc, rng).get("support")
+    if isinstance(support, list) and support:
+        support.append(rng.choice(support))
+
+
+def _unsupported_site(doc: dict, rng: random.Random) -> None:
+    """A declared site outside its event's support, in a guard, a result
+    or intersect constants; the site is added to the model if every
+    declared site is supported."""
+    event = _some_event(doc, rng)
+    support = event.get("support") if isinstance(event.get("support"), list) else []
+    sites = doc.get("sites") if isinstance(doc.get("sites"), list) else []
+    outside = [site for site in sites if site not in support]
+    if not outside:
+        outside = ["s_extra"]
+        if isinstance(doc.get("sites"), list):
+            doc["sites"].append("s_extra")
+    rules = [r for r in event.get("rules", ()) if isinstance(r, dict)] if isinstance(event.get("rules"), list) else []
+    maps = [r[key] for r in rules for key in ("guard", "result") if isinstance(r.get(key), dict)]
+    if isinstance(event.get("constants"), dict):
+        maps.append(event["constants"])
+    if maps:
+        rng.choice(maps)[rng.choice(outside)] = []
+
+
+def _uncovered_constant(doc: dict, rng: random.Random) -> None:
+    """An intersect event whose constants miss a supported site."""
+    intersects = [e for e in _events(doc) if isinstance(e.get("constants"), dict)]
+    if not intersects:
+        return
+    constants = rng.choice(intersects)["constants"]
+    if constants:
+        del constants[rng.choice(sorted(constants))]
+
+
+def _no_name(doc: dict, rng: random.Random) -> None:
+    """An event with four allowed keys and no name."""
+    event = _some_event(doc, rng)
+    event.pop("name", None)
+    event.setdefault("rules", [])
+    event.setdefault("constants", {})
+
+
+def _bad_kind(doc: dict, rng: random.Random) -> None:
+    _some_event(doc, rng)["kind"] = rng.choice(("merge", "TABLE", ""))
+
+
+def _bad_mode(doc: dict, rng: random.Random) -> None:
+    doc["consistency_mode"] = rng.choice(("sometimes", "NONEMPTY", 0))
+
+
+def _bad_weight(doc: dict, rng: random.Random) -> None:
+    worlds = doc.get("worlds") if isinstance(doc.get("worlds"), list) else []
+    label = rng.choice(worlds) if worlds and isinstance(worlds[0], str) else "w0"
+    measure = doc.setdefault("measure", {})
+    if isinstance(measure, dict):
+        measure[label] = rng.choice((True, False, -1, "-1/3"))
+
+
+def _shuffle(doc: dict, rng: random.Random) -> None:
+    """Reorder every world list, support list and site map; the model read
+    must not change."""
+    for labels in [m[k] for m in _site_maps(doc) for k in m]:
+        rng.shuffle(labels)
+    for event in _events(doc):
+        rng.shuffle(event["support"])
+    for site_map in _site_maps(doc):
+        items = list(site_map.items())
+        rng.shuffle(items)
+        site_map.clear()
+        site_map.update(items)
+
+
+MUTATIONS = {
+    "drop-key": _drop_key,
+    "wrong-type": _wrong_type,
+    "unknown-key": _unknown_key,
+    "unknown-world": _unknown_world,
+    "duplicate-world": _duplicate_world,
+    "unknown-site": _unknown_site,
+    "duplicate-support": _duplicate_support,
+    "unsupported-site": _unsupported_site,
+    "uncovered-constant": _uncovered_constant,
+    "no-name": _no_name,
+    "bad-kind": _bad_kind,
+    "bad-mode": _bad_mode,
+    "bad-weight": _bad_weight,
+    "shuffle": _shuffle,
+}
+FIXTURE_ROUNDS = 3
+
+
+def parse_documents() -> Iterator[tuple[str, str]]:
+    """(name, text) of every document whose parse outcome is recorded.  Each
+    fixture gets every mutation FIXTURE_ROUNDS times; each suite model gets
+    one mutation and one pair of mutations, drawn from `Random(name)`."""
+    sources = [(name, fixture_path(name).read_text(encoding="utf-8")) for name in FIXTURES]
+    sources += [
+        (f"suite:{index}", serialize_model(model))
+        for index, model in enumerate(model_suite(SUITE_SEED, SUITE_SIZE))
+    ]
+    for source, text in sources:
+        plans = [()]
+        if source in FIXTURES:
+            plans += [(kind,) for kind in MUTATIONS for _ in range(FIXTURE_ROUNDS)]
+        else:
+            rng = random.Random(f"parse:{source}")
+            plans += [(rng.choice(list(MUTATIONS)),), tuple(rng.sample(list(MUTATIONS), 2))]
+        for number, plan in enumerate(plans):
+            name = ":".join((source, str(number), *plan))
+            doc = json.loads(text)
+            rng = random.Random(name)
+            for kind in plan:
+                MUTATIONS[kind](doc, rng)
+            yield name, json.dumps(doc)
+
+
+def parse_outcome(text: str) -> dict[str, Any]:
+    try:
+        model = parse_model(text)
+    except ModelFormatError as exc:
+        return {"error": str(exc)}
+    defects = [[d.kind, d.event, d.message, d.rule_index, d.site] for d in model.static_defects()]
+    return {"digest": model_digest(model), "defects": defects}
+
+
+def compute_parse_outcomes() -> dict[str, dict[str, Any]]:
+    return {name: parse_outcome(text) for name, text in parse_documents()}
+
+
+def _write(path: Path, value: dict[str, Any], entry_per_line: bool = False) -> None:
+    """Write `value` as JSON; with `entry_per_line`, each entry on a line of
+    its own, so that the diff of a re-record names each changed entry."""
+    if entry_per_line:
+        entries = (f"  {json.dumps(key)}: {json.dumps(item)}" for key, item in value.items())
+        text = "{\n" + ",\n".join(entries) + "\n}"
+    else:
+        text = json.dumps(value, indent=2)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(value, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {len(value)} digests to {path}")
+    path.write_text(text + "\n", encoding="utf-8")
+    print(f"wrote {len(value)} entries to {path}")
 
 
 def main() -> int:
     _write(GOLDEN_PATH, compute_digests())
     with tempfile.TemporaryDirectory() as workdir:
         _write(STDOUT_PATH, compute_stdout_digests(Path(workdir)))
+    _write(PARSE_PATH, compute_parse_outcomes(), entry_per_line=True)
     return 0
 
 

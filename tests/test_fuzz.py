@@ -75,9 +75,23 @@ REPRODUCERS = (
 )
 
 
+def _doc(*events, **fields):
+    return {"worlds": ["w0", "w1"], "sites": ["s0", "s1"], "events": list(events), **fields}
+
+
+def _table(**fields):
+    return {"name": "e", "kind": "table", "support": ["s0"], "rules": [], **fields}
+
+
 @given(documents)
 @example({"worlds": ["a"], "measure": {"a": "1e4301"}, "sites": ["s"], "events": []})
 @example({"worlds": ["a"], "measure": {"a": "1e-4301"}, "sites": ["s"], "events": []})
+# shapes that a reader taking shortcuts past the schema checks could miss
+@example(_doc({"kind": "table", "support": ["s0"], "rules": [], "constants": {}}))
+@example(_doc(_table(rules=[{"guard": {}}])))
+@example(_doc(_table(support="s0")))
+@example(_doc(_table(rules=[{"guard": {"s0": ["w0", "w0", "zz"]}, "result": {}}])))
+@example(_doc(initial={"s0": "w0"}))
 def test_parse_model_returns_model_or_format_error(document):
     try:
         model = parse_model(json.dumps(document))

@@ -1,10 +1,14 @@
 """Frozen behaviour: `diagnose` on the conformance suite and three scale-ladder
 rungs must keep the digests recorded in tests/golden/diagnose_digests.json,
-and the CLI runs of scripts/record_golden.py must keep the stdout digests
-and exit statuses recorded in tests/golden/cli_stdout_digests.json.
+the CLI runs of scripts/record_golden.py must keep the stdout digests
+and exit statuses recorded in tests/golden/cli_stdout_digests.json, and
+its mutated model documents must keep the parse outcomes recorded in
+tests/golden/parse_outcomes.json.
 
 A diagnose mismatch means a verdict-bearing fact changed; a stdout mismatch
-means report bytes changed.  If the change is meant, rerun
+means report bytes changed; a parse mismatch means a document is read into
+another model, gets other static defects, or is rejected with another
+message.  If the change is meant, rerun
 scripts/record_golden.py and explain the difference in CHANGES.md.
 """
 
@@ -44,6 +48,16 @@ def test_cli_stdout_digests_match_golden_record(tmp_path):
     current = record_golden.compute_stdout_digests(tmp_path)
     changed = sorted(k for k in recorded.keys() | current.keys() if recorded.get(k) != current.get(k))
     assert not changed, f"{len(changed)} of {len(recorded)} runs changed, first: {changed[:5]}"
+
+
+def test_parse_outcomes_match_golden_record():
+    """Error messages, read models and static defects of mutated documents
+    are frozen, and so is which fault a document with two is rejected for."""
+    record_golden = _record_golden()
+    recorded = json.loads(record_golden.PARSE_PATH.read_text(encoding="utf-8"))
+    current = record_golden.compute_parse_outcomes()
+    changed = sorted(k for k in recorded.keys() | current.keys() if recorded.get(k) != current.get(k))
+    assert not changed, f"{len(changed)} of {len(recorded)} outcomes changed, first: {changed[:5]}"
 
 
 def test_fresh_interpreter_stdout_matches_golden_record(tmp_path):
