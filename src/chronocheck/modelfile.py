@@ -27,6 +27,13 @@ needs more digits than `sys.get_int_max_str_digits()`, the limit
 `json.loads` applies to integer literals, is rejected.  Subsets are
 written as lists of world labels and serialized back sorted.  Unknown keys
 anywhere are rejected.
+
+The reader walks a document once.  Each world list becomes a mask in one
+loop over the space's label index, and an error's field path is built
+only when it is raised: only a value that the loop cannot account for
+pays for naming what is wrong, by a second walk that checks it in the
+documented order.  So the first fault a document holds is the one
+reported, whatever the shortcut.
 """
 
 from __future__ import annotations
@@ -57,10 +64,10 @@ def _err(path: str, message: str) -> ModelFormatError:
 def _require_keys(obj: dict, allowed: set[str], required: set[str], path: str) -> None:
     if not isinstance(obj, dict):
         raise _err(path, f"expected an object, got {type(obj).__name__}")
-    unknown = set(obj) - allowed
+    unknown = obj.keys() - allowed
     if unknown:
         raise _err(path, f"unknown fields: {sorted(unknown)}")
-    missing = required - set(obj)
+    missing = required - obj.keys()
     if missing:
         raise _err(path, f"missing required fields: {sorted(missing)}")
 
@@ -88,15 +95,30 @@ def _subset(space: PossibilitySpace, value: Any, path: str) -> Subset:
 
 def _site_subset_map(
     space: PossibilitySpace, sites: dict[str, int], value: Any, path: str
-) -> dict[int, Subset]:
+) -> tuple[tuple[int, Subset], ...]:
+    """(site, record) pairs of a map from site names to world lists, sorted
+    by site."""
     if not isinstance(value, dict):
         raise _err(path, "expected an object mapping site names to world lists")
-    out: dict[int, Subset] = {}
+    index = space._index  # type: ignore[attr-defined]
+    pairs = []
     for site_name, labels in value.items():
-        if site_name not in sites:
+        site = sites.get(site_name)
+        if site is None:
             raise _err(f"{path}.{site_name}", f"unknown site: {site_name!r}")
-        out[sites[site_name]] = _subset(space, labels, f"{path}.{site_name}")
-    return out
+        mask = 0
+        if type(labels) is list:
+            for label in labels:
+                i = index.get(label) if type(label) is str else None
+                if i is None or mask >> i & 1:
+                    break
+                mask |= 1 << i
+            else:
+                pairs.append((site, Subset(space, mask)))
+                continue
+        pairs.append((site, _subset(space, labels, f"{path}.{site_name}")))
+    pairs.sort()  # sites are distinct, so records are never compared
+    return tuple(pairs)
 
 
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
@@ -204,8 +226,7 @@ def model_from_dict(obj: Any) -> Model:
 
     records = [space.full()] * len(sites)
     if "initial" in obj:
-        by_site = _site_subset_map(space, site_index, obj["initial"], "$.initial")
-        for idx, subset in by_site.items():
+        for idx, subset in _site_subset_map(space, site_index, obj["initial"], "$.initial"):
             records[idx] = subset
     initial = RecordState(tuple(records))
 
@@ -214,63 +235,67 @@ def model_from_dict(obj: Any) -> Model:
     events: list[Event] = []
     seen_names: set[str] = set()
     for pos, raw_event in enumerate(obj["events"]):
-        path = f"$.events[{pos}]"
-        _require_keys(
-            raw_event,
-            {"name", "kind", "support", "rules", "constants"},
-            {"name", "kind", "support"},
-            path,
-        )
-        name = raw_event["name"]
-        if not isinstance(name, str) or not name:
-            raise _err(f"{path}.name", "expected a nonempty string")
-        if name in seen_names:
-            raise _err(f"{path}.name", f"duplicate event name: {name!r}")
-        seen_names.add(name)
-        support_names = _unique(
-            _string_list(raw_event["support"], f"{path}.support"), f"{path}.support", "sites"
-        )
-        support = []
-        for site_name in support_names:
-            if site_name not in site_index:
-                raise _err(f"{path}.support", f"unknown site: {site_name!r}")
-            support.append(site_index[site_name])
-        kind = raw_event["kind"]
-        if kind == EventKind.TABLE.value:
-            if "constants" in raw_event:
-                raise _err(path, "table events take 'rules', not 'constants'")
-            raw_rules = raw_event.get("rules")
-            if not isinstance(raw_rules, list):
-                raise _err(f"{path}.rules", "expected a list")
-            rules = []
-            for rpos, raw_rule in enumerate(raw_rules):
-                rpath = f"{path}.rules[{rpos}]"
-                _require_keys(raw_rule, {"guard", "result"}, {"guard", "result"}, rpath)
-                guard = _site_subset_map(
-                    space, site_index, raw_rule["guard"], f"{rpath}.guard"
-                )
-                result = _site_subset_map(
-                    space, site_index, raw_rule["result"], f"{rpath}.result"
-                )
-                rules.append(Rule.of(guard, result))
-            events.append(Event.table(name, support, rules))
-        elif kind == EventKind.INTERSECT.value:
-            if "rules" in raw_event:
-                raise _err(path, "intersect events take 'constants', not 'rules'")
-            raw_constants = raw_event.get("constants")
-            if raw_constants is None:
-                raise _err(path, "intersect events require 'constants'")
-            constants = _site_subset_map(
-                space, site_index, raw_constants, f"{path}.constants"
-            )
-            events.append(Event.intersect(name, support, constants))
-        else:
-            raise _err(f"{path}.kind", f"expected 'table' or 'intersect', got {kind!r}")
+        try:
+            events.append(_event(raw_event, space, site_index, seen_names))
+        except ModelFormatError as exc:
+            raise ModelFormatError(f"$.events[{pos}]{exc}") from None
 
     try:
         return Model(space, tuple(sites), initial, tuple(events), mode)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None
+
+
+_EVENT_FIELDS = frozenset({"name", "kind", "support", "rules", "constants"})
+_EVENT_REQUIRED = frozenset({"name", "kind", "support"})
+_RULE_FIELDS = frozenset({"guard", "result"})
+
+
+def _event(
+    raw: Any, space: PossibilitySpace, site_index: dict[str, int], seen_names: set[str]
+) -> Event:
+    """One event of the `events` list.  Error paths are relative to the
+    event; the caller prefixes its position."""
+    _require_keys(raw, _EVENT_FIELDS, _EVENT_REQUIRED, "")
+    name = raw["name"]
+    if not isinstance(name, str) or not name:
+        raise _err(".name", "expected a nonempty string")
+    if name in seen_names:
+        raise _err(".name", f"duplicate event name: {name!r}")
+    seen_names.add(name)
+    support_names = _unique(_string_list(raw["support"], ".support"), ".support", "sites")
+    support = []
+    for site_name in support_names:
+        if site_name not in site_index:
+            raise _err(".support", f"unknown site: {site_name!r}")
+        support.append(site_index[site_name])
+    support = tuple(sorted(support))
+    kind = raw["kind"]
+    if kind == "table":
+        if "constants" in raw:
+            raise _err("", "table events take 'rules', not 'constants'")
+        raw_rules = raw.get("rules")
+        if not isinstance(raw_rules, list):
+            raise _err(".rules", "expected a list")
+        rules = []
+        for rpos, raw_rule in enumerate(raw_rules):
+            try:
+                _require_keys(raw_rule, _RULE_FIELDS, _RULE_FIELDS, "")
+                guard = _site_subset_map(space, site_index, raw_rule["guard"], ".guard")
+                result = _site_subset_map(space, site_index, raw_rule["result"], ".result")
+            except ModelFormatError as exc:
+                raise ModelFormatError(f".rules[{rpos}]{exc}") from None
+            rules.append(Rule(guard, result))
+        return Event(name, support, EventKind.TABLE, rules=tuple(rules))
+    if kind == "intersect":
+        if "rules" in raw:
+            raise _err("", "intersect events take 'constants', not 'rules'")
+        raw_constants = raw.get("constants")
+        if raw_constants is None:
+            raise _err("", "intersect events require 'constants'")
+        constants = _site_subset_map(space, site_index, raw_constants, ".constants")
+        return Event(name, support, EventKind.INTERSECT, constants=constants)
+    raise _err(".kind", f"expected 'table' or 'intersect', got {kind!r}")
 
 
 def _weight_json(weight: Fraction) -> Any:
