@@ -40,12 +40,15 @@ class PossibilitySpace:
 
     def __post_init__(self) -> None:
         worlds = tuple(self.worlds)
-        weights = tuple(w if isinstance(w, Fraction) else Fraction(w) for w in self.weights)
+        weights = tuple(self.weights)
+        if not all(type(w) is Fraction for w in weights):
+            weights = tuple(w if isinstance(w, Fraction) else Fraction(w) for w in weights)
         if not worlds:
             raise ValueError("possibility space needs at least one world")
-        if len(set(worlds)) != len(worlds):
+        index = {w: i for i, w in enumerate(worlds)}
+        if len(index) != len(worlds):
             raise ValueError("world labels must be unique")
-        if any(not w for w in worlds):
+        if not all(worlds):
             raise ValueError("world labels must be nonempty strings")
         if len(weights) != len(worlds):
             raise ValueError("one weight per world required")
@@ -62,7 +65,7 @@ class PossibilitySpace:
             raise ValueError("total weight must be positive")
         object.__setattr__(self, "worlds", worlds)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_index", {w: i for i, w in enumerate(worlds)})
+        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "full_mask", (1 << len(worlds)) - 1)
         object.__setattr__(self, "positive_mask", positive)
 

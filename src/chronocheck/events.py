@@ -149,59 +149,42 @@ def validate_event_static(
     would ("shadowed_rule"), and results that cannot be shrink-only given
     an exact guard on the same site ("static_monotonicity").
     """
-    defects: list[StaticDefect] = []
+    name = event.name
+    defects = [
+        StaticDefect("locality", name, f"support site {site} out of range", site=site)
+        for site in event.support
+        if site < 0 or site >= site_count
+    ]
     support = set(event.support)
-
-    def locality(msg: str, rule_index: int | None = None, site: int | None = None) -> None:
-        defects.append(StaticDefect("locality", event.name, msg, rule_index, site))
-
-    for site in event.support:
-        if site < 0 or site >= site_count:
-            locality(f"support site {site} out of range", site=site)
     if event.kind is EventKind.INTERSECT:
         constant_sites = {site for site, _ in event.constants}
         if constant_sites != support:
-            locality(
-                f"intersect constants cover sites {sorted(constant_sites)}, "
-                f"support is {sorted(support)}"
-            )
+            message = f"intersect constants cover sites {sorted(constant_sites)}, support is {sorted(support)}"
+            defects.append(StaticDefect("locality", name, message))
         return defects
 
-    seen_guards: list[tuple[tuple[int, int], ...]] = []
+    seen_guards: list[frozenset[tuple[int, int]]] = []
     for idx, rule in enumerate(event.rules):
         for site, _ in rule.guard:
             if site not in support:
-                locality(f"rule {idx} guards unsupported site {site}", idx, site)
+                defects.append(StaticDefect("locality", name, f"rule {idx} guards unsupported site {site}", idx, site))
         for site, _ in rule.result:
             if site not in support:
-                locality(f"rule {idx} writes unsupported site {site}", idx, site)
-        guard_key = tuple((site, sub.mask) for site, sub in rule.guard)
+                defects.append(StaticDefect("locality", name, f"rule {idx} writes unsupported site {site}", idx, site))
+        guard_masks = {site: sub.mask for site, sub in rule.guard}
+        guard_key = frozenset(guard_masks.items())
         for earlier_idx, earlier in enumerate(seen_guards):
             # an earlier guard whose constraints are a subset of this one
             # matches every state this rule would match
-            if set(earlier) <= set(guard_key):
-                defects.append(
-                    StaticDefect(
-                        "shadowed_rule",
-                        event.name,
-                        f"rule {idx} is shadowed by rule {earlier_idx}",
-                        idx,
-                    )
-                )
+            if earlier <= guard_key:
+                message = f"rule {idx} is shadowed by rule {earlier_idx}"
+                defects.append(StaticDefect("shadowed_rule", name, message, idx))
                 break
         seen_guards.append(guard_key)
-        guard_map = dict(rule.guard)
         for site, replacement in rule.result:
-            guarded = guard_map.get(site)
-            if guarded is not None and not replacement.issubset(guarded):
-                defects.append(
-                    StaticDefect(
-                        "static_monotonicity",
-                        event.name,
-                        f"rule {idx} result at site {site} adds worlds "
-                        f"{(replacement - guarded).sorted_labels()} beyond its guard",
-                        idx,
-                        site,
-                    )
-                )
+            added = replacement.mask & ~guard_masks.get(site, -1)
+            if added:
+                labels = Subset(replacement.space, added).sorted_labels()
+                message = f"rule {idx} result at site {site} adds worlds {labels} beyond its guard"
+                defects.append(StaticDefect("static_monotonicity", name, message, idx, site))
     return defects

@@ -5,9 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
-from .core import ConsistencyMode, PossibilitySpace, RecordState, Subset, _same_space
+from .core import ConsistencyMode, PossibilitySpace, RecordState, _same_space
 from .events import Event, EventKind, StaticDefect, UpdateOutcome, apply_event, validate_event_static
 
 
@@ -20,6 +19,7 @@ class Model:
     mode: ConsistencyMode = ConsistencyMode.NONEMPTY
 
     def __post_init__(self) -> None:
+        space = self.space
         if not self.sites:
             raise ValueError("a model needs at least one site")
         if len(set(self.sites)) != len(self.sites):
@@ -27,38 +27,28 @@ class Model:
         if len(self.initial) != len(self.sites):
             raise ValueError("initial record state must cover every site")
         for rec in self.initial:
-            if not _same_space(rec.space, self.space):
+            if rec.space is not space and not _same_space(rec.space, space):
                 raise ValueError("initial records must live in the model's space")
-        names = [e.name for e in self.events]
-        if len(set(names)) != len(names):
+        by_name = {e.name: e for e in self.events}
+        if len(by_name) != len(self.events):
             raise ValueError("event names must be unique")
         n = len(self.sites)
         defects: list[StaticDefect] = []
         for event in self.events:
-            found = validate_event_static(event, self.space, n)
-            hard = [d for d in found if d.kind == "locality"]
-            if hard:
-                raise ValueError(f"event {event.name}: {hard[0].message}")
-            defects.extend(found)
-            for sub in self._event_subsets(event):
-                if not _same_space(sub.space, self.space):
-                    raise ValueError(
-                        f"event {event.name} references a foreign possibility space"
-                    )
+            found = validate_event_static(event, space, n)
+            for defect in found:
+                if defect.kind == "locality":
+                    raise ValueError(f"event {event.name}: {defect.message}")
+            defects += found
+            if event.kind is EventKind.INTERSECT:
+                subsets = [sub for _, sub in event.constants]
+            else:
+                subsets = [sub for rule in event.rules for _, sub in (*rule.guard, *rule.result)]
+            for sub in subsets:
+                if sub.space is not space and not _same_space(sub.space, space):
+                    raise ValueError(f"event {event.name} references a foreign possibility space")
         object.__setattr__(self, "_static_defects", tuple(defects))
-        object.__setattr__(self, "_by_name", {e.name: e for e in self.events})
-
-    @staticmethod
-    def _event_subsets(event: Event) -> Iterable[Subset]:
-        if event.kind is EventKind.INTERSECT:
-            for _, sub in event.constants:
-                yield sub
-        else:
-            for rule in event.rules:
-                for _, sub in rule.guard:
-                    yield sub
-                for _, sub in rule.result:
-                    yield sub
+        object.__setattr__(self, "_by_name", by_name)
 
     @cached_property
     def event_names(self) -> tuple[str, ...]:
