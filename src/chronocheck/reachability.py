@@ -50,10 +50,10 @@ def compile_event(event: Event, table: TransitionTable) -> Callable[[MaskState],
     result clears the written sites and sets the packed replacements.  It
     agrees with `apply_event`, which stays the reference semantics.
     """
-    pack, spread, full = table.pack, table.spread, table.model.space.full_mask
+    pack, site_full = table.pack, table.site_full
 
     def cover(items: Iterable[tuple[int, Subset]]) -> int:
-        return spread(full, (site for site, _ in items))
+        return sum([site_full[site] for site, _ in items])
 
     if event.kind is EventKind.INTERSECT:
         keep = ~cover(event.constants) | pack(event.constants)
@@ -83,8 +83,9 @@ class TransitionTable:
 
     States are interned to integer ids in first-seen order; `packed[sid]`
     is the state as one `MaskState` of `width` worlds per site.  `keep`
-    holds the worlds that count in the model's mode at every site, and
-    `supports[i]` every world of event i's supported sites.  `pack` builds
+    holds the worlds that count in the model's mode at every site,
+    `site_full[s]` every world of site s, and `supports[i]` every world of
+    event i's supported sites.  `pack` builds
     a packed value from (site, record) pairs, and `field` and `first_site`
     read one site out of one.  `state` and `intern_state` convert to and
     from `RecordState` at the API boundary.  Lookups work for any interned
@@ -93,10 +94,11 @@ class TransitionTable:
 
     def __init__(self, model: Model) -> None:
         self.model = model
-        self.width = model.space.size
-        self._full = (1 << self.width) - 1
+        self.width = width = model.space.size
+        self._full = full = (1 << width) - 1
+        self.site_full = site_full = [full << site * width for site in range(len(model.sites))]
         self.keep = self.spread(mode_mask(model.space, model.mode), range(len(model.sites)))
-        self.supports = [self.spread(self._full, event.support) for event in model.events]
+        self.supports = [sum(map(site_full.__getitem__, event.support)) for event in model.events]
         self.packed: list[MaskState] = []
         self._apply = [compile_event(event, self) for event in model.events]
         self._ids: dict[MaskState, int] = {}
