@@ -46,7 +46,7 @@ from fractions import Fraction
 from importlib import resources
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Container
 
 from .core import ConsistencyMode, PossibilitySpace, RecordState, Subset
 from .events import Event, EventKind, Rule
@@ -94,10 +94,10 @@ def _subset(space: PossibilitySpace, value: Any, path: str) -> Subset:
 
 
 def _site_subset_map(
-    space: PossibilitySpace, sites: dict[str, int], value: Any, path: str
+    space: PossibilitySpace, sites: dict[str, int], allowed: Container[int], value: Any, path: str
 ) -> tuple[tuple[int, Subset], ...]:
     """(site, record) pairs of a map from site names to world lists, sorted
-    by site."""
+    by site; every site must be in `allowed`."""
     if not isinstance(value, dict):
         raise _err(path, "expected an object mapping site names to world lists")
     index = space._index  # type: ignore[attr-defined]
@@ -106,6 +106,8 @@ def _site_subset_map(
         site = sites.get(site_name)
         if site is None:
             raise _err(f"{path}.{site_name}", f"unknown site: {site_name!r}")
+        if site not in allowed:
+            raise _err(f"{path}.{site_name}", f"unsupported site {site_name!r}")
         mask = 0
         if type(labels) is list:
             for label in labels:
@@ -226,7 +228,8 @@ def model_from_dict(obj: Any) -> Model:
 
     records = [space.full()] * len(sites)
     if "initial" in obj:
-        for idx, subset in _site_subset_map(space, site_index, obj["initial"], "$.initial"):
+        every_site = range(len(sites))
+        for idx, subset in _site_subset_map(space, site_index, every_site, obj["initial"], "$.initial"):
             records[idx] = subset
     initial = RecordState(tuple(records))
 
@@ -236,7 +239,7 @@ def model_from_dict(obj: Any) -> Model:
     seen_names: set[str] = set()
     for pos, raw_event in enumerate(obj["events"]):
         try:
-            events.append(_event(raw_event, space, site_index, seen_names))
+            events.append(_event(raw_event, space, sites, site_index, seen_names))
         except ModelFormatError as exc:
             raise ModelFormatError(f"$.events[{pos}]{exc}") from None
 
@@ -252,7 +255,7 @@ _RULE_FIELDS = frozenset({"guard", "result"})
 
 
 def _event(
-    raw: Any, space: PossibilitySpace, site_index: dict[str, int], seen_names: set[str]
+    raw: Any, space: PossibilitySpace, sites: list[str], site_index: dict[str, int], seen_names: set[str]
 ) -> Event:
     """One event of the `events` list.  Error paths are relative to the
     event; the caller prefixes its position."""
@@ -281,8 +284,8 @@ def _event(
         for rpos, raw_rule in enumerate(raw_rules):
             try:
                 _require_keys(raw_rule, _RULE_FIELDS, _RULE_FIELDS, "")
-                guard = _site_subset_map(space, site_index, raw_rule["guard"], ".guard")
-                result = _site_subset_map(space, site_index, raw_rule["result"], ".result")
+                guard = _site_subset_map(space, site_index, support, raw_rule["guard"], ".guard")
+                result = _site_subset_map(space, site_index, support, raw_rule["result"], ".result")
             except ModelFormatError as exc:
                 raise ModelFormatError(f".rules[{rpos}]{exc}") from None
             rules.append(Rule(guard, result))
@@ -293,7 +296,11 @@ def _event(
         raw_constants = raw.get("constants")
         if raw_constants is None:
             raise _err("", "intersect events require 'constants'")
-        constants = _site_subset_map(space, site_index, raw_constants, ".constants")
+        constants = _site_subset_map(space, site_index, support, raw_constants, ".constants")
+        if len(constants) != len(support):
+            covered = [sites[site] for site, _ in constants]
+            supported = [sites[site] for site in support]
+            raise _err(".constants", f"intersect constants cover sites {covered}, support is {supported}")
         return Event(name, support, EventKind.INTERSECT, constants=constants)
     raise _err(".kind", f"expected 'table' or 'intersect', got {kind!r}")
 

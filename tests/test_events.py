@@ -9,6 +9,7 @@ import chronocheck.model
 from chronocheck import (
     ConsistencyMode,
     Event,
+    Model,
     PossibilitySpace,
     RecordState,
     Rule,
@@ -127,6 +128,27 @@ def test_validate_static_locality_defect():
     )
     defects = validate_event_static(rogue, space, 2)
     assert [d.kind for d in defects] == ["locality"]
+
+
+def test_model_rejects_api_built_events_outside_its_support_or_space():
+    # model files are checked as they are read; these are Model's own checks
+    space = PossibilitySpace.create(["0", "1"])
+    other = PossibilitySpace.create(["0", "2"])
+    initial = RecordState((space.full(), space.full()))
+
+    def model(event):
+        return Model(space, ("s0", "s1"), initial, (event,))
+
+    # a space with the same worlds and weights is the model's space
+    model(Event.intersect("e", [0], {0: PossibilitySpace.create(["0", "1"]).subset(["0"])}))
+    with pytest.raises(ValueError, match="event e: rule 0 writes unsupported site 1"):
+        model(Event.table("e", [0], [Rule.of({}, {1: space.subset(["0"])})]))
+    with pytest.raises(ValueError, match=r"event e: intersect constants cover sites \[\], support is \[0\]"):
+        model(Event.intersect("e", [0], {}))
+    with pytest.raises(ValueError, match="event e references a foreign possibility space"):
+        model(Event.table("e", [0], [Rule.of({0: other.full()}, {})]))
+    with pytest.raises(ValueError, match="initial records must live in the model's space"):
+        Model(space, ("s0",), RecordState((other.full(),)), ())
 
 
 def test_validate_static_shadowed_rule():

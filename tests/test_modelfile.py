@@ -171,6 +171,18 @@ def _event(**fields):
     return _set(events=[dict({"name": "e", "support": ["site1"]}, **fields)])
 
 
+def _two_sites(**fields):
+    def edit(doc):
+        _event(**fields)(doc)
+        doc["sites"] = ["site1", "site2"]
+
+    return edit
+
+
+def _rule(guard, result):
+    return _two_sites(kind="table", rules=[{"guard": guard, "result": result}])
+
+
 @pytest.mark.parametrize(
     "edit, path",
     [
@@ -191,6 +203,10 @@ def _event(**fields):
         (_set_event(rules=[]), "$.events[0]"),
         (_event(kind="intersect"), "$.events[0]"),
         (_set_event(kind="merge"), "$.events[0].kind"),
+        # a locality fault names the field and the site as the file does
+        (_rule({"site2": ["0"]}, {}), "$.events[0].rules[0].guard.site2"),
+        (_rule({}, {"site2": ["0"]}), "$.events[0].rules[0].result.site2"),
+        (_two_sites(kind="intersect", support=["site1", "site2"], constants={"site1": ["0"]}), "$.events[0].constants"),
     ],
     ids=[
         "worlds-not-strings",
@@ -209,6 +225,9 @@ def _event(**fields):
         "intersect-with-rules",
         "intersect-without-constants",
         "unknown-kind",
+        "guard-outside-support",
+        "result-outside-support",
+        "constants-miss-a-supported-site",
     ],
 )
 def test_parse_rejections_name_their_path(edit, path):
