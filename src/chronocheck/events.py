@@ -159,18 +159,18 @@ def validate_event_static(
     if event.kind is EventKind.INTERSECT:
         constant_sites = {site for site, _ in event.constants}
         if constant_sites != support:
-            message = f"intersect constants cover sites {sorted(constant_sites)}, support is {sorted(support)}"
+            covered, supported = sorted(constant_sites), sorted(support)
+            message = f"intersect constants cover sites {covered}, support is {supported}"
             defects.append(StaticDefect("locality", name, message))
         return defects
 
     seen_guards: list[frozenset[tuple[int, int]]] = []
     for idx, rule in enumerate(event.rules):
-        for site, _ in rule.guard:
-            if site not in support:
-                defects.append(StaticDefect("locality", name, f"rule {idx} guards unsupported site {site}", idx, site))
-        for site, _ in rule.result:
-            if site not in support:
-                defects.append(StaticDefect("locality", name, f"rule {idx} writes unsupported site {site}", idx, site))
+        for verb, pairs in (("guards", rule.guard), ("writes", rule.result)):
+            for site, _ in pairs:
+                if site not in support:
+                    message = f"rule {idx} {verb} unsupported site {site}"
+                    defects.append(StaticDefect("locality", name, message, idx, site))
         guard_masks = {site: sub.mask for site, sub in rule.guard}
         guard_key = frozenset(guard_masks.items())
         for earlier_idx, earlier in enumerate(seen_guards):

@@ -229,7 +229,8 @@ def model_from_dict(obj: Any) -> Model:
     records = [space.full()] * len(sites)
     if "initial" in obj:
         every_site = range(len(sites))
-        for idx, subset in _site_subset_map(space, site_index, every_site, obj["initial"], "$.initial"):
+        by_site = _site_subset_map(space, site_index, every_site, obj["initial"], "$.initial")
+        for idx, subset in by_site:
             records[idx] = subset
     initial = RecordState(tuple(records))
 
@@ -255,7 +256,11 @@ _RULE_FIELDS = frozenset({"guard", "result"})
 
 
 def _event(
-    raw: Any, space: PossibilitySpace, sites: list[str], site_index: dict[str, int], seen_names: set[str]
+    raw: Any,
+    space: PossibilitySpace,
+    sites: list[str],
+    site_index: dict[str, int],
+    seen_names: set[str],
 ) -> Event:
     """One event of the `events` list.  Error paths are relative to the
     event; the caller prefixes its position."""
@@ -300,7 +305,8 @@ def _event(
         if len(constants) != len(support):
             covered = [sites[site] for site, _ in constants]
             supported = [sites[site] for site in support]
-            raise _err(".constants", f"intersect constants cover sites {covered}, support is {supported}")
+            message = f"intersect constants cover sites {covered}, support is {supported}"
+            raise _err(".constants", message)
         return Event(name, support, EventKind.INTERSECT, constants=constants)
     raise _err(".kind", f"expected 'table' or 'intersect', got {kind!r}")
 

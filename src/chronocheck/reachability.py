@@ -85,11 +85,11 @@ class TransitionTable:
     is the state as one `MaskState` of `width` worlds per site.  `keep`
     holds the worlds that count in the model's mode at every site,
     `site_full[s]` every world of site s, and `supports[i]` every world of
-    event i's supported sites.  `pack` builds
-    a packed value from (site, record) pairs, and `field` and `first_site`
-    read one site out of one.  `state` and `intern_state` convert to and
-    from `RecordState` at the API boundary.  Lookups work for any interned
-    state, so checks may step past a truncated exploration frontier.
+    event i's supported sites.  `pack` builds a packed value from (site,
+    record) pairs, and `field` and `first_site` read one site out of one.
+    `state` and `intern_state` convert to and from `RecordState` at the API
+    boundary.  Lookups work for any interned state, so checks may step past
+    a truncated exploration frontier.
     """
 
     def __init__(self, model: Model) -> None:
