@@ -108,6 +108,8 @@ def _site_subset_map(
             raise _err(f"{path}.{site_name}", f"unknown site: {site_name!r}")
         if site not in allowed:
             raise _err(f"{path}.{site_name}", f"unsupported site {site_name!r}")
+        # a list of distinct known labels is resolved here; `_subset` walks
+        # anything else again and names its fault
         mask = 0
         if type(labels) is list:
             for label in labels:
