@@ -49,7 +49,7 @@ from chronocheck import Model, ModelFormatError, TaxonomyReport, diagnose, parse
 from chronocheck.cli import main as cli_main
 from chronocheck.modelfile import fixture_path, load_model, model_digest, serialize_model
 from chronocheck.randmodels import model_suite, random_model
-from chronocheck.report import state_json, taxonomy_json
+from chronocheck.report import monotonicity_json, state_json, taxonomy_json
 
 SUITE_SEED = 20250810
 SUITE_SIZE = 500
@@ -110,7 +110,9 @@ def _canonical(value: Any) -> str:
 
 
 def projection(report: TaxonomyReport) -> dict[str, Any]:
-    """The normalized, count-free view of one report that is digested."""
+    """The normalized, count-free view of one report that is digested.
+    Shrink-only findings are listed one by one, as the API gives them, not
+    grouped by cause as the report writes them."""
     model = report.model
     doc = taxonomy_json(report)
     gs_states = {
@@ -123,7 +125,9 @@ def projection(report: TaxonomyReport) -> dict[str, Any]:
         "influence": doc["influence"],
         "chronology": doc["chronology"],
         "cycles": doc["cycles"],
-        "monotonicity_violations": doc["monotonicity_violations"],
+        "monotonicity_violations": [
+            monotonicity_json(model, f) for f in report.monotonicity_violations
+        ],
         "diamond_violations": doc["diamond_violations"],
         "gs_violations": sorted(gs_states),
         "bd_violations": sorted(bd_findings),

@@ -65,6 +65,22 @@ def monotonicity_json(model: Model, finding: MonotonicityFinding) -> dict[str, A
     }
 
 
+def monotonicity_causes_json(
+    model: Model, findings: list[MonotonicityFinding]
+) -> list[dict[str, Any]]:
+    """One entry per (event, site) cause of `findings`: the fields of its
+    first finding, then `count`, the number of its findings; entries keep
+    the order of their first findings."""
+    causes: dict[tuple[str, int], dict[str, Any]] = {}
+    for finding in findings:
+        entry = causes.get((finding.event, finding.site))
+        if entry is None:
+            entry = causes[finding.event, finding.site] = monotonicity_json(model, finding)
+            entry["count"] = 0
+        entry["count"] += 1
+    return list(causes.values())
+
+
 def diamond_json(model: Model, violation: DiamondViolation) -> dict[str, Any]:
     return {
         "e": violation.e,
@@ -157,9 +173,9 @@ def taxonomy_json(report: TaxonomyReport) -> dict[str, Any]:
         "diamond_violations": [
             diamond_json(model, v) for v in report.diamond_violations
         ],
-        "monotonicity_violations": [
-            monotonicity_json(model, v) for v in report.monotonicity_violations
-        ],
+        "monotonicity_violations": monotonicity_causes_json(
+            model, report.monotonicity_violations
+        ),
         "bd_violations": [bd_violation_json(model, v) for v in report.bd_violations],
         "influence": influence_json(model, report.influence),
         "chronology": chronology_json(report.chronology),
