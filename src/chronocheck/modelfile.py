@@ -160,11 +160,18 @@ def _rational(text: str) -> Fraction:
     return value
 
 
+# One decoder for every document: `json.loads` builds a new one on each call
+# that passes it a keyword such as `parse_float`.
+_DECODER = json.JSONDecoder(parse_float=_rational)
+
+
 def parse_model(text: str) -> Model:
     """Parse and validate a model document; raises ModelFormatError with a
     field path on any problem."""
     try:
-        obj = json.loads(text, parse_float=_rational)
+        if text.startswith("\ufeff"):  # `json.loads` refuses a BOM; `decode` alone does not
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        obj = _DECODER.decode(text)
     except (ValueError, RecursionError) as exc:
         raise ModelFormatError(f"invalid JSON: {exc}") from None
     return model_from_dict(obj)

@@ -299,6 +299,14 @@ def test_parse_rejects_invalid_json():
         parse_model("{nope")
 
 
+def test_parse_rejects_a_byte_order_mark_as_json_loads_does():
+    doc = '\ufeff{"worlds": ["0"], "sites": ["s"], "events": []}'
+    with pytest.raises(ModelFormatError) as info:
+        parse_model(doc)
+    message = "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("quote", ['"', ""], ids=["string", "number"])
 def test_weight_digits_stop_at_the_integer_string_limit(quote):
     limit = sys.get_int_max_str_digits()
