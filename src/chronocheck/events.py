@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
-from .core import PossibilitySpace, RecordState, Subset
+from .core import RecordState, Subset
 
 
 class EventKind(Enum):
@@ -139,9 +139,7 @@ class StaticDefect:
     site: int | None = None
 
 
-def validate_event_static(
-    event: Event, space: PossibilitySpace, site_count: int
-) -> list[StaticDefect]:
+def validate_event_static(event: Event, site_count: int) -> list[StaticDefect]:
     """Schema-level defect scan for a single event.
 
     Reports out-of-range or unsupported site references ("locality"),

@@ -35,7 +35,7 @@ class Model:
         n = len(self.sites)
         defects: list[StaticDefect] = []
         for event in self.events:
-            found = validate_event_static(event, space, n)
+            found = validate_event_static(event, n)
             for defect in found:
                 if defect.kind == "locality":
                     raise ValueError(f"event {event.name}: {defect.message}")

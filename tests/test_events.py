@@ -126,7 +126,7 @@ def test_validate_static_locality_defect():
     rogue = Event.table(
         "rogue", [0], [Rule.of({0: space.full()}, {1: space.subset(["0"])})]
     )
-    defects = validate_event_static(rogue, space, 2)
+    defects = validate_event_static(rogue, 2)
     assert [d.kind for d in defects] == ["locality"]
 
 
@@ -161,7 +161,7 @@ def test_validate_static_shadowed_rule():
             Rule.of({0: space.full()}, {0: space.subset(["1"])}),
         ],
     )
-    kinds = [d.kind for d in validate_event_static(event, space, 1)]
+    kinds = [d.kind for d in validate_event_static(event, 1)]
     assert "shadowed_rule" in kinds
 
 
@@ -175,7 +175,7 @@ def test_validate_static_wildcard_shadows_everything():
             Rule.of({0: space.full()}, {0: space.subset(["1"])}),
         ],
     )
-    kinds = [d.kind for d in validate_event_static(event, space, 1)]
+    kinds = [d.kind for d in validate_event_static(event, 1)]
     assert "shadowed_rule" in kinds
 
 
@@ -184,7 +184,7 @@ def test_validate_static_monotonicity_defect():
     event = Event.table(
         "flip", [0], [Rule.of({0: space.subset(["0"])}, {0: space.subset(["1"])})]
     )
-    defects = validate_event_static(event, space, 1)
+    defects = validate_event_static(event, 1)
     assert [d.kind for d in defects] == ["static_monotonicity"]
 
 
@@ -236,7 +236,7 @@ def _static_scan(model):
     return [
         defect
         for event in model.events
-        for defect in validate_event_static(event, model.space, len(model.sites))
+        for defect in validate_event_static(event, len(model.sites))
     ]
 
 
@@ -269,9 +269,9 @@ def test_static_scan_runs_once_per_event_per_construction(monkeypatch):
     calls = []
     original = chronocheck.model.validate_event_static
 
-    def spy(event, space, site_count):
+    def spy(event, site_count):
         calls.append(event.name)
-        return original(event, space, site_count)
+        return original(event, site_count)
 
     monkeypatch.setattr(chronocheck.model, "validate_event_static", spy)
     model.static_defects()
