@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +12,9 @@ import chronocheck.chronology
 import chronocheck.cli
 from chronocheck.cli import main
 from chronocheck.dot import influence_dot
-from chronocheck.modelfile import fixture_path
-from chronocheck.reachability import ExplorationLimits
+from chronocheck.modelfile import fixture_path, load_fixture, serialize_model
+from chronocheck.randmodels import random_model
+from chronocheck.reachability import ExplorationLimits, check_monotonicity, explore
 
 TWO_SITE = str(fixture_path("two_site"))
 GADGET = str(fixture_path("cycle_gadget"))
@@ -175,6 +177,25 @@ def test_strict_mode_turns_monotonicity_violation_into_hard_error(capsys):
     assert "monotonicity violation" in err
     status, _, _ = run_cli(capsys, "diagnose", TWO_SITE, "--strict")
     assert status == 0
+
+
+@pytest.mark.parametrize("command", ["explore", "diagnose"])
+@pytest.mark.parametrize("source", ["cycle_gadget", "random:215"])
+def test_strict_names_the_first_shrink_only_finding(tmp_path, capsys, command, source):
+    # random:215 has seven findings of four causes; the first is named
+    if source == "cycle_gadget":
+        model, path = load_fixture(source), GADGET
+    else:
+        model = random_model(random.Random(215), intersect_prob=0.3, monotone_bias=0.1)
+        path = tmp_path / "model.json"
+        path.write_text(serialize_model(model), encoding="utf-8")
+    first = check_monotonicity(explore(model))[0]
+    status, out, err = run_cli(capsys, command, str(path), "--strict")
+    assert (status, out) == (2, "")
+    assert err == (
+        f"chronocheck: error: monotonicity violation: event {first.event} adds worlds "
+        f"{first.added.sorted_labels()} at site {model.sites[first.site]}\n"
+    )
 
 
 def test_mode_override_echoed_in_report(capsys):
