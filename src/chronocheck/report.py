@@ -73,11 +73,11 @@ def monotonicity_causes_json(
     the order of their first findings."""
     causes: dict[tuple[str, int], dict[str, Any]] = {}
     for finding in findings:
-        entry = causes.get((finding.event, finding.site))
-        if entry is None:
-            entry = causes[finding.event, finding.site] = monotonicity_json(model, finding)
-            entry["count"] = 0
-        entry["count"] += 1
+        key = (finding.event, finding.site)
+        if key in causes:
+            causes[key]["count"] += 1
+        else:
+            causes[key] = {**monotonicity_json(model, finding), "count": 1}
     return list(causes.values())
 
 
