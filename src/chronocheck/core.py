@@ -136,10 +136,6 @@ class PossibilitySpace:
         return self.measure_mask(self.full_mask)  # type: ignore[attr-defined]
 
 
-def _same_space(a: PossibilitySpace, b: PossibilitySpace) -> bool:
-    return a is b or (a.worlds == b.worlds and a.weights == b.weights)
-
-
 @dataclass(frozen=True)
 class Subset:
     """Immutable subset of a space's worlds, stored as a bit mask.  Two
@@ -153,7 +149,7 @@ class Subset:
         return hash(self.mask)
 
     def _check(self, other: "Subset") -> None:
-        if not _same_space(self.space, other.space):
+        if self.space != other.space:
             raise ValueError("subsets belong to different spaces")
 
     def __and__(self, other: "Subset") -> "Subset":
@@ -212,34 +208,18 @@ class Subset:
         return "Subset({" + ", ".join(self.sorted_labels()) + "})"
 
 
-@dataclass(frozen=True)
-class RecordState:
-    """Vector of per-site records; index i holds the constraint at site i."""
-
-    records: tuple[Subset, ...]
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __getitem__(self, site: int) -> Subset:
-        return self.records[site]
-
-    def __iter__(self) -> Iterator[Subset]:
-        return iter(self.records)
-
-    def replace(self, site: int, value: Subset) -> "RecordState":
-        recs = list(self.records)
-        recs[site] = value
-        return RecordState(tuple(recs))
+# A record state: index i holds the constraint at site i.  The alias is
+# callable, so `RecordState(records)` builds one from any iterable.
+RecordState = tuple[Subset, ...]
 
 
 def feasible_set(state: RecordState) -> Subset:
     """Intersection of all site records."""
-    if not state.records:
+    if not state:
         raise ValueError("record state has no sites")
-    space = state.records[0].space
+    space = state[0].space
     mask = space.full_mask  # type: ignore[attr-defined]
-    for rec in state.records:
+    for rec in state:
         mask &= rec.mask
     return Subset(space, mask)
 

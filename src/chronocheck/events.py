@@ -96,18 +96,18 @@ def apply_event(event: Event, state: RecordState) -> UpdateOutcome:
     shrink-only writing are detected and returned alongside the successor
     state; callers decide whether they are fatal.
     """
+    records = list(state)
     if event.kind is EventKind.INTERSECT:
-        nxt = state
         for site, constant in event.constants:
-            nxt = nxt.replace(site, nxt[site] & constant)
-        return UpdateOutcome(nxt, ())
+            records[site] &= constant
+        return UpdateOutcome(tuple(records), ())
 
-    nxt = state
     for rule in event.rules:
         if all(state[site].mask == required.mask for site, required in rule.guard):
             for site, replacement in rule.result:
-                nxt = nxt.replace(site, replacement)
+                records[site] = replacement
             break
+    nxt = tuple(records)
     violations = []
     for site in event.support:
         added = nxt[site] - state[site]

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import ConsistencyMode, PossibilitySpace, RecordState, _same_space
+from .core import ConsistencyMode, PossibilitySpace, RecordState
 from .events import Event, EventKind, StaticDefect, UpdateOutcome, apply_event, validate_event_static
 
 
@@ -27,7 +27,7 @@ class Model:
         if len(self.initial) != len(self.sites):
             raise ValueError("initial record state must cover every site")
         for rec in self.initial:
-            if rec.space is not space and not _same_space(rec.space, space):
+            if rec.space is not space and rec.space != space:
                 raise ValueError("initial records must live in the model's space")
         by_name = {e.name: e for e in self.events}
         if len(by_name) != len(self.events):
@@ -45,7 +45,7 @@ class Model:
             else:
                 subsets = [sub for rule in event.rules for _, sub in (*rule.guard, *rule.result)]
             for sub in subsets:
-                if sub.space is not space and not _same_space(sub.space, space):
+                if sub.space is not space and sub.space != space:
                     raise ValueError(f"event {event.name} references a foreign possibility space")
         object.__setattr__(self, "_static_defects", tuple(defects))
         object.__setattr__(self, "_by_name", by_name)

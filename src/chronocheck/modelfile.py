@@ -48,7 +48,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Any, Callable, Container
 
-from .core import ConsistencyMode, PossibilitySpace, RecordState, Subset
+from .core import ConsistencyMode, PossibilitySpace, Subset
 from .events import Event, EventKind, Rule
 from .model import Model
 
@@ -241,7 +241,7 @@ def model_from_dict(obj: Any) -> Model:
         by_site = _site_subset_map(space, site_index, every_site, obj["initial"], "$.initial")
         for idx, subset in by_site:
             records[idx] = subset
-    initial = RecordState(tuple(records))
+    initial = tuple(records)
 
     if not isinstance(obj["events"], list):
         raise _err("$.events", "expected a list")

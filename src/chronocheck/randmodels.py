@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 from typing import Iterator
 
-from .core import ConsistencyMode, PossibilitySpace, RecordState, Subset
+from .core import ConsistencyMode, PossibilitySpace, Subset
 from .events import Event, Rule
 from .model import Model
 
@@ -64,11 +64,9 @@ def random_model(
     n_sites = rng.randint(1, max_sites)
     sites = tuple(f"s{i}" for i in range(n_sites))
     if rng.random() < full_initial_prob:
-        initial = RecordState(tuple(space.full() for _ in sites))
+        initial = tuple(space.full() for _ in sites)
     else:
-        initial = RecordState(
-            tuple(_random_subset(rng, space, nonempty=True) for _ in sites)
-        )
+        initial = tuple(_random_subset(rng, space, nonempty=True) for _ in sites)
 
     events = []
     for j in range(rng.randint(1, max_events)):

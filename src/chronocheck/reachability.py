@@ -166,11 +166,9 @@ class TransitionTable:
         if state is None:
             space, packed = self.model.space, self.packed[sid]
             width, full = self.width, self._full
-            state = RecordState(
-                tuple(
-                    Subset(space, packed >> site * width & full)
-                    for site in range(len(self.model.sites))
-                )
+            state = tuple(
+                Subset(space, packed >> site * width & full)
+                for site in range(len(self.model.sites))
             )
             self._states[sid] = state
         return state
