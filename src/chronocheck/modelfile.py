@@ -42,6 +42,7 @@ import hashlib
 import json
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from importlib import resources
 from json.encoder import encode_basestring_ascii as _quote
@@ -80,7 +81,7 @@ def _string_list(value: Any, path: str) -> list[str]:
 
 def _unique(labels: list[str], path: str, what: str) -> list[str]:
     if len(set(labels)) != len(labels):
-        duplicates = sorted({label for label in labels if labels.count(label) > 1})
+        duplicates = sorted(label for label, n in Counter(labels).items() if n > 1)
         raise _err(path, f"duplicate {what}: {duplicates}")
     return labels
 
@@ -187,7 +188,8 @@ def model_from_dict(obj: Any) -> Model:
     worlds = _string_list(obj["worlds"], "$.worlds")
     if not worlds:
         raise _err("$.worlds", "at least one world required")
-    if len(set(worlds)) != len(worlds):
+    known = set(worlds)
+    if len(known) != len(worlds):
         raise _err("$.worlds", "world labels must be unique")
     if not all(worlds):
         raise _err("$.worlds", "world labels must be nonempty strings")
@@ -199,7 +201,7 @@ def model_from_dict(obj: Any) -> Model:
             raise _err("$.measure", "expected an object mapping worlds to weights")
         weights = {}
         for label, value in raw.items():
-            if label not in worlds:
+            if label not in known:
                 raise _err(f"$.measure.{label}", f"unknown world: {label!r}")
             if isinstance(value, bool):
                 raise _err(f"$.measure.{label}", "bad weight: booleans are not weights")

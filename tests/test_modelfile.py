@@ -2,6 +2,7 @@ import json
 import random
 import re
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -292,6 +293,37 @@ def test_parse_rejects_duplicate_sites_in_support():
     doc["events"][0]["support"] = ["site1", "site1"]
     with pytest.raises(ModelFormatError, match=r"\$\.events\[0\]\.support: duplicate sites"):
         _parse(doc)
+
+
+def _rejection_within(seconds, doc):
+    start = time.perf_counter()
+    with pytest.raises(ModelFormatError) as info:
+        _parse(doc)
+    assert time.perf_counter() - start < seconds
+    return str(info.value)
+
+
+def test_long_repeated_label_lists_are_rejected_in_linear_time():
+    # A quadratic scan takes about a minute on each of these lists.
+    doc = _base_doc()
+    doc["events"][0]["constants"] = {"site1": ["1", "0"] + ["1"] * 100_000 + ["0"]}
+    message = "$.events[0].constants.site1: duplicate world labels: ['0', '1']"
+    assert _rejection_within(5, doc) == message
+    doc = _base_doc()
+    doc["events"][0]["support"] = ["site1"] * 100_000
+    assert _rejection_within(5, doc) == "$.events[0].support: duplicate sites: ['site1']"
+
+
+def test_many_measured_worlds_are_read_in_linear_time():
+    worlds = [f"w{i}" for i in range(50_000)]
+    doc = {"worlds": worlds, "sites": ["s"], "events": [], "measure": dict.fromkeys(worlds, "1/2")}
+    start = time.perf_counter()
+    model = _parse(doc)
+    assert time.perf_counter() - start < 5
+    assert model.space.weights == (Fraction(1, 2),) * 50_000
+    doc["measure"]["nope"] = 1
+    doc["measure"]["also_nope"] = 1
+    assert _rejection_within(5, doc) == "$.measure.nope: unknown world: 'nope'"
 
 
 def test_parse_rejects_invalid_json():
