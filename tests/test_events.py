@@ -149,6 +149,24 @@ def test_model_rejects_api_built_events_outside_its_support_or_space():
         model(Event.table("e", [0], [Rule.of({0: other.full()}, {})]))
     with pytest.raises(ValueError, match="initial records must live in the model's space"):
         Model(space, ("s0",), RecordState((other.full(),)), ())
+    # the same worlds under other weights are another space
+    heavier = PossibilitySpace.create(["0", "1"], {"0": 2})
+    with pytest.raises(ValueError, match="event e references a foreign possibility space"):
+        model(Event.intersect("e", [0], {0: heavier.full()}))
+
+
+def test_model_rejects_api_built_structure_faults():
+    space = PossibilitySpace.create(["0", "1"])
+    full = space.full()
+    e = Event.intersect("e", [0], {0: full})
+    with pytest.raises(ValueError, match="a model needs at least one site"):
+        Model(space, (), RecordState(()), ())
+    with pytest.raises(ValueError, match="site names must be unique"):
+        Model(space, ("s", "s"), RecordState((full, full)), ())
+    with pytest.raises(ValueError, match="initial record state must cover every site"):
+        Model(space, ("s0", "s1"), RecordState((full,)), ())
+    with pytest.raises(ValueError, match="event names must be unique"):
+        Model(space, ("s0",), RecordState((full,)), (e, e))
 
 
 def test_validate_static_shadowed_rule():

@@ -169,6 +169,16 @@ def test_strong_influence_gadget_b_to_a(gadget):
     assert verify_strong_witness(gadget, witness)
 
 
+def test_verify_strong_witness_rejects_a_moved_site_or_swapped_branches(bd_flip):
+    witness = strong_influence(bd_flip, explore(bd_flip), "e", "f")
+    assert witness is not None and witness.site == 0
+    assert verify_strong_witness(bd_flip, witness)
+    # e does not support site2, so the pair shares no record there
+    assert not verify_strong_witness(bd_flip, replace(witness, site=1))
+    swapped = replace(witness, branch0=witness.branch1, branch1=witness.branch0)
+    assert not verify_strong_witness(bd_flip, swapped)
+
+
 def test_strong_influence_gadget_a_to_b_absent(gadget):
     graph = explore(gadget)
     assert not brute_force_strong_exists(gadget, graph, "a", "b")
