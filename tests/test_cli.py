@@ -126,6 +126,15 @@ def test_json_file_matches_stdout(tmp_path, capsys):
     assert json_path.read_text() == out
 
 
+def test_unwritable_json_file_exits_two_after_printing_the_report(tmp_path, capsys):
+    _, report, _ = run_cli(capsys, "diagnose", GADGET)
+    status, out, err = run_cli(capsys, "diagnose", GADGET, "--json", str(tmp_path))
+    assert status == 2
+    assert out == report
+    assert err.startswith("chronocheck: error: ") and "Is a directory" in err
+    assert str(tmp_path) in err
+
+
 def test_dot_export_gadget(tmp_path, capsys):
     dot_path = tmp_path / "influence.dot"
     run_cli(capsys, "influence", GADGET, "--dot", str(dot_path))
