@@ -306,8 +306,9 @@ def _rejection_within(seconds, doc):
 def test_long_repeated_label_lists_are_rejected_in_linear_time():
     # A quadratic scan takes about a minute on each of these lists.
     doc = _base_doc()
-    doc["events"][0]["constants"] = {"site1": ["1", "0"] + ["1"] * 100_000 + ["0"]}
-    message = "$.events[0].constants.site1: duplicate world labels: ['0', '1']"
+    doc["worlds"] = ["w0", "w1"]
+    doc["events"][0]["constants"] = {"site1": ["w1", "w0"] + ["w1"] * 100_000 + ["w0"]}
+    message = "$.events[0].constants.site1: duplicate world labels: ['w0', 'w1']"
     assert _rejection_within(5, doc) == message
     doc = _base_doc()
     doc["events"][0]["support"] = ["site1"] * 100_000
