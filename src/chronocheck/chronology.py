@@ -174,7 +174,7 @@ def _branch_violations(
     # the observable and both branches, packed once at the witness site
     site = witness.site
     observable, branch0, branch1 = (
-        table.spread(sub.mask, (site,))
+        table.pack(((site, sub),))
         for sub in (witness.observable, witness.branch0, witness.branch1)
     )
     base = witness.node_index

@@ -6,8 +6,8 @@ the same document to a file and --dot, which validate and trace-check do
 not accept, writes a Graphviz view.  Each handler returns its view as a
 function, so the DOT text is built only when --dot is given, and whether
 its exploration was truncated, which the report lists as a warning.  Exit
-codes: 0 clean, 1 violations found (listed in the report), 2 usage or
-parse error.
+codes: 0 clean, 1 violations found (listed in the report), 2 a run that
+cannot be judged (a usage, parse or write error, or a --strict finding).
 
 The argument parser is built once per process, when this module is
 imported, and every `main` call reuses it; `import chronocheck` does not
@@ -19,6 +19,7 @@ constructed.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from typing import Any, Sequence
@@ -42,10 +43,6 @@ from .reachability import (
 from . import report as report_mod
 
 _MODES = {"nonempty": ConsistencyMode.NONEMPTY, "measure": ConsistencyMode.POSITIVE_MEASURE}
-
-
-class _StrictViolation(Exception):
-    pass
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,7 +120,7 @@ def _flags(args: argparse.Namespace) -> dict[str, Any]:
 def _check_strict(model: Model, args: argparse.Namespace, findings: list[MonotonicityFinding]) -> None:
     if args.strict and findings:
         first = findings[0]
-        raise _StrictViolation(
+        raise ValueError(
             f"monotonicity violation: event {first.event} adds worlds "
             f"{first.added.sorted_labels()} at site {model.sites[first.site]}"
         )
@@ -232,46 +229,46 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         model, path = _load(args)
-    except (ModelFormatError, OSError) as exc:
-        print(f"chronocheck: error: {exc}", file=sys.stderr)
-        return 2
-    try:
         results, violations, notes, view, truncated = _HANDLERS[args.command](model, args)
-    except (_StrictViolation, ValueError) as exc:
-        print(f"chronocheck: error: {exc}", file=sys.stderr)
-        return 2
-    exit_status = 1 if violations else 0
-    warnings = []
-    if truncated:
-        warnings.append("exploration truncated: results cover the explored region only")
-    for defect in model.static_defects():
-        warnings.append(f"static defect [{defect.kind}] {defect.event}: {defect.message}")
-    report = {
-        "command": args.command,
-        "model": {
-            "path": path,
-            "digest": model_digest(model),
-            "worlds": model.space.size,
-            "sites": len(model.sites),
-            "events": len(model.events),
-            "mode": model.mode.value,
-        },
-        "flags": _flags(args),
-        "results": results,
-        "warnings": warnings,
-        "notes": notes,
-        "exit_status": exit_status,
-    }
-    text = report_mod.dumps_report(report)
-    sys.stdout.write(text)
-    try:
+        exit_status = 1 if violations else 0
+        warnings = []
+        if truncated:
+            warnings.append("exploration truncated: results cover the explored region only")
+        for defect in model.static_defects():
+            warnings.append(f"static defect [{defect.kind}] {defect.event}: {defect.message}")
+        report = {
+            "command": args.command,
+            "model": {
+                "path": path,
+                "digest": model_digest(model),
+                "worlds": model.space.size,
+                "sites": len(model.sites),
+                "events": len(model.events),
+                "mode": model.mode.value,
+            },
+            "flags": _flags(args),
+            "results": results,
+            "warnings": warnings,
+            "notes": notes,
+            "exit_status": exit_status,
+        }
+        text = report_mod.dumps_report(report)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError:
+            # Stdout itself failed.  Point its descriptor at the null device,
+            # or the interpreter's flush at exit fails again and exits 120.
+            with open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+            raise
         if args.json_path:
             with open(args.json_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         if args.dot_path:
             with open(args.dot_path, "w", encoding="utf-8") as fh:
                 fh.write(view())
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"chronocheck: error: {exc}", file=sys.stderr)
         return 2
     return exit_status

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import Subset, measure_of, mode_mask
-from .events import apply_event
+from .events import Event, apply_event
 from .model import Model
 from .reachability import Node, ReachabilityGraph
 
@@ -155,12 +155,18 @@ def _influence(
     return weak, strong
 
 
+def _pair(model: Model, e_name: str, f_name: str) -> tuple[Event, Event]:
+    """The two named events, which influence needs to be distinct."""
+    if e_name == f_name:
+        raise ValueError(f"influence needs two distinct events, got {e_name!r} twice")
+    return model.event(e_name), model.event(f_name)
+
+
 def _single_pair(
     model: Model, graph: ReachabilityGraph, e_name: str, f_name: str
 ) -> tuple[WeakWitness | None, StrongWitness | None]:
     """`_influence` for one pair, with change entries built for e only."""
-    for name in (e_name, f_name):
-        model.event(name)  # raises on unknown names
+    _pair(model, e_name, f_name)  # raises on an unknown or repeated name
     e, f = model.event_names.index(e_name), model.event_names.index(f_name)
     supports = graph.table_for(model).supports
     if not supports[e] & supports[f]:
@@ -231,7 +237,7 @@ def strong_influence_oracle(
         raise ValueError(
             f"oracle enumeration infeasible: {size} worlds > {ORACLE_MAX_WORLDS}"
         )
-    e, f = model.event(e_name), model.event(f_name)
+    e, f = _pair(model, e_name, f_name)
     shared = sorted(set(e.support) & set(f.support))
     if not shared:
         return None

@@ -97,7 +97,8 @@ class TransitionTable:
         self.width = width = model.space.size
         self._full = full = (1 << width) - 1
         self.site_full = site_full = [full << site * width for site in range(len(model.sites))]
-        self.keep = self.spread(mode_mask(model.space, model.mode), range(len(model.sites)))
+        keep = mode_mask(model.space, model.mode)
+        self.keep = sum(keep << site * width for site in range(len(model.sites)))
         self.supports = [sum(map(site_full.__getitem__, event.support)) for event in model.events]
         self.packed: list[MaskState] = []
         self._apply = [compile_event(event, self) for event in model.events]
@@ -141,11 +142,6 @@ class TransitionTable:
         """Each (site, record) pair's world mask at its site, packed."""
         width = self.width
         return sum(record.mask << site * width for site, record in records)
-
-    def spread(self, mask: int, sites: Iterable[int]) -> int:
-        """The world mask `mask` repeated at each of `sites`, packed."""
-        width = self.width
-        return sum(mask << site * width for site in sites)
 
     def field(self, value: int, site: int) -> int:
         """The world mask that packed `value` holds at `site`."""
@@ -290,20 +286,18 @@ def explore(model: Model, limits: ExplorationLimits | None = None) -> Reachabili
     depths: list[int] = [0]
     arcs: list[tuple[int, int, int]] = []
     truncated = False
-    src = 0
-    while src < len(depths):
-        if depths[src] >= limits.max_depth:
-            truncated = truncated or bool(model.events)
-        else:
-            for event, target in enumerate(table.row(src)):
-                if target >= limits.max_states:
-                    truncated = True
-                    continue
-                if target == len(depths):  # ids are handed out in this order
-                    occurred.append(occurred[src] | 1 << event)
-                    depths.append(depths[src] + 1)
-                arcs.append((src, event, target))
-        src += 1
+    for src, depth in enumerate(depths):  # visits the states appended below too
+        if depth >= limits.max_depth:  # ids are breadth-first, so depths never decrease
+            truncated = True
+            break
+        for event, target in enumerate(table.row(src)):
+            if target >= limits.max_states:
+                truncated = True
+                continue
+            if target == len(depths):  # ids are handed out in this order
+                occurred.append(occurred[src] | 1 << event)
+                depths.append(depth + 1)
+            arcs.append((src, event, target))
     return ReachabilityGraph(table, tuple(occurred), tuple(arcs), truncated)
 
 

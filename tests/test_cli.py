@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -133,6 +134,49 @@ def test_unwritable_json_file_exits_two_after_printing_the_report(tmp_path, caps
     assert out == report
     assert err.startswith("chronocheck: error: ") and "Is a directory" in err
     assert str(tmp_path) in err
+
+
+class _FullStdout:
+    """A stdout on a real descriptor whose writes fail as on a full disk."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_failed_report_write_exits_two(monkeypatch, tmp_path, capsys):
+    with open(tmp_path / "out", "wb") as fh:
+        monkeypatch.setattr(sys, "stdout", _FullStdout(fh.fileno()))
+        status = main(["diagnose", TWO_SITE])
+        # the descriptor now reaches the null device, so the flush at exit
+        # cannot fail again
+        assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+    assert status == 2
+    assert capsys.readouterr().err == "chronocheck: error: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_report_into_a_full_device_exits_two(unbuffered):
+    env = _env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "chronocheck", "diagnose", TWO_SITE],
+            env=env, stdout=full, stderr=subprocess.PIPE, text=True,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == "chronocheck: error: [Errno 28] No space left on device\n"
 
 
 def test_dot_export_gadget(tmp_path, capsys):

@@ -20,6 +20,7 @@ from chronocheck import (
     build_influence_graphs,
     explore,
     independent,
+    load_fixture,
     measure_of,
     strong_influence,
     strong_influence_oracle,
@@ -72,6 +73,18 @@ def test_pair_queries_name_an_unknown_event(two_site):
     for query in (weak_influence, strong_influence):
         with pytest.raises(ValueError, match="unknown event: 'zzz'"):
             query(two_site, graph, "e1", "zzz")
+
+
+@pytest.mark.parametrize("name", ["two_site", "cycle_gadget", "bd_flip"])
+def test_pair_queries_refuse_one_event_twice(name):
+    # a strict order has no self-loops, and build_influence_graphs covers
+    # distinct pairs only
+    model = load_fixture(name)
+    graph = explore(model)
+    for event in model.event_names:
+        for query in (weak_influence, strong_influence, strong_influence_oracle):
+            with pytest.raises(ValueError, match=f"two distinct events, got '{event}' twice"):
+                query(model, graph, event, event)
 
 
 def test_weak_influence_identity_target_has_no_edge(gadget):

@@ -117,6 +117,43 @@ def test_state_limit_counts_distinct_states(bd_flip):
     assert explore(bd_flip, ExplorationLimits(max_states=7)).truncated
 
 
+def depths_by_breadth_first_search(graph):
+    """Oracle: each explored state's shortest-path length from the initial
+    state, over the graph's arcs."""
+    succ = [[] for _ in range(graph.state_count)]
+    for src, _, tgt in graph.arcs:
+        succ[src].append(tgt)
+    depth = {0: 0}
+    queue = deque([0])
+    while queue:
+        src = queue.popleft()
+        for tgt in succ[src]:
+            if tgt not in depth:
+                depth[tgt] = depth[src] + 1
+                queue.append(tgt)
+    return [depth[sid] for sid in range(graph.state_count)]
+
+
+@settings(max_examples=150)
+@given(seed=st.integers(0, 10**9))
+def test_depth_limit_cuts_the_unlimited_graph(seed):
+    model = random_model(random.Random(seed), intersect_prob=0.3, monotone_bias=0.3)
+    full = explore(model)
+    assert not full.truncated
+    depth = depths_by_breadth_first_search(full)
+    for k in (1, 2, 3):
+        graph = explore(model, ExplorationLimits(max_depth=k))
+        # the unlimited graph's first states, in order, up to depth k
+        kept = sum(d <= k for d in depth)
+        assert max(depth[:kept]) <= k
+        assert graph.state_count == kept
+        assert graph.table.packed[:kept] == full.table.packed[:kept]
+        assert graph.occurred == full.occurred[:kept]
+        # every arc out of a state above depth k, and no other
+        assert graph.arcs == tuple(arc for arc in full.arcs if depth[arc[0]] < k)
+        assert graph.truncated == any(d >= k for d in depth)
+
+
 def histories_by_path_enumeration(model):
     """Oracle: breadth-first search over (state, occurred-set) pairs by
     direct event application, so each state appears once per set of events
@@ -294,7 +331,7 @@ def test_transition_table_matches_apply_event(seed, truncated, shape):
         for site, record in enumerate(state):
             assert table.field(packed, site) == record.mask
             # the state with every record before `site` emptied
-            suffix = packed & ~table.spread(model.space.full().mask, range(site))
+            suffix = packed & ~sum(table.site_full[:site])
             later = [s for s in range(site, len(state)) if state[s].mask]
             if later:
                 assert table.first_site(suffix) == later[0]
