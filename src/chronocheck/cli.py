@@ -225,6 +225,18 @@ _HANDLERS = {
 }
 
 
+def _write_stdout(text: str) -> None:
+    """Write and flush `text`.  If stdout itself fails, point its descriptor at
+    the null device, or the interpreter's flush at exit fails again (status 120)."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError:
+        with open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        raise
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
@@ -253,15 +265,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             "exit_status": exit_status,
         }
         text = report_mod.dumps_report(report)
-        try:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-        except OSError:
-            # Stdout itself failed.  Point its descriptor at the null device,
-            # or the interpreter's flush at exit fails again and exits 120.
-            with open(os.devnull, "wb") as null:
-                os.dup2(null.fileno(), sys.stdout.fileno())
-            raise
+        _write_stdout(text)
         if args.json_path:
             with open(args.json_path, "w", encoding="utf-8") as fh:
                 fh.write(text)

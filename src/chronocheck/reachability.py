@@ -161,11 +161,8 @@ class TransitionTable:
         state = self._states.get(sid)
         if state is None:
             space, packed = self.model.space, self.packed[sid]
-            width, full = self.width, self._full
-            state = tuple(
-                Subset(space, packed >> site * width & full)
-                for site in range(len(self.model.sites))
-            )
+            sites = range(len(self.model.sites))
+            state = tuple(Subset(space, self.field(packed, site)) for site in sites)
             self._states[sid] = state
         return state
 

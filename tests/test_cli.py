@@ -136,6 +136,9 @@ def test_unwritable_json_file_exits_two_after_printing_the_report(tmp_path, caps
     assert str(tmp_path) in err
 
 
+NO_SPACE = f"chronocheck: error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+
 class _FullStdout:
     """A stdout on a real descriptor whose writes fail as on a full disk."""
 
@@ -160,7 +163,7 @@ def test_failed_report_write_exits_two(monkeypatch, tmp_path, capsys):
         # cannot fail again
         assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
     assert status == 2
-    assert capsys.readouterr().err == "chronocheck: error: [Errno 28] No space left on device\n"
+    assert capsys.readouterr().err == NO_SPACE
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -176,7 +179,7 @@ def test_report_into_a_full_device_exits_two(unbuffered):
             env=env, stdout=full, stderr=subprocess.PIPE, text=True,
         )
     assert proc.returncode == 2
-    assert proc.stderr == "chronocheck: error: [Errno 28] No space left on device\n"
+    assert proc.stderr == NO_SPACE
 
 
 def test_dot_export_gadget(tmp_path, capsys):
