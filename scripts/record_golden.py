@@ -115,10 +115,8 @@ def projection(report: TaxonomyReport) -> dict[str, Any]:
     grouped by cause as the report writes them."""
     model = report.model
     doc = taxonomy_json(report)
-    gs_states = {
-        _canonical(state_json(model, report.graph.node(i).state))
-        for i in report.gs_violations
-    }
+    graph = report.graph
+    gs_states = {_canonical(state_json(model, graph.state(i))) for i in report.gs_violations}
     bd_findings = {_canonical(entry) for entry in doc["bd_violations"]}
     return {
         "verdict": doc["verdict"],
@@ -126,7 +124,7 @@ def projection(report: TaxonomyReport) -> dict[str, Any]:
         "chronology": doc["chronology"],
         "cycles": doc["cycles"],
         "monotonicity_violations": [
-            monotonicity_json(model, f) for f in report.monotonicity_violations
+            monotonicity_json(model, graph, f) for f in report.monotonicity_violations
         ],
         "diamond_violations": doc["diamond_violations"],
         "gs_violations": sorted(gs_states),

@@ -34,7 +34,6 @@ from .core import (
 from .events import (
     Event,
     EventKind,
-    MonotonicityFinding,
     Rule,
     StaticDefect,
     UpdateOutcome,
@@ -70,6 +69,7 @@ from .reachability import (
     DiamondViolation,
     Edge,
     ExplorationLimits,
+    MonotonicityFinding,
     Node,
     ReachabilityGraph,
     TransitionTable,

@@ -22,12 +22,13 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .core import RecordState, Subset
-from .events import MonotonicityFinding, independent
+from .events import independent
 from .influence import InfluenceGraph, StrongWitness, build_influence_graphs
 from .model import Model
 from .reachability import (
     DiamondViolation,
     ExplorationLimits,
+    MonotonicityFinding,
     ReachabilityGraph,
     TransitionTable,
     check_diamond,
@@ -135,8 +136,11 @@ def transitive_closure(ig: InfluenceGraph) -> Chronology:
 
 @dataclass(frozen=True)
 class BDViolation:
+    """A state, by table id, whose branch constraint at the witness site
+    differs from the witness branch of its polarity."""
+
     witness: StrongWitness
-    state: RecordState
+    state: int
     polarity: str  # "e-occurred" or "e-not-occurred"
     expected: Subset
     actual: Subset
@@ -177,7 +181,7 @@ def _branch_violations(
         table.pack(((site, sub),))
         for sub in (witness.observable, witness.branch0, witness.branch1)
     )
-    base = witness.node_index
+    base = witness.state
     expectations = (
         ("e-not-occurred", unfired, packed[base] & context, witness.branch0, branch0),
         ("e-occurred", fired, packed[table.step(base, e)] & context, witness.branch1, branch1),
@@ -192,7 +196,7 @@ def _branch_violations(
                 violations.append(
                     BDViolation(
                         witness,
-                        table.state(sid),
+                        sid,
                         polarity,
                         expected,
                         Subset(model.space, table.field(actual, site)),
@@ -203,12 +207,16 @@ def _branch_violations(
 
 @dataclass
 class TraceInvarianceReport:
+    """`diamond_violations` name states of `graph`, the explored graph the
+    check read."""
+
     schedule: tuple[str, ...]
     seed: int
     final_state: RecordState
     variants_checked: int
     state_mismatches: list[tuple[tuple[str, ...], RecordState]]
     diamond_violations: list[DiamondViolation]
+    graph: ReachabilityGraph
 
     @property
     def invariant(self) -> bool:
@@ -242,7 +250,7 @@ def check_trace_invariance(
     table = graph.table
     final = _run_schedule(model, table, schedule)
     if diamonds:
-        return TraceInvarianceReport(schedule, seed, table.state(final), 0, [], diamonds)
+        return TraceInvarianceReport(schedule, seed, table.state(final), 0, [], diamonds, graph)
 
     def swappable(seq: Sequence[str]) -> list[int]:
         """Positions k where events seq[k] and seq[k + 1] are independent."""
@@ -275,7 +283,7 @@ def check_trace_invariance(
         if not table.same(variant_final, final):
             state_mismatches.append((variant, table.state(variant_final)))
     return TraceInvarianceReport(
-        schedule, seed, table.state(final), len(unique_variants), state_mismatches, []
+        schedule, seed, table.state(final), len(unique_variants), state_mismatches, [], graph
     )
 
 

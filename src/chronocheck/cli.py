@@ -27,12 +27,12 @@ from typing import Any, Sequence
 from .chronology import check_trace_invariance, diagnose, transitive_closure
 from .core import ConsistencyMode
 from .dot import influence_dot, reachability_dot
-from .events import MonotonicityFinding
 from .influence import build_influence_graphs
 from .model import Model
 from .modelfile import ModelFormatError, load_model, model_digest
 from .reachability import (
     ExplorationLimits,
+    MonotonicityFinding,
     ReachabilityGraph,
     check_clock_monotone,
     check_diamond,
@@ -162,8 +162,8 @@ def _cmd_explore(model: Model, args: argparse.Namespace):
     results = {
         "exploration": report_mod.graph_summary_json(graph),
         "gs_violations": [report_mod.node_json(model, graph.node(i)) for i in gs],
-        "monotonicity_violations": report_mod.monotonicity_causes_json(model, mono),
-        "diamond_violations": [report_mod.diamond_json(model, v) for v in diamonds],
+        "monotonicity_violations": report_mod.monotonicity_causes_json(model, graph, mono),
+        "diamond_violations": [report_mod.diamond_json(model, graph, v) for v in diamonds],
         "clock_violations": [report_mod.clock_json(model, graph, v) for v in clock],
     }
     violations = bool(gs or mono or diamonds or clock)
@@ -173,7 +173,7 @@ def _cmd_explore(model: Model, args: argparse.Namespace):
 def _cmd_influence(model: Model, args: argparse.Namespace):
     graph = _explored(model, args)
     ig = build_influence_graphs(model, graph)
-    results = report_mod.influence_json(model, ig)
+    results = report_mod.influence_json(model, graph, ig)
     notes = report_mod.influence_notes(ig)
     return results, False, notes, lambda: influence_dot(
         ig.events, ig.weak_edges, ig.strong_edges
@@ -186,7 +186,7 @@ def _cmd_chronology(model: Model, args: argparse.Namespace):
     chron = transitive_closure(ig)
     results = {
         "chronology": report_mod.chronology_json(chron),
-        "cycles": report_mod.cycles_json(model, ig, chron.cycles),
+        "cycles": report_mod.cycles_json(model, graph, ig, chron.cycles),
         "strong_edges": [list(pair) for pair in ig.strong_edges],
     }
     notes = report_mod.influence_notes(ig)

@@ -5,11 +5,11 @@ rule.  TABLE events match the current records at supported sites against
 an ordered list of guards, first match wins, and replace the supported
 records with the matched rule's result; no matching rule means identity.
 INTERSECT events intersect each supported record with a fixed constant.
-Shrink-only behaviour is checked after the fact and reported as data, not
-repaired: diagnosing non-monotone writes is part of the tool's job.  A
-`MonotonicityFinding` is the one form of that data, whether `apply_event`
-reports it for one state or `reachability.check_monotonicity` for every
-explored arc.
+Shrink-only behaviour is not checked here: `reachability.check_monotonicity`
+reports it as data, one `MonotonicityFinding` per explored arc and site
+that adds worlds, and does not repair it, because diagnosing non-monotone
+writes is part of the tool's job.  `apply_event` is the reference
+semantics that the transition table is tested against.
 """
 
 from __future__ import annotations
@@ -72,48 +72,28 @@ class Event:
 
 
 @dataclass(frozen=True)
-class MonotonicityFinding:
-    """Worlds an event added back to a site record instead of removing,
-    with the record state the event was applied to."""
-
-    event: str
-    site: int
-    added: Subset
-    state: RecordState
-
-
-@dataclass(frozen=True)
 class UpdateOutcome:
     next: RecordState
-    violations: tuple[MonotonicityFinding, ...]
 
 
 def apply_event(event: Event, state: RecordState) -> UpdateOutcome:
     """Evaluate one event at one record state.
 
     Sites outside the support are never touched (the rule encoding cannot
-    reference them), so locality holds by construction.  Violations of
-    shrink-only writing are detected and returned alongside the successor
-    state; callers decide whether they are fatal.
+    reference them), so locality holds by construction.  Worlds the event
+    adds at a site are `outcome.next[site] - state[site]`.
     """
     records = list(state)
     if event.kind is EventKind.INTERSECT:
         for site, constant in event.constants:
             records[site] &= constant
-        return UpdateOutcome(tuple(records), ())
-
-    for rule in event.rules:
-        if all(state[site].mask == required.mask for site, required in rule.guard):
-            for site, replacement in rule.result:
-                records[site] = replacement
-            break
-    nxt = tuple(records)
-    violations = []
-    for site in event.support:
-        added = nxt[site] - state[site]
-        if added.mask:
-            violations.append(MonotonicityFinding(event.name, site, added, state))
-    return UpdateOutcome(nxt, tuple(violations))
+    else:
+        for rule in event.rules:
+            if all(state[site].mask == required.mask for site, required in rule.guard):
+                for site, replacement in rule.result:
+                    records[site] = replacement
+                break
+    return UpdateOutcome(tuple(records))
 
 
 def write_effect(event: Event, state: RecordState, site: int) -> Subset:

@@ -6,7 +6,8 @@ e first changes the set of worlds f rules out there.  Strong influence
 e => f: running e first flips which of two disjoint, nontrivial branch
 constraints f writes on some observable at a shared site.  Witness search
 is deterministic (exploration order of states, then site index), so
-reports are reproducible.
+reports are reproducible.  A witness names its state by table id;
+`ReachabilityGraph.state` gives the records on request.
 
 An event reads and writes only its support.  So at a state where e leaves
 every site it shares with f unchanged, e leaves all of f's support
@@ -32,7 +33,7 @@ from typing import Sequence
 from .core import Subset, measure_of, mode_mask
 from .events import Event, apply_event
 from .model import Model
-from .reachability import Node, ReachabilityGraph
+from .reachability import ReachabilityGraph
 
 ORACLE_MAX_WORLDS = 16
 
@@ -45,8 +46,7 @@ class WitnessPostcheckError(RuntimeError):
 class WeakWitness:
     e: str
     f: str
-    node_index: int
-    node: Node
+    state: int
     site: int
     delta_without: Subset
     delta_with: Subset
@@ -56,8 +56,7 @@ class WeakWitness:
 class StrongWitness:
     e: str
     f: str
-    node_index: int
-    node: Node
+    state: int
     site: int
     observable: Subset
     branch0: Subset
@@ -127,7 +126,6 @@ def _influence(
                     e_name,
                     f_name,
                     sid,
-                    graph.node(sid),
                     site,
                     Subset(space, field(delta_without, site)),
                     Subset(space, field(delta_with, site)),
@@ -143,7 +141,6 @@ def _influence(
                             e_name,
                             f_name,
                             sid,
-                            graph.node(sid),
                             site,
                             Subset(space, observable),
                             Subset(space, field(p0, site) & observable),
@@ -182,22 +179,23 @@ def weak_influence(
     return _single_pair(model, graph, e_name, f_name)[0]
 
 
-def binary_witness(model: Model, witness: WeakWitness) -> Subset:
+def binary_witness(model: Model, graph: ReachabilityGraph, witness: WeakWitness) -> Subset:
     """Observable built as the symmetric difference of the two write
     effects, post-verified to separate the two post-f records with
-    positive weight.  Raises WitnessPostcheckError when the construction
-    does not separate them, which happens exactly when the entire write
-    difference consists of worlds the influencer removed itself."""
+    positive weight at the witness state of `graph`.  Raises
+    WitnessPostcheckError when the construction does not separate them,
+    which happens exactly when the entire write difference consists of
+    worlds the influencer removed itself."""
     observable = witness.delta_with ^ witness.delta_without
     e, f = model.event(witness.e), model.event(witness.f)
-    base = witness.node.state
+    base = graph.state(witness.state)
     post0 = apply_event(f, base).next[witness.site]
     post1 = apply_event(f, apply_event(e, base).next).next[witness.site]
     separation = (post0 & observable) ^ (post1 & observable)
     if measure_of(separation) == 0:
         raise WitnessPostcheckError(
             f"observable {observable.sorted_labels()} does not separate the "
-            f"post-{witness.f} records at node {witness.node_index} "
+            f"post-{witness.f} records at state {witness.state} "
             f"(site {model.sites[witness.site]})"
         )
     return observable
@@ -243,8 +241,8 @@ def strong_influence_oracle(
         return None
     test = mode_mask(model.space, model.mode)
     n_masks = 1 << size
-    for idx, node in enumerate(graph.nodes):
-        base = node.state
+    for sid in range(graph.state_count):
+        base = graph.state(sid)
         post_f_base = apply_event(f, base).next
         post_f_shifted = apply_event(f, apply_event(e, base).next).next
         for site in shared:
@@ -261,8 +259,7 @@ def strong_influence_oracle(
                     return StrongWitness(
                         e.name,
                         f.name,
-                        idx,
-                        node,
+                        sid,
                         site,
                         observable,
                         model.space.from_mask(p0 & mask),
@@ -271,12 +268,13 @@ def strong_influence_oracle(
     return None
 
 
-def verify_strong_witness(model: Model, witness: StrongWitness) -> bool:
-    """Re-derive a strong witness from scratch and check its claims."""
+def verify_strong_witness(model: Model, graph: ReachabilityGraph, witness: StrongWitness) -> bool:
+    """Re-derive a strong witness from its state in `graph` and check its
+    claims."""
     e, f = model.event(witness.e), model.event(witness.f)
     if witness.site not in set(e.support) & set(f.support):
         return False
-    base = witness.node.state
+    base = graph.state(witness.state)
     p0 = apply_event(f, base).next[witness.site]
     p1 = apply_event(f, apply_event(e, base).next).next[witness.site]
     test = mode_mask(model.space, model.mode)

@@ -47,7 +47,7 @@ from fractions import Fraction
 from importlib import resources
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Any, Callable, Container
+from typing import Any, Callable
 
 from .core import ConsistencyMode, PossibilitySpace, Subset
 from .events import Event, EventKind, Rule
@@ -95,20 +95,21 @@ def _subset(space: PossibilitySpace, value: Any, path: str) -> Subset:
 
 
 def _site_subset_map(
-    space: PossibilitySpace, sites: dict[str, int], allowed: Container[int], value: Any, path: str
+    space: PossibilitySpace, sites: dict[str, int], allowed: dict[str, int], value: Any, path: str
 ) -> tuple[tuple[int, Subset], ...]:
     """(site, record) pairs of a map from site names to world lists, sorted
-    by site; every site must be in `allowed`."""
+    by site.  `sites` maps every declared site name to its index, and
+    `allowed` the names the map may use; one lookup per entry checks both."""
     if not isinstance(value, dict):
         raise _err(path, "expected an object mapping site names to world lists")
     index = space._index  # type: ignore[attr-defined]
     pairs = []
     for site_name, labels in value.items():
-        site = sites.get(site_name)
+        site = allowed.get(site_name)
         if site is None:
+            if site_name in sites:
+                raise _err(f"{path}.{site_name}", f"unsupported site {site_name!r}")
             raise _err(f"{path}.{site_name}", f"unknown site: {site_name!r}")
-        if site not in allowed:
-            raise _err(f"{path}.{site_name}", f"unsupported site {site_name!r}")
         # a list of distinct known labels is resolved here; `_subset` walks
         # anything else again and names its fault
         mask = 0
@@ -239,8 +240,7 @@ def model_from_dict(obj: Any) -> Model:
 
     records = [space.full()] * len(sites)
     if "initial" in obj:
-        every_site = range(len(sites))
-        by_site = _site_subset_map(space, site_index, every_site, obj["initial"], "$.initial")
+        by_site = _site_subset_map(space, site_index, site_index, obj["initial"], "$.initial")
         for idx, subset in by_site:
             records[idx] = subset
     initial = tuple(records)
@@ -283,12 +283,12 @@ def _event(
         raise _err(".name", f"duplicate event name: {name!r}")
     seen_names.add(name)
     support_names = _unique(_string_list(raw["support"], ".support"), ".support", "sites")
-    support = []
+    allowed = {}  # the names the event's site maps may use
     for site_name in support_names:
         if site_name not in site_index:
             raise _err(".support", f"unknown site: {site_name!r}")
-        support.append(site_index[site_name])
-    support = tuple(sorted(support))
+        allowed[site_name] = site_index[site_name]
+    support = tuple(sorted(allowed.values()))
     kind = raw["kind"]
     if kind == "table":
         if "constants" in raw:
@@ -300,8 +300,8 @@ def _event(
         for rpos, raw_rule in enumerate(raw_rules):
             try:
                 _require_keys(raw_rule, _RULE_FIELDS, _RULE_FIELDS, "")
-                guard = _site_subset_map(space, site_index, support, raw_rule["guard"], ".guard")
-                result = _site_subset_map(space, site_index, support, raw_rule["result"], ".result")
+                guard = _site_subset_map(space, site_index, allowed, raw_rule["guard"], ".guard")
+                result = _site_subset_map(space, site_index, allowed, raw_rule["result"], ".result")
             except ModelFormatError as exc:
                 raise ModelFormatError(f".rules[{rpos}]{exc}") from None
             rules.append(Rule(guard, result))
@@ -312,7 +312,7 @@ def _event(
         raw_constants = raw.get("constants")
         if raw_constants is None:
             raise _err("", "intersect events require 'constants'")
-        constants = _site_subset_map(space, site_index, support, raw_constants, ".constants")
+        constants = _site_subset_map(space, site_index, allowed, raw_constants, ".constants")
         if len(constants) != len(support):
             covered = [sites[site] for site, _ in constants]
             supported = [sites[site] for site in support]

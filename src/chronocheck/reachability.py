@@ -13,8 +13,11 @@ against masks the table packs once: the worlds that count at every site
 (`keep`) and each event's support (`supports`).  They read one site out of
 a packed value only through `TransitionTable.field` and
 `TransitionTable.first_site`, and pack (site, record) pairs only through
-`TransitionTable.pack`.  `Subset` and `RecordState` values are built only
-for the states that a witness or finding names, or that a caller asks for.
+`TransitionTable.pack`.
+
+Every finding and witness names the states it is about by table id.
+`ReachabilityGraph.state` builds the `RecordState` of an id when a caller
+asks for it, such as the report for the states it writes, once per id.
 
 Exploration visits each distinct record state once and keeps, per state,
 the event bitmask of the breadth-first path that first reached it;
@@ -32,7 +35,7 @@ from functools import cached_property
 from typing import Callable, Iterable
 
 from .core import RecordState, Subset, mode_mask
-from .events import Event, EventKind, MonotonicityFinding, independent
+from .events import Event, EventKind, independent
 from .model import Model
 
 MaskState = int
@@ -104,7 +107,6 @@ class TransitionTable:
         self._apply = [compile_event(event, self) for event in model.events]
         self._ids: dict[MaskState, int] = {}
         self._succ: list[list[int] | None] = []
-        self._states: dict[int, RecordState] = {}
 
     def _intern(self, packed: MaskState) -> int:
         sid = self._ids.get(packed)
@@ -157,14 +159,9 @@ class TransitionTable:
         return a == b or not (self.packed[a] ^ self.packed[b]) & self.keep
 
     def state(self, sid: int) -> RecordState:
-        """The state as a `RecordState`, one shared value per id."""
-        state = self._states.get(sid)
-        if state is None:
-            space, packed = self.model.space, self.packed[sid]
-            sites = range(len(self.model.sites))
-            state = tuple(Subset(space, self.field(packed, site)) for site in sites)
-            self._states[sid] = state
-        return state
+        """The state as a `RecordState`, built anew on every call."""
+        space, packed = self.model.space, self.packed[sid]
+        return tuple(Subset(space, self.field(packed, site)) for site in range(len(self.model.sites)))
 
 
 @dataclass(frozen=True)
@@ -198,15 +195,16 @@ class ReachabilityGraph:
     `occurred[i]` is the event bitmask of the breadth-first path that first
     reached state i.  Each arc is a (source state, event index, target
     state) triple, one per expanded state and event, except that arcs to
-    states past the `max_states` limit are dropped.  `node(i)` builds one
-    `Node` on first request; `nodes`, `edges` and the feasible world masks
-    `feasible` are built in full on first access.
+    states past the `max_states` limit are dropped.  `state(i)` and
+    `node(i)` build one value on first request; `nodes`, `edges` and the
+    feasible world masks `feasible` are built in full on first access.
     """
 
     table: TransitionTable
     occurred: tuple[int, ...]
     arcs: tuple[tuple[int, int, int], ...]
     truncated: bool
+    _states: dict[int, RecordState] = field(default_factory=dict, init=False, repr=False)
     _nodes: dict[int, Node] = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -217,6 +215,15 @@ class ReachabilityGraph:
     def state_count(self) -> int:
         return len(self.occurred)
 
+    def state(self, sid: int) -> RecordState:
+        """Table state `sid` as a `RecordState`, one shared value per id.
+        Any id of the table resolves, so a commutation finding may name a
+        state that a check stepped to past a truncated frontier."""
+        state = self._states.get(sid)
+        if state is None:
+            state = self._states[sid] = self.table.state(sid)
+        return state
+
     def node(self, index: int) -> Node:
         """Explored state `index` with the events that occurred on the path
         that first reached it, one shared value per index."""
@@ -226,7 +233,7 @@ class ReachabilityGraph:
             occ = self.occurred[index]
             names = self.model.event_names
             occurred = frozenset(n for i, n in enumerate(names) if occ >> i & 1)
-            node = self._nodes[index] = Node(self.table.state(index), occurred)
+            node = self._nodes[index] = Node(self.state(index), occurred)
         return node
 
     @cached_property
@@ -263,7 +270,7 @@ class ReachabilityGraph:
 
     def distinct_states(self) -> tuple[RecordState, ...]:
         """Record states in first-seen order, each listed once."""
-        return tuple(map(self.table.state, range(self.state_count)))
+        return tuple(map(self.state, range(self.state_count)))
 
 
 def explore(model: Model, limits: ExplorationLimits | None = None) -> ReachabilityGraph:
@@ -328,11 +335,14 @@ def check_gs(graph: ReachabilityGraph) -> list[int]:
 
 @dataclass(frozen=True)
 class DiamondViolation:
-    state: RecordState
+    """Independent events e and f that lead from table state `state` to
+    different states (`f_then_e`, `e_then_f`) in the two orders."""
+
+    state: int
     e: str
     f: str
-    f_then_e: RecordState
-    e_then_f: RecordState
+    f_then_e: int
+    e_then_f: int
 
 
 def check_diamond(graph: ReachabilityGraph, model: Model) -> list[DiamondViolation]:
@@ -357,16 +367,19 @@ def check_diamond(graph: ReachabilityGraph, model: Model) -> list[DiamondViolati
             e_then_f = after[e][f]
             if f_then_e == e_then_f or table.same(f_then_e, e_then_f):
                 continue
-            violations.append(
-                DiamondViolation(
-                    table.state(sid),
-                    events[e].name,
-                    events[f].name,
-                    table.state(f_then_e),
-                    table.state(e_then_f),
-                )
-            )
+            violations.append(DiamondViolation(sid, events[e].name, events[f].name, f_then_e, e_then_f))
     return violations
+
+
+@dataclass(frozen=True)
+class MonotonicityFinding:
+    """Worlds an event added back to a site record instead of removing,
+    with the table id of the state the event was applied to."""
+
+    event: str
+    site: int
+    added: Subset
+    state: int
 
 
 def check_monotonicity(graph: ReachabilityGraph) -> list[MonotonicityFinding]:
@@ -378,9 +391,7 @@ def check_monotonicity(graph: ReachabilityGraph) -> list[MonotonicityFinding]:
     events = graph.model.events
     space = graph.model.space
     return [
-        MonotonicityFinding(
-            events[event].name, site, Subset(space, field(added, site)), table.state(src)
-        )
+        MonotonicityFinding(events[event].name, site, Subset(space, field(added, site)), src)
         for src, event, tgt in graph.arcs
         if (added := packed[tgt] & ~packed[src])
         for site in events[event].support
@@ -390,20 +401,22 @@ def check_monotonicity(graph: ReachabilityGraph) -> list[MonotonicityFinding]:
 
 @dataclass(frozen=True)
 class ClockViolation:
-    edge: Edge
+    """An explored (source, event index, target) arc along which the
+    feasible set's weight grows from `mu_source` to `mu_target`."""
+
+    arc: tuple[int, int, int]
     mu_source: Fraction
     mu_target: Fraction
 
 
 def check_clock_monotone(graph: ReachabilityGraph) -> list[ClockViolation]:
-    """Edges along which the feasible set gains weight, i.e. the
+    """Arcs along which the feasible set gains weight, i.e. the
     information clock ticks backwards.  Empty whenever no edge violates
     shrink-only writing."""
     space = graph.model.space
-    names = graph.model.event_names
     mus = [space.measure_mask(worlds) for worlds in graph.feasible]
     return [
-        ClockViolation(Edge(src, names[event], tgt), mus[src], mus[tgt])
+        ClockViolation((src, event, tgt), mus[src], mus[tgt])
         for src, event, tgt in graph.arcs
         if mus[tgt] > mus[src]
     ]

@@ -1,6 +1,11 @@
 """JSON-friendly serialization of states, witnesses, violations, and the
 full command report.  Field order is fixed so equal inputs produce
-byte-identical documents."""
+byte-identical documents.
+
+Witnesses and findings name states by table id.  The writers take the
+explored graph and resolve only the ids they write, through
+`ReachabilityGraph.state` and `ReachabilityGraph.node`, which build each
+state's records once per graph."""
 
 from __future__ import annotations
 
@@ -9,13 +14,13 @@ from typing import Any
 
 from .chronology import BDViolation, Chronology, TaxonomyReport, TraceInvarianceReport
 from .core import RecordState, information_content
-from .events import MonotonicityFinding
 from .influence import InfluenceGraph, StrongWitness, WeakWitness
 from .model import Model
 from .modelfile import dumps_indented
 from .reachability import (
     ClockViolation,
     DiamondViolation,
+    MonotonicityFinding,
     Node,
     ReachabilityGraph,
 )
@@ -33,40 +38,42 @@ def _info_json(value: float) -> Any:
     return "inf" if math.isinf(value) else value
 
 
-def weak_witness_json(model: Model, w: WeakWitness) -> dict[str, Any]:
+def weak_witness_json(model: Model, graph: ReachabilityGraph, w: WeakWitness) -> dict[str, Any]:
     return {
         "e": w.e,
         "f": w.f,
         "site": model.sites[w.site],
-        "node": node_json(model, w.node),
+        "node": node_json(model, graph.node(w.state)),
         "delta_without": w.delta_without.sorted_labels(),
         "delta_with": w.delta_with.sorted_labels(),
     }
 
 
-def strong_witness_json(model: Model, w: StrongWitness) -> dict[str, Any]:
+def strong_witness_json(model: Model, graph: ReachabilityGraph, w: StrongWitness) -> dict[str, Any]:
     return {
         "e": w.e,
         "f": w.f,
         "site": model.sites[w.site],
-        "node": node_json(model, w.node),
+        "node": node_json(model, graph.node(w.state)),
         "observable": w.observable.sorted_labels(),
         "branch0": w.branch0.sorted_labels(),
         "branch1": w.branch1.sorted_labels(),
     }
 
 
-def monotonicity_json(model: Model, finding: MonotonicityFinding) -> dict[str, Any]:
+def monotonicity_json(
+    model: Model, graph: ReachabilityGraph, finding: MonotonicityFinding
+) -> dict[str, Any]:
     return {
         "event": finding.event,
         "site": model.sites[finding.site],
         "added": finding.added.sorted_labels(),
-        "state": state_json(model, finding.state),
+        "state": state_json(model, graph.state(finding.state)),
     }
 
 
 def monotonicity_causes_json(
-    model: Model, findings: list[MonotonicityFinding]
+    model: Model, graph: ReachabilityGraph, findings: list[MonotonicityFinding]
 ) -> list[dict[str, Any]]:
     """One entry per (event, site) cause of `findings`: the fields of its
     first finding, then `count`, the number of its findings; entries keep
@@ -77,25 +84,28 @@ def monotonicity_causes_json(
         if key in causes:
             causes[key]["count"] += 1
         else:
-            causes[key] = {**monotonicity_json(model, finding), "count": 1}
+            causes[key] = {**monotonicity_json(model, graph, finding), "count": 1}
     return list(causes.values())
 
 
-def diamond_json(model: Model, violation: DiamondViolation) -> dict[str, Any]:
+def diamond_json(
+    model: Model, graph: ReachabilityGraph, violation: DiamondViolation
+) -> dict[str, Any]:
     return {
         "e": violation.e,
         "f": violation.f,
-        "state": state_json(model, violation.state),
-        "f_then_e": state_json(model, violation.f_then_e),
-        "e_then_f": state_json(model, violation.e_then_f),
+        "state": state_json(model, graph.state(violation.state)),
+        "f_then_e": state_json(model, graph.state(violation.f_then_e)),
+        "e_then_f": state_json(model, graph.state(violation.e_then_f)),
     }
 
 
 def clock_json(model: Model, graph: ReachabilityGraph, v: ClockViolation) -> dict[str, Any]:
-    source = graph.node(v.edge.source)
-    target = graph.node(v.edge.target)
+    src, event, tgt = v.arc
+    source = graph.node(src)
+    target = graph.node(tgt)
     return {
-        "event": v.edge.event,
+        "event": model.event_names[event],
         "source": node_json(model, source),
         "target": node_json(model, target),
         "mu_source": str(v.mu_source),
@@ -105,23 +115,23 @@ def clock_json(model: Model, graph: ReachabilityGraph, v: ClockViolation) -> dic
     }
 
 
-def bd_violation_json(model: Model, v: BDViolation) -> dict[str, Any]:
+def bd_violation_json(model: Model, graph: ReachabilityGraph, v: BDViolation) -> dict[str, Any]:
     return {
         "e": v.witness.e,
         "f": v.witness.f,
         "site": model.sites[v.witness.site],
         "polarity": v.polarity,
-        "state": state_json(model, v.state),
+        "state": state_json(model, graph.state(v.state)),
         "expected": v.expected.sorted_labels(),
         "actual": v.actual.sorted_labels(),
     }
 
 
-def influence_json(model: Model, ig: InfluenceGraph) -> dict[str, Any]:
+def influence_json(model: Model, graph: ReachabilityGraph, ig: InfluenceGraph) -> dict[str, Any]:
     return {
-        "weak_edges": [weak_witness_json(model, w) for w in ig.weak_edges.values()],
+        "weak_edges": [weak_witness_json(model, graph, w) for w in ig.weak_edges.values()],
         "strong_edges": [
-            strong_witness_json(model, w) for w in ig.strong_edges.values()
+            strong_witness_json(model, graph, w) for w in ig.strong_edges.values()
         ],
     }
 
@@ -140,14 +150,17 @@ def chronology_json(chronology: Chronology) -> dict[str, Any]:
 
 
 def cycles_json(
-    model: Model, ig: InfluenceGraph, cycles: tuple[tuple[str, ...], ...]
+    model: Model,
+    graph: ReachabilityGraph,
+    ig: InfluenceGraph,
+    cycles: tuple[tuple[str, ...], ...],
 ) -> list[dict]:
     out = []
     for cycle in cycles:
         edges = []
         for i, src in enumerate(cycle):
             dst = cycle[(i + 1) % len(cycle)]
-            edges.append(strong_witness_json(model, ig.strong_edges[(src, dst)]))
+            edges.append(strong_witness_json(model, graph, ig.strong_edges[(src, dst)]))
         out.append({"events": list(cycle), "edges": edges})
     return out
 
@@ -161,29 +174,28 @@ def graph_summary_json(graph: ReachabilityGraph) -> dict[str, Any]:
 
 
 def taxonomy_json(report: TaxonomyReport) -> dict[str, Any]:
-    model = report.model
+    model, graph = report.model, report.graph
     return {
         "verdict": report.verdict.value,
         "has_strong_cycle": report.has_strong_cycle,
         "truncated": report.truncated,
-        "exploration": graph_summary_json(report.graph),
-        "gs_violations": [
-            node_json(model, report.graph.node(i)) for i in report.gs_violations
-        ],
+        "exploration": graph_summary_json(graph),
+        "gs_violations": [node_json(model, graph.node(i)) for i in report.gs_violations],
         "diamond_violations": [
-            diamond_json(model, v) for v in report.diamond_violations
+            diamond_json(model, graph, v) for v in report.diamond_violations
         ],
         "monotonicity_violations": monotonicity_causes_json(
-            model, report.monotonicity_violations
+            model, graph, report.monotonicity_violations
         ),
-        "bd_violations": [bd_violation_json(model, v) for v in report.bd_violations],
-        "influence": influence_json(model, report.influence),
+        "bd_violations": [bd_violation_json(model, graph, v) for v in report.bd_violations],
+        "influence": influence_json(model, graph, report.influence),
         "chronology": chronology_json(report.chronology),
-        "cycles": cycles_json(model, report.influence, report.chronology.cycles),
+        "cycles": cycles_json(model, graph, report.influence, report.chronology.cycles),
     }
 
 
 def trace_json(model: Model, report: TraceInvarianceReport) -> dict[str, Any]:
+    graph = report.graph
     return {
         "schedule": list(report.schedule),
         "seed": report.seed,
@@ -194,7 +206,7 @@ def trace_json(model: Model, report: TraceInvarianceReport) -> dict[str, Any]:
             for schedule, state in report.state_mismatches
         ],
         "diamond_violations": [
-            diamond_json(model, v) for v in report.diamond_violations
+            diamond_json(model, graph, v) for v in report.diamond_violations
         ],
         "invariant": report.invariant,
     }

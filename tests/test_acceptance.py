@@ -89,7 +89,7 @@ def test_criterion_02_cycle_gadget_fixture(capsys):
     empty_reached = graph.nodes[after_ab].state[0].is_empty
     gs_flags_it = after_ab in report.gs_violations
     mono = [
-        (v.event, v.state[0].sorted_labels(), v.added.sorted_labels())
+        (v.event, graph.state(v.state)[0].sorted_labels(), v.added.sorted_labels())
         for v in report.monotonicity_violations
     ]
     mono_ok = mono == [("a", ["0"], ["1"])]
@@ -137,7 +137,7 @@ def test_criterion_04_binary_witness_postcheck(suite_entries, capsys):
         for pair, witness in report.influence.weak_edges.items():
             weak_edges += 1
             try:
-                binary_witness(model, witness)
+                binary_witness(model, report.graph, witness)
             except WitnessPostcheckError:
                 failures.append((index, pair))
     ok = not failures

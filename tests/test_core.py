@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -147,6 +148,16 @@ def test_sorted_labels_follow_label_order_not_declaration_order():
     for mask in range(1 << len(worlds)):
         subset = space.from_mask(mask)
         assert subset.sorted_labels() == sorted(subset)
+    # spaces on both sides of the size where the bit test gives way to the
+    # digit walk, with labels out of index order
+    rng = random.Random(7)
+    for size in (32, 33, 200):
+        worlds = [f"w{i}" for i in range(size)]
+        rng.shuffle(worlds)
+        space = PossibilitySpace.create(worlds)
+        for mask in (0, 1, 1 << size - 1, space.full_mask, *(rng.getrandbits(size) for _ in range(50))):
+            subset = space.from_mask(mask)
+            assert subset.sorted_labels() == sorted(subset)
 
 
 def test_subsets_from_different_spaces_do_not_mix():

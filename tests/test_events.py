@@ -50,7 +50,7 @@ def test_gadget_event_a_tightens_full_record(gadget):
         GADGET_A, frozenset({"0", "1"})
     )
     assert outcome.next[0] == gadget.space.subset(["0"])
-    assert outcome.violations == ()
+    assert outcome.next[0] <= gadget.initial[0]  # shrink-only
 
 
 def test_gadget_event_b_may_empty_the_record(gadget):
@@ -60,14 +60,13 @@ def test_gadget_event_b_may_empty_the_record(gadget):
     assert record_of(gadget, outcome.next) == gadget_table_apply(GADGET_B, frozenset({"0"}))
     assert outcome.next[0].is_empty
     # the empty set is a subset of {0}: shrink-only, no violation
-    assert outcome.violations == ()
+    assert outcome.next[0] <= state[0]
 
 
 def test_empty_support_event_is_identity(gadget):
     noop = Event.table("noop", [], [])
     outcome = apply_event(noop, gadget.initial)
     assert outcome.next == gadget.initial
-    assert outcome.violations == ()
 
 
 def test_gadget_event_a_violates_monotonicity_at_singleton(gadget):
@@ -76,11 +75,8 @@ def test_gadget_event_a_violates_monotonicity_at_singleton(gadget):
     outcome = apply_event(a, state)
     expected = gadget_table_apply(GADGET_A, frozenset({"0"}))
     assert record_of(gadget, outcome.next) == expected == frozenset({"1"})
-    assert len(outcome.violations) == 1
-    violation = outcome.violations[0]
-    assert violation.event == "a"
-    assert violation.site == 0
-    assert violation.added == gadget.space.subset(["1"])
+    # a adds world 1 at its one site
+    assert outcome.next[0] - state[0] == gadget.space.subset(["1"])
 
 
 def test_unmatched_guard_means_identity(gadget):
@@ -88,7 +84,6 @@ def test_unmatched_guard_means_identity(gadget):
     state = RecordState((gadget.space.empty(),))
     outcome = apply_event(a, state)
     assert outcome.next == state
-    assert outcome.violations == ()
 
 
 def test_write_effect_gadget_b_at_full(gadget):

@@ -55,8 +55,8 @@ def test_weak_influence_gadget_witness_values(gadget):
     assert brute_force_weak_pairs(gadget, graph) == {("a", "b"), ("b", "a")}
     witness = weak_influence(gadget, graph, "a", "b")
     assert witness is not None
-    assert witness.node_index == 0
-    assert witness.node.state == gadget.initial
+    assert witness.state == 0
+    assert graph.state(witness.state) == gadget.initial
     assert witness.site == 0
     assert witness.delta_without == gadget.space.subset(["1"])
     assert witness.delta_with == gadget.space.subset(["0"])
@@ -101,14 +101,15 @@ def test_weak_influence_identity_target_has_no_edge(gadget):
 def test_binary_witness_gadget(gadget):
     graph = explore(gadget)
     witness = weak_influence(gadget, graph, "a", "b")
-    observable = binary_witness(gadget, witness)
+    observable = binary_witness(gadget, graph, witness)
     assert observable == gadget.space.subset(["0", "1"])
     # frozen separation check: post-b record of the full state is {0},
     # of the tightened state it is empty, so the difference within the
     # observable carries weight 1
     a, b = gadget.event("a"), gadget.event("b")
-    post0 = apply_event(b, witness.node.state).next[0]
-    post1 = apply_event(b, apply_event(a, witness.node.state).next).next[0]
+    state = graph.state(witness.state)
+    post0 = apply_event(b, state).next[0]
+    post1 = apply_event(b, apply_event(a, state).next).next[0]
     assert measure_of((post0 & observable) ^ (post1 & observable)) == 1
 
 
@@ -122,7 +123,7 @@ def test_binary_witness_one_sided_delta():
     assert witness is not None
     assert witness.delta_without == space.subset([])
     assert witness.delta_with == space.subset(["w2"])
-    assert binary_witness(model, witness) == space.subset(["w2"])
+    assert binary_witness(model, graph, witness) == space.subset(["w2"])
 
 
 def test_binary_witness_fails_when_influencer_absorbs_the_difference(
@@ -137,7 +138,7 @@ def test_binary_witness_fails_when_influencer_absorbs_the_difference(
     assert witness is not None
     assert witness.delta_without != witness.delta_with
     with pytest.raises(WitnessPostcheckError):
-        binary_witness(model, witness)
+        binary_witness(model, graph, witness)
     # exhaustive confirmation: no (state, observable) pair separates
     e, f = model.event("e"), model.event("f")
     for state in graph.distinct_states():
@@ -174,22 +175,23 @@ def test_strong_influence_gadget_b_to_a(gadget):
     graph = explore(gadget)
     witness = strong_influence(gadget, graph, "b", "a")
     assert witness is not None
-    assert witness.node.state == gadget.initial
+    assert graph.state(witness.state) == gadget.initial
     assert witness.site == 0
     assert witness.observable == gadget.space.subset(["0", "1"])
     assert witness.branch0 == gadget.space.subset(["0"])
     assert witness.branch1 == gadget.space.subset(["1"])
-    assert verify_strong_witness(gadget, witness)
+    assert verify_strong_witness(gadget, graph, witness)
 
 
 def test_verify_strong_witness_rejects_a_moved_site_or_swapped_branches(bd_flip):
-    witness = strong_influence(bd_flip, explore(bd_flip), "e", "f")
+    graph = explore(bd_flip)
+    witness = strong_influence(bd_flip, graph, "e", "f")
     assert witness is not None and witness.site == 0
-    assert verify_strong_witness(bd_flip, witness)
+    assert verify_strong_witness(bd_flip, graph, witness)
     # e does not support site2, so the pair shares no record there
-    assert not verify_strong_witness(bd_flip, replace(witness, site=1))
+    assert not verify_strong_witness(bd_flip, graph, replace(witness, site=1))
     swapped = replace(witness, branch0=witness.branch1, branch1=witness.branch0)
-    assert not verify_strong_witness(bd_flip, swapped)
+    assert not verify_strong_witness(bd_flip, graph, swapped)
 
 
 def test_strong_influence_gadget_a_to_b_absent(gadget):
@@ -264,7 +266,7 @@ def test_strong_witnesses_replay_soundly(seed):
     graph = explore(model)
     ig = build_influence_graphs(model, graph)
     for witness in ig.strong_edges.values():
-        assert verify_strong_witness(model, witness)
+        assert verify_strong_witness(model, graph, witness)
 
 
 @given(seed=st.integers(0, 10**9))
@@ -347,12 +349,12 @@ def test_witnesses_match_full_scan(seed, limits, mode, intersect_prob):
             expected_weak, expected_strong = full_scan_witnesses(model, graph, e, f)
             weak, strong = ig.weak_edges.get(pair), ig.strong_edges.get(pair)
             got_weak = weak and (
-                weak.e, weak.f, weak.node_index, weak.site, weak.delta_without.mask, weak.delta_with.mask
+                weak.e, weak.f, weak.state, weak.site, weak.delta_without.mask, weak.delta_with.mask
             )
             got_strong = strong and (
                 strong.e,
                 strong.f,
-                strong.node_index,
+                strong.state,
                 strong.site,
                 strong.observable.mask,
                 strong.branch0.mask,
@@ -362,7 +364,7 @@ def test_witnesses_match_full_scan(seed, limits, mode, intersect_prob):
             assert got_strong == expected_strong
             for witness in (weak, strong):
                 if witness is not None:
-                    assert witness.node == graph.nodes[witness.node_index]
+                    assert witness.state < graph.state_count  # an explored state
             assert weak_influence(model, graph, *pair) == weak
             assert strong_influence(model, graph, *pair) == strong
 
@@ -378,7 +380,7 @@ def test_influencer_that_moves_only_zero_weight_worlds_is_scanned():
     graph = explore(model)
     witness = weak_influence(model, graph, "e", "f")
     assert witness is not None
-    assert (witness.node_index, witness.delta_without, witness.delta_with) == (
+    assert (witness.state, witness.delta_without, witness.delta_with) == (
         0,
         space.subset(["w0", "w2"]),
         space.empty(),
@@ -410,7 +412,7 @@ def test_one_sided_differences_on_different_sites_are_not_strong():
     assert strong_influence_oracle(model, graph, "e", "f") is None
     assert weak == ("e", "f", 0, 1, 0b10, 0)
     witness = weak_influence(model, graph, "e", "f")
-    assert (witness.node_index, witness.site) == (0, 1)
+    assert (witness.state, witness.site) == (0, 1)
     assert (witness.delta_without.mask, witness.delta_with.mask) == (0b10, 0)
 
 
@@ -426,6 +428,6 @@ def test_weak_witness_names_the_first_differing_shared_site():
     assert weak == ("e", "f", 0, 1, 0b10, 0)
     assert strong is None
     witness = weak_influence(model, graph, "e", "f")
-    assert (witness.node_index, witness.site) == (0, 1)
+    assert (witness.state, witness.site) == (0, 1)
     assert (witness.delta_without.mask, witness.delta_with.mask) == (0b10, 0)
     assert build_influence_graphs(model, graph).weak_edges[("e", "f")] == witness

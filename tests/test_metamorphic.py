@@ -4,16 +4,18 @@ copy of it must agree on every fact the renaming cannot change.
 A permutation of the worlds moves every bit of every packed field; one of
 the sites moves whole fields, across bit 64 in the `wide` shape; one of the
 event declaration order changes the exploration order and so every state
-id.  Facts are compared by world, site and event names, never by index.
+id.  Facts are compared by world, site and event names, never by index;
+findings name their states by id, and the records of those states are
+compared.
 """
 
 import random
 from collections import Counter
 
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from chronocheck import diagnose
+from chronocheck import ConsistencyMode, diagnose
 from chronocheck.modelfile import model_from_dict, model_to_dict
 from chronocheck.randmodels import random_model
 
@@ -59,6 +61,7 @@ def facts(model, witnesses=False, of=None):
         return tuple((site, tuple(by_name[site].sorted_labels())) for site in sorted(sites))
 
     ig = report.influence
+    graph = report.graph
     found = {
         "verdict": report.verdict,
         "weak": ours(ig.weak_edges),
@@ -66,11 +69,11 @@ def facts(model, witnesses=False, of=None):
         "precedes": ours(report.chronology.precedes),
         "inconsistent": len(report.gs_violations),
         "shrink_only": Counter(
-            (f.event, names[f.site], tuple(f.added.sorted_labels()), state(f.state))
+            (f.event, names[f.site], tuple(f.added.sorted_labels()), state(graph.state(f.state)))
             for f in report.monotonicity_violations
         ),
         "bd": Counter(
-            (v.witness.e, v.witness.f, v.polarity, state(v.state))
+            (v.witness.e, v.witness.f, v.polarity, state(graph.state(v.state)))
             for v in report.bd_violations
             if events.issuperset((v.witness.e, v.witness.f))
         ),
@@ -79,7 +82,7 @@ def facts(model, witnesses=False, of=None):
     if witnesses:
         for kind, edges in (("weak", ig.weak_edges), ("strong", ig.strong_edges)):
             found[f"{kind}_witnesses"] = {
-                pair: (edges[pair].node_index, names[edges[pair].site]) for pair in ours(edges)
+                pair: (edges[pair].state, names[edges[pair].site]) for pair in ours(edges)
             }
     return found
 
@@ -125,3 +128,18 @@ def test_a_ruleless_event_keeps_the_facts_of_the_original_events(seed, shape):
     # records e leaves), but none leave it, so the original events' facts
     # and the verdict stay
     assert facts(padded, witnesses=True, of=model) == facts(model, witnesses=True)
+
+
+@given(seed=seeds, shape=shapes)
+def test_measured_mode_with_unit_weights_keeps_every_fact(seed, shape):
+    # with every weight 1, a world counts in measured mode exactly when it
+    # counts in nonempty mode
+    model = drawn(seed, shape)
+    assume(model.mode is ConsistencyMode.NONEMPTY)
+    measured = rebuilt(
+        model,
+        consistency_mode="positive_measure",
+        measure={world: 1 for world in model.space.worlds},
+    )
+    assert measured.mode is ConsistencyMode.POSITIVE_MEASURE
+    assert facts(measured, witnesses=True) == facts(model, witnesses=True)

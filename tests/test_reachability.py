@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from chronocheck import (
     ClockViolation,
     ConsistencyMode,
-    Edge,
     Event,
     ExplorationLimits,
     Model,
+    MonotonicityFinding,
     Node,
     PossibilitySpace,
     RecordState,
@@ -229,11 +229,49 @@ def test_diagnose_builds_only_the_nodes_it_names(name, monkeypatch):
     report = diagnose(load_fixture(name))
     taxonomy_json(report)
     ig = report.influence
-    named = {w.node_index for w in (*ig.weak_edges.values(), *ig.strong_edges.values())}
+    named = {w.state for w in (*ig.weak_edges.values(), *ig.strong_edges.values())}
     named |= set(report.gs_violations)
     assert 0 < len(named) < report.graph.state_count
     table = report.graph.table
     assert sorted(table.intern_state(state) for state in built) == sorted(named)
+
+
+def _dense_draw():
+    """The first model of the benchmark's `dense` workload."""
+    path = Path(__file__).resolve().parents[1] / "chronobench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.dense_model(random.Random(f"dense:{workloads.DENSE_SEED}:0"))
+
+
+@pytest.mark.parametrize("name", ["cycle_gadget", "bd_flip", "dense"])
+def test_only_the_report_builds_states_and_each_once(name, monkeypatch):
+    # findings and witnesses name states by id: `diagnose` builds no
+    # `RecordState`, and the report builds each state it writes once
+    model = _dense_draw() if name == "dense" else load_fixture(name)
+    built = []
+    state = TransitionTable.state
+    monkeypatch.setattr(TransitionTable, "state", lambda table, sid: built.append(sid) or state(table, sid))
+    report = diagnose(model)
+    assert built == []
+    taxonomy_json(report)
+    ig = report.influence
+    first_per_cause = {}
+    for finding in report.monotonicity_violations:
+        first_per_cause.setdefault((finding.event, finding.site), finding.state)
+    written = {
+        *report.gs_violations,
+        *(w.state for w in (*ig.weak_edges.values(), *ig.strong_edges.values())),
+        *first_per_cause.values(),
+        *(sid for v in report.diamond_violations for sid in (v.state, v.f_then_e, v.e_then_f)),
+        *(v.state for v in report.bd_violations),
+    }
+    assert sorted(built) == sorted(written)
+    if name == "dense":
+        # 32 shrink-only findings of 2 causes, over 24 states
+        assert len(report.monotonicity_violations) == 32 and len(first_per_cause) == 2
+        assert len(built) < report.graph.state_count
 
 
 def test_limits_must_be_positive():
@@ -260,16 +298,29 @@ def test_occurred_sets_replay_along_some_path(gadget):
         assert labels_by_node[target_index] == target.occurred
 
 
+def findings_by_direct_application(model, graph):
+    """Reference shrink-only findings: per explored arc, in arc order, and
+    per supported site, the worlds the event gains under `apply_event`."""
+    expected = []
+    for edge in graph.edges:
+        event, source = model.event(edge.event), graph.state(edge.source)
+        after = apply_event(event, source).next
+        expected += [
+            MonotonicityFinding(event.name, site, after[site] - source[site], edge.source)
+            for site in event.support
+            if not after[site] <= source[site]
+        ]
+    return expected
+
+
 @given(seed=st.integers(0, 10**9))
 def test_every_edge_matches_direct_application(seed):
     model = random_model(random.Random(seed))
     graph = explore(model)
-    expected = []
     for edge in graph.edges:
         outcome = apply_event(model.event(edge.event), graph.nodes[edge.source].state)
         assert outcome.next == graph.nodes[edge.target].state
-        expected.extend(outcome.violations)
-    assert check_monotonicity(graph) == expected
+    assert check_monotonicity(graph) == findings_by_direct_application(model, graph)
 
 
 def _remapped(model, space, remap):
@@ -341,10 +392,7 @@ def test_transition_table_matches_apply_event(seed, truncated, shape):
             outcome = apply_event(event, state)
             assert table.state(table.step(sid, index)) == outcome.next
     # findings split off the packed arc ends, sites past bit 64 included
-    expected = []
-    for edge in graph.edges:
-        expected.extend(apply_event(model.event(edge.event), table.state(edge.source)).violations)
-    assert check_monotonicity(graph) == expected
+    assert check_monotonicity(graph) == findings_by_direct_application(model, graph)
 
 
 def test_check_gs_two_site_clean(two_site):
@@ -409,12 +457,13 @@ def test_monotonicity_two_site_clean(two_site):
 
 
 def test_monotonicity_gadget_finds_the_offending_rule(gadget):
-    findings = check_monotonicity(explore(gadget))
+    graph = explore(gadget)
+    findings = check_monotonicity(graph)
     assert len(findings) == 1
     finding = findings[0]
     assert finding.event == "a"
     assert finding.site == 0
-    assert finding.state == RecordState((gadget.space.subset(["0"]),))
+    assert graph.state(finding.state) == RecordState((gadget.space.subset(["0"]),))
     assert finding.added == gadget.space.subset(["1"])
 
 
@@ -474,8 +523,9 @@ def test_clock_fixture_builds_only_the_violating_edges():
     model = model_from_dict(record_golden.CLOCK_MODEL)
     graph = explore(model)
     assert check_clock_monotone(graph) == [
-        ClockViolation(Edge(1, "grow", 0), Fraction(0), Fraction(1)),
-        ClockViolation(Edge(2, "grow", 4), Fraction(1), Fraction(4, 3)),
+        # (source, event index, target): `grow` is event 2
+        ClockViolation((1, 2, 0), Fraction(0), Fraction(1)),
+        ClockViolation((2, 2, 4), Fraction(1), Fraction(4, 3)),
     ]
     assert "edges" not in vars(graph)
 
