@@ -36,7 +36,6 @@ from .events import (
     EventKind,
     Rule,
     StaticDefect,
-    UpdateOutcome,
     apply_event,
     independent,
     validate_event_static,

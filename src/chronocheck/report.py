@@ -200,9 +200,9 @@ def trace_json(model: Model, report: TraceInvarianceReport) -> dict[str, Any]:
         "schedule": list(report.schedule),
         "seed": report.seed,
         "variants_checked": report.variants_checked,
-        "final_state": state_json(model, report.final_state),
+        "final_state": state_json(model, graph.state(report.final_state)),
         "state_mismatches": [
-            {"schedule": list(schedule), "final_state": state_json(model, state)}
+            {"schedule": list(schedule), "final_state": state_json(model, graph.state(state))}
             for schedule, state in report.state_mismatches
         ],
         "diamond_violations": [

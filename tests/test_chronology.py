@@ -102,11 +102,11 @@ def test_branch_determinacy_flip_model_single_violation(bd_flip):
     assert violation.actual == bd_flip.space.subset(["v"])
     # the offending state is the one g alone reaches
     state = graph.state(violation.state)
-    assert state == apply_event(bd_flip.event("g"), bd_flip.initial).next
+    assert state == apply_event(bd_flip.event("g"), bd_flip.initial)
     # oracle: the offending state's post-f record really does write the
     # other branch, by direct evaluation
     f = bd_flip.event("f")
-    post = apply_event(f, state).next[violation.witness.site]
+    post = apply_event(f, state)[violation.witness.site]
     assert post & violation.witness.observable == bd_flip.space.subset(["v"])
 
 
@@ -159,12 +159,35 @@ def test_trace_invariance_two_site(two_site):
     expected = RecordState(
         (two_site.space.subset(["00", "01"]), two_site.space.subset(["00", "10"]))
     )
-    assert report.final_state == expected
+    assert report.graph.state(report.final_state) == expected
     # the graph a report holds is left out of its equality and its repr
     again = check_trace_invariance(two_site, ["e1", "e2"], swaps=5, seed=1)
     assert again.graph is not report.graph
     assert again == report
     assert "graph" not in repr(report)
+
+
+def _run_by_application(model, schedule):
+    state = model.initial
+    for name in schedule:
+        state = apply_event(model.event(name), state)
+    return state
+
+
+def test_trace_report_names_states_by_graph_id(two_site, gadget):
+    rng = random.Random(7)
+    cases = [(two_site, ["e1", "e2", "e1"]), (gadget, ["a", "b", "a"])]
+    while len(cases) < 8:
+        model = random_model(rng)
+        schedule = random_schedule(rng, model)
+        if schedule:
+            cases.append((model, schedule))
+    for index, (model, schedule) in enumerate(cases):
+        report = check_trace_invariance(model, schedule, swaps=5, seed=index)
+        graph = report.graph
+        assert graph.state(report.final_state) == _run_by_application(model, schedule)
+        for variant, sid in report.state_mismatches:
+            assert graph.state(sid) == _run_by_application(model, variant)
 
 
 def test_trace_invariance_gadget_vacuous(gadget):

@@ -45,45 +45,45 @@ def record_of(model, state) -> frozenset:
 
 def test_gadget_event_a_tightens_full_record(gadget):
     a = gadget.event("a")
-    outcome = apply_event(a, gadget.initial)
-    assert record_of(gadget, outcome.next) == gadget_table_apply(
+    after = apply_event(a, gadget.initial)
+    assert record_of(gadget, after) == gadget_table_apply(
         GADGET_A, frozenset({"0", "1"})
     )
-    assert outcome.next[0] == gadget.space.subset(["0"])
-    assert outcome.next[0] <= gadget.initial[0]  # shrink-only
+    assert after[0] == gadget.space.subset(["0"])
+    assert after[0] <= gadget.initial[0]  # shrink-only
 
 
 def test_gadget_event_b_may_empty_the_record(gadget):
     b = gadget.event("b")
     state = RecordState((gadget.space.subset(["0"]),))
-    outcome = apply_event(b, state)
-    assert record_of(gadget, outcome.next) == gadget_table_apply(GADGET_B, frozenset({"0"}))
-    assert outcome.next[0].is_empty
+    after = apply_event(b, state)
+    assert record_of(gadget, after) == gadget_table_apply(GADGET_B, frozenset({"0"}))
+    assert after[0].is_empty
     # the empty set is a subset of {0}: shrink-only, no violation
-    assert outcome.next[0] <= state[0]
+    assert after[0] <= state[0]
 
 
 def test_empty_support_event_is_identity(gadget):
     noop = Event.table("noop", [], [])
-    outcome = apply_event(noop, gadget.initial)
-    assert outcome.next == gadget.initial
+    after = apply_event(noop, gadget.initial)
+    assert after == gadget.initial
 
 
 def test_gadget_event_a_violates_monotonicity_at_singleton(gadget):
     a = gadget.event("a")
     state = RecordState((gadget.space.subset(["0"]),))
-    outcome = apply_event(a, state)
+    after = apply_event(a, state)
     expected = gadget_table_apply(GADGET_A, frozenset({"0"}))
-    assert record_of(gadget, outcome.next) == expected == frozenset({"1"})
+    assert record_of(gadget, after) == expected == frozenset({"1"})
     # a adds world 1 at its one site
-    assert outcome.next[0] - state[0] == gadget.space.subset(["1"])
+    assert after[0] - state[0] == gadget.space.subset(["1"])
 
 
 def test_unmatched_guard_means_identity(gadget):
     a = gadget.event("a")
     state = RecordState((gadget.space.empty(),))
-    outcome = apply_event(a, state)
-    assert outcome.next == state
+    after = apply_event(a, state)
+    assert after == state
 
 
 def test_write_effect_gadget_b_at_full(gadget):
@@ -207,11 +207,11 @@ def test_locality_sites_outside_support_never_change(seed):
     model = random_model(rng)
     state = model.initial
     for event in model.events:
-        outcome = apply_event(event, state)
+        after = apply_event(event, state)
         for site in range(len(model.sites)):
             if site not in event.support:
-                assert outcome.next[site] == state[site]
-        state = outcome.next
+                assert after[site] == state[site]
+        state = after
 
 
 @given(seed=st.integers(0, 10**9))
@@ -240,8 +240,8 @@ def test_intersect_events_are_idempotent(seed):
     model = random_model(rng, intersect_prob=1.0)
     state = model.initial
     for event in model.events:
-        once = apply_event(event, state).next
-        twice = apply_event(event, once).next
+        once = apply_event(event, state)
+        twice = apply_event(event, once)
         assert once == twice
 
 

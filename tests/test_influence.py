@@ -41,10 +41,10 @@ def brute_force_weak_pairs(model, graph):
                 continue
             shared = set(e.support) & set(f.support)
             for state in graph.distinct_states():
-                shifted = apply_event(e, state).next
+                shifted = apply_event(e, state)
                 for site in shared:
-                    d0 = state[site] - apply_event(f, state).next[site]
-                    d1 = shifted[site] - apply_event(f, shifted).next[site]
+                    d0 = state[site] - apply_event(f, state)[site]
+                    d1 = shifted[site] - apply_event(f, shifted)[site]
                     if d0 != d1:
                         pairs.add((e.name, f.name))
     return pairs
@@ -108,8 +108,8 @@ def test_binary_witness_gadget(gadget):
     # observable carries weight 1
     a, b = gadget.event("a"), gadget.event("b")
     state = graph.state(witness.state)
-    post0 = apply_event(b, state).next[0]
-    post1 = apply_event(b, apply_event(a, state).next).next[0]
+    post0 = apply_event(b, state)[0]
+    post1 = apply_event(b, apply_event(a, state))[0]
     assert measure_of((post0 & observable) ^ (post1 & observable)) == 1
 
 
@@ -142,8 +142,8 @@ def test_binary_witness_fails_when_influencer_absorbs_the_difference(
     # exhaustive confirmation: no (state, observable) pair separates
     e, f = model.event("e"), model.event("f")
     for state in graph.distinct_states():
-        post0 = apply_event(f, state).next[0]
-        post1 = apply_event(f, apply_event(e, state).next).next[0]
+        post0 = apply_event(f, state)[0]
+        post1 = apply_event(f, apply_event(e, state))[0]
         assert post0 == post1
 
 
@@ -157,10 +157,10 @@ def brute_force_strong_exists(model, graph, e_name, f_name):
         else model.space.positive_mask
     )
     for state in graph.distinct_states():
-        shifted = apply_event(e, state).next
+        shifted = apply_event(e, state)
         for site in shared:
-            p0 = apply_event(f, state).next[site].mask
-            p1 = apply_event(f, shifted).next[site].mask
+            p0 = apply_event(f, state)[site].mask
+            p1 = apply_event(f, shifted)[site].mask
             for mask in range(1 << model.space.size):
                 if (
                     p0 & p1 & mask & test == 0
@@ -298,9 +298,9 @@ def full_scan_witnesses(model, graph, e, f):
     test = mode_mask(model.space, model.mode)
     weak = strong = None
     for index, state in enumerate(graph.distinct_states()):
-        shifted = apply_event(e, state).next
-        post_f_base = apply_event(f, state).next
-        post_f_shifted = apply_event(f, shifted).next
+        shifted = apply_event(e, state)
+        post_f_base = apply_event(f, state)
+        post_f_shifted = apply_event(f, shifted)
         for site in shared:
             p0, p1 = post_f_base[site].mask, post_f_shifted[site].mask
             if weak is None:

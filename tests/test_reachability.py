@@ -51,7 +51,7 @@ def states_by_sequence_enumeration(model, max_len):
         nxt = set()
         for state in frontier:
             for event in model.events:
-                nxt.add(apply_event(event, state).next)
+                nxt.add(apply_event(event, state))
         frontier = nxt - states
         states |= nxt
         if not frontier:
@@ -167,7 +167,7 @@ def histories_by_path_enumeration(model):
     while queue:
         state, occurred = queue.popleft()
         for name, event in zip(names, model.events):
-            pair = (apply_event(event, state).next, occurred | {name})
+            pair = (apply_event(event, state), occurred | {name})
             if pair not in seen:
                 seen.add(pair)
                 order.append(pair)
@@ -304,7 +304,7 @@ def findings_by_direct_application(model, graph):
     expected = []
     for edge in graph.edges:
         event, source = model.event(edge.event), graph.state(edge.source)
-        after = apply_event(event, source).next
+        after = apply_event(event, source)
         expected += [
             MonotonicityFinding(event.name, site, after[site] - source[site], edge.source)
             for site in event.support
@@ -318,8 +318,8 @@ def test_every_edge_matches_direct_application(seed):
     model = random_model(random.Random(seed))
     graph = explore(model)
     for edge in graph.edges:
-        outcome = apply_event(model.event(edge.event), graph.nodes[edge.source].state)
-        assert outcome.next == graph.nodes[edge.target].state
+        after = apply_event(model.event(edge.event), graph.nodes[edge.source].state)
+        assert after == graph.nodes[edge.target].state
     assert check_monotonicity(graph) == findings_by_direct_application(model, graph)
 
 
@@ -389,8 +389,8 @@ def test_transition_table_matches_apply_event(seed, truncated, shape):
             else:
                 assert suffix == 0
         for index, event in enumerate(model.events):
-            outcome = apply_event(event, state)
-            assert table.state(table.step(sid, index)) == outcome.next
+            after = apply_event(event, state)
+            assert table.state(table.step(sid, index)) == after
     # findings split off the packed arc ends, sites past bit 64 included
     assert check_monotonicity(graph) == findings_by_direct_application(model, graph)
 
@@ -446,8 +446,8 @@ def test_diamond_guarded_table_against_intersect_still_clean():
     graph = explore(model)
     # oracle: apply both orders at every explored state directly
     for state in graph.distinct_states():
-        lhs = apply_event(overwrite, apply_event(tighten, state).next).next
-        rhs = apply_event(tighten, apply_event(overwrite, state).next).next
+        lhs = apply_event(overwrite, apply_event(tighten, state))
+        rhs = apply_event(tighten, apply_event(overwrite, state))
         assert lhs == rhs
     assert check_diamond(graph, model) == []
 
@@ -479,7 +479,7 @@ def test_clock_two_site_path(two_site):
     state = two_site.initial
     values = [information_content(state)]
     for name in ("e1", "e2"):
-        state = apply_event(two_site.event(name), state).next
+        state = apply_event(two_site.event(name), state)
         values.append(information_content(state))
     assert values[0] == pytest.approx(-math.log(4), abs=1e-12)
     assert values[1] == pytest.approx(-math.log(2), abs=1e-12)
@@ -490,7 +490,7 @@ def test_clock_gadget_path_reaches_infinity(gadget):
     state = gadget.initial
     values = [information_content(state)]
     for name in ("a", "b"):
-        state = apply_event(gadget.event(name), state).next
+        state = apply_event(gadget.event(name), state)
         values.append(information_content(state))
     assert values[0] == pytest.approx(-math.log(2), abs=1e-12)
     assert values[1] == pytest.approx(0.0, abs=1e-12)
