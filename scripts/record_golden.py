@@ -13,8 +13,11 @@ survive a change of exploration strategy that keeps the findings.
 The second record pins report bytes: the SHA-256 of stdout and the exit
 status of every subcommand on the bundled fixtures and CLOCK_MODEL under
 four flag sets, of `diagnose` on two ladder rungs, and of each `--help` text (80
-columns).  Runs take their model by a relative path, so the `path` each
-report echoes does not depend on where the checkout lives.
+columns).  Each subcommand with a Graphviz view runs once more per model
+and flag set with `--dot`, and its entry also holds the SHA-256 of the DOT
+file, or null when the run wrote none.  Runs take their model and DOT
+file by a relative path, so the `path` each report echoes does not depend
+on where the checkout lives.
 
 The third record pins how model files are read: the outcome of
 `parse_model` on seeded mutations of each bundled fixture and of each
@@ -59,6 +62,8 @@ STDOUT_PATH = GOLDEN_PATH.with_name("cli_stdout_digests.json")
 PARSE_PATH = GOLDEN_PATH.with_name("parse_outcomes.json")
 FIXTURES = ("two_site", "cycle_gadget", "bd_flip")
 COMMANDS = ("validate", "explore", "influence", "chronology", "diagnose", "trace-check")
+DOT_COMMANDS = ("explore", "influence", "chronology", "diagnose")
+DOT_FILE = "view.dot"
 FLAG_SETS = ((), ("--mode", "measure"), ("--max-states", "3"), ("--strict",))
 STDOUT_RUNGS = (8, 10)
 # No bundled fixture has an edge that adds weight to the feasible set, so
@@ -153,6 +158,9 @@ def cli_runs(workdir: Path) -> Iterator[list[str]]:
             extra = ["--schedule", schedule] if command == "trace-check" else []
             for flags in FLAG_SETS:
                 yield [command, path.name, *extra, *flags]
+            if command in DOT_COMMANDS:
+                for flags in FLAG_SETS:
+                    yield [command, path.name, "--dot", DOT_FILE, *flags]
     for n_events in STDOUT_RUNGS:
         path = workdir / f"scale-{n_events}.json"
         path.write_text(serialize_model(ladder_rung(n_events)), encoding="utf-8")
@@ -162,14 +170,25 @@ def cli_runs(workdir: Path) -> Iterator[list[str]]:
         yield [command, "--help"]
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def _run_cli(argv: list[str]) -> dict[str, Any]:
+    """Exit status and stdout digest of one run in the working directory;
+    with `--dot`, also the DOT file's digest, or None if the run wrote none."""
+    dot = Path(DOT_FILE)
+    dot.unlink(missing_ok=True)
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:
             status = cli_main(argv)
         except SystemExit as exc:  # --help
             status = exc.code
-    return {"exit": status, "stdout": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()}
+    result = {"exit": status, "stdout": _sha256(out.getvalue().encode("utf-8"))}
+    if "--dot" in argv:
+        result["dot"] = _sha256(dot.read_bytes()) if dot.exists() else None
+    return result
 
 
 def compute_stdout_digests(workdir: Path) -> dict[str, dict[str, Any]]:
