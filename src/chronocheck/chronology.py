@@ -242,8 +242,11 @@ def check_trace_invariance(
     model that fails the commutation check cannot be trace-invariant, so in
     that case the commutation failures are reported and no variants are
     attempted.  `graph` is the model's explored graph; when it is omitted,
-    the check explores the model once, with the default limits.
+    the check explores the model once, with the default limits.  A
+    negative `swaps` raises `ValueError`.
     """
+    if swaps < 0:
+        raise ValueError("swaps must not be negative")
     for name in schedule:
         model.event(name)  # raises on unknown names
     if graph is None:

@@ -161,7 +161,7 @@ def _cmd_explore(model: Model, args: argparse.Namespace):
     clock = check_clock_monotone(graph)
     results = {
         "exploration": report_mod.graph_summary_json(graph),
-        "gs_violations": [report_mod.node_json(model, graph.node(i)) for i in gs],
+        "gs_violations": [report_mod.node_json(model, graph, i) for i in gs],
         "monotonicity_violations": report_mod.monotonicity_causes_json(model, graph, mono),
         "diamond_violations": [report_mod.diamond_json(model, graph, v) for v in diamonds],
         "clock_violations": [report_mod.clock_json(model, graph, v) for v in clock],

@@ -50,14 +50,15 @@ def reachability_dot(model: Model, graph: ReachabilityGraph) -> str:
     """One vertex per explored state, labeled with its records and the
     events on the path that first reached it; edges carry event names."""
     lines = ["digraph reachability {"]
-    for idx, node in enumerate(graph.nodes):
+    for sid in range(graph.state_count):
         parts = [
             f"{model.sites[i]}={{{', '.join(rec.sorted_labels())}}}"
-            for i, rec in enumerate(node.state)
+            for i, rec in enumerate(graph.state(sid))
         ]
-        parts.append(f"occ={{{', '.join(sorted(node.occurred))}}}")
-        lines.append(f"  n{idx} [label={_label(parts)}];")
-    for edge in graph.edges:
-        lines.append(f"  n{edge.source} -> n{edge.target} [label={_quote(edge.event)}];")
+        parts.append(f"occ={{{', '.join(graph.occurred_names(sid))}}}")
+        lines.append(f"  n{sid} [label={_label(parts)}];")
+    names = graph.model.event_names
+    for src, event, tgt in graph.arcs:
+        lines.append(f"  n{src} -> n{tgt} [label={_quote(names[event])}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -15,13 +15,16 @@ a packed value only through `TransitionTable.field` and
 `TransitionTable.first_site`, and pack (site, record) pairs only through
 `TransitionTable.pack`.
 
-Every finding and witness names the states it is about by table id.
-`ReachabilityGraph.state` builds the `RecordState` of an id when a caller
-asks for it, such as the report for the states it writes, once per id.
+Every finding and witness names the states it is about by table id, and
+callers such as the report and the DOT view read explored states by id
+and arc: a state's records come from `ReachabilityGraph.state`, built
+once per id on request, and the events of the breadth-first path that
+first reached it from `ReachabilityGraph.occurred_names`.  `Node`, `Edge`
+and the graph's `nodes`, `edges` and `distinct_states` are only the views
+the benchmark's tracer counts.
 
 Exploration visits each distinct record state once and keeps, per state,
-the event bitmask of the breadth-first path that first reached it;
-`ReachabilityGraph.node` turns one state into a `Node` on request.  Which
+the event bitmask of the breadth-first path that first reached it.  Which
 events have or have not fired on the way to a state is a property of the
 paths into it, not of the state, so `occurrence_masks` computes it for
 every state at once with a fixpoint over the explored arcs.
@@ -195,9 +198,10 @@ class ReachabilityGraph:
     `occurred[i]` is the event bitmask of the breadth-first path that first
     reached state i.  Each arc is a (source state, event index, target
     state) triple, one per expanded state and event, except that arcs to
-    states past the `max_states` limit are dropped.  `state(i)` and
-    `node(i)` build one value on first request; `nodes`, `edges` and the
-    feasible world masks `feasible` are built in full on first access.
+    states past the `max_states` limit are dropped.  `state(i)` builds
+    state i's records on first request and `occurred_names(i)` names the
+    events in `occurred[i]`; the feasible world masks `feasible` are built
+    in full on first access.
     """
 
     table: TransitionTable
@@ -205,7 +209,6 @@ class ReachabilityGraph:
     arcs: tuple[tuple[int, int, int], ...]
     truncated: bool
     _states: dict[int, RecordState] = field(default_factory=dict, init=False, repr=False)
-    _nodes: dict[int, Node] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def model(self) -> Model:
@@ -224,28 +227,21 @@ class ReachabilityGraph:
             state = self._states[sid] = self.table.state(sid)
         return state
 
-    def node(self, index: int) -> Node:
-        """Explored state `index` with the events that occurred on the path
-        that first reached it, one shared value per index."""
-        index = range(self.state_count)[index]  # IndexError past the explored states
-        node = self._nodes.get(index)
-        if node is None:
-            occ = self.occurred[index]
-            names = self.model.event_names
-            occurred = frozenset(n for i, n in enumerate(names) if occ >> i & 1)
-            node = self._nodes[index] = Node(self.state(index), occurred)
-        return node
+    def occurred_names(self, sid: int) -> list[str]:
+        """Sorted names of the events on the breadth-first path that first
+        reached explored state `sid`."""
+        occ = self.occurred[sid]
+        return sorted(name for i, name in enumerate(self.model.event_names) if occ >> i & 1)
 
     @cached_property
     def nodes(self) -> tuple[Node, ...]:
-        return tuple(map(self.node, range(self.state_count)))
-
-    @property
-    def initial(self) -> Node:
-        return self.node(0)
+        """Every explored state as a `Node`, for the benchmark's tracer."""
+        occurred = map(frozenset, map(self.occurred_names, range(self.state_count)))
+        return tuple(map(Node, self.distinct_states(), occurred))
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
+        """Every arc as an `Edge`, for the benchmark's tracer."""
         names = self.model.event_names
         return tuple(Edge(src, names[event], tgt) for src, event, tgt in self.arcs)
 
@@ -269,7 +265,7 @@ class ReachabilityGraph:
         return self.table
 
     def distinct_states(self) -> tuple[RecordState, ...]:
-        """Record states in first-seen order, each listed once."""
+        """Record states in first-seen order, for the benchmark's tracer."""
         return tuple(map(self.state, range(self.state_count)))
 
 

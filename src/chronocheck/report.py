@@ -3,9 +3,10 @@ full command report.  Field order is fixed so equal inputs produce
 byte-identical documents.
 
 Witnesses and findings name states by table id.  The writers take the
-explored graph and resolve only the ids they write, through
-`ReachabilityGraph.state` and `ReachabilityGraph.node`, which build each
-state's records once per graph."""
+explored graph and resolve only the ids they write: records through
+`ReachabilityGraph.state`, which builds each state's records once per
+graph, and the events on the path that first reached an explored state
+through `ReachabilityGraph.occurred_names`."""
 
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ from .reachability import (
     ClockViolation,
     DiamondViolation,
     MonotonicityFinding,
-    Node,
     ReachabilityGraph,
 )
 
@@ -30,8 +30,8 @@ def state_json(model: Model, state: RecordState) -> dict[str, list[str]]:
     return {model.sites[i]: rec.sorted_labels() for i, rec in enumerate(state)}
 
 
-def node_json(model: Model, node: Node) -> dict[str, Any]:
-    return {"state": state_json(model, node.state), "occurred": sorted(node.occurred)}
+def node_json(model: Model, graph: ReachabilityGraph, sid: int) -> dict[str, Any]:
+    return {"state": state_json(model, graph.state(sid)), "occurred": graph.occurred_names(sid)}
 
 
 def _info_json(value: float) -> Any:
@@ -43,7 +43,7 @@ def weak_witness_json(model: Model, graph: ReachabilityGraph, w: WeakWitness) ->
         "e": w.e,
         "f": w.f,
         "site": model.sites[w.site],
-        "node": node_json(model, graph.node(w.state)),
+        "node": node_json(model, graph, w.state),
         "delta_without": w.delta_without.sorted_labels(),
         "delta_with": w.delta_with.sorted_labels(),
     }
@@ -54,7 +54,7 @@ def strong_witness_json(model: Model, graph: ReachabilityGraph, w: StrongWitness
         "e": w.e,
         "f": w.f,
         "site": model.sites[w.site],
-        "node": node_json(model, graph.node(w.state)),
+        "node": node_json(model, graph, w.state),
         "observable": w.observable.sorted_labels(),
         "branch0": w.branch0.sorted_labels(),
         "branch1": w.branch1.sorted_labels(),
@@ -102,16 +102,14 @@ def diamond_json(
 
 def clock_json(model: Model, graph: ReachabilityGraph, v: ClockViolation) -> dict[str, Any]:
     src, event, tgt = v.arc
-    source = graph.node(src)
-    target = graph.node(tgt)
     return {
         "event": model.event_names[event],
-        "source": node_json(model, source),
-        "target": node_json(model, target),
+        "source": node_json(model, graph, src),
+        "target": node_json(model, graph, tgt),
         "mu_source": str(v.mu_source),
         "mu_target": str(v.mu_target),
-        "info_source": _info_json(information_content(source.state)),
-        "info_target": _info_json(information_content(target.state)),
+        "info_source": _info_json(information_content(graph.state(src))),
+        "info_target": _info_json(information_content(graph.state(tgt))),
     }
 
 
@@ -180,7 +178,7 @@ def taxonomy_json(report: TaxonomyReport) -> dict[str, Any]:
         "has_strong_cycle": report.has_strong_cycle,
         "truncated": report.truncated,
         "exploration": graph_summary_json(graph),
-        "gs_violations": [node_json(model, graph.node(i)) for i in report.gs_violations],
+        "gs_violations": [node_json(model, graph, i) for i in report.gs_violations],
         "diamond_violations": [
             diamond_json(model, graph, v) for v in report.diamond_violations
         ],

@@ -83,10 +83,11 @@ def test_criterion_02_cycle_gadget_fixture(capsys):
     model = load_fixture("cycle_gadget")
     report = diagnose(model)
     graph = report.graph
-    successors = {(e.source, e.event): e.target for e in graph.edges}
+    names = model.event_names
+    successors = {(src, names[event]): tgt for src, event, tgt in graph.arcs}
     after_a = successors[(0, "a")]
     after_ab = successors[(after_a, "b")]
-    empty_reached = graph.nodes[after_ab].state[0].is_empty
+    empty_reached = graph.state(after_ab)[0].is_empty
     gs_flags_it = after_ab in report.gs_violations
     mono = [
         (v.event, graph.state(v.state)[0].sorted_labels(), v.added.sorted_labels())
@@ -212,13 +213,14 @@ def test_criterion_07_information_clock(suite_entries, capsys):
         if report.monotonicity_violations:
             continue
         graph = report.graph
-        mus = [measure_of(feasible_set(node.state)) for node in graph.nodes]
-        infos = [information_content(node.state) for node in graph.nodes]
-        for edge in graph.edges:
+        states = [graph.state(sid) for sid in range(graph.state_count)]
+        mus = [measure_of(feasible_set(state)) for state in states]
+        infos = [information_content(state) for state in states]
+        for src, _, tgt in graph.arcs:
             edges_checked += 1
-            if mus[edge.target] > mus[edge.source]:
+            if mus[tgt] > mus[src]:
                 edge_violations += 1
-            if infos[edge.target] < infos[edge.source] - 1e-12:
+            if infos[tgt] < infos[src] - 1e-12:
                 edge_violations += 1
     model = load_fixture("two_site")
     state = model.initial

@@ -201,6 +201,12 @@ def test_trace_invariance_unknown_event(two_site):
         check_trace_invariance(two_site, ["e1", "zzz"])
 
 
+def test_trace_invariance_rejects_negative_swaps(two_site):
+    with pytest.raises(ValueError, match="swaps must not be negative"):
+        check_trace_invariance(two_site, ["e1", "e1"], swaps=-3)
+    assert check_trace_invariance(two_site, ["e1", "e1"], swaps=0).invariant
+
+
 @given(seed=st.integers(0, 10**9))
 def test_trace_invariance_random_intersect_models(seed):
     rng = random.Random(seed)

@@ -286,6 +286,14 @@ def test_trace_check_unknown_event_exits_two(capsys):
     assert "unknown event" in err
 
 
+def test_trace_check_negative_swaps_exits_two(capsys):
+    status, out, err = run_cli(
+        capsys, "trace-check", TWO_SITE, "--schedule", "e1,e1", "--swaps", "-3"
+    )
+    assert (status, out) == (2, "")
+    assert err == "chronocheck: error: swaps must not be negative\n"
+
+
 def test_truncation_warning_present(capsys):
     status, out, _ = run_cli(capsys, "explore", GADGET, "--max-states", "2")
     report = json.loads(out)

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import math
 import random
 from collections import deque
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from chronocheck import (
     ClockViolation,
     ConsistencyMode,
+    Edge,
     Event,
     ExplorationLimits,
     Model,
@@ -59,13 +61,18 @@ def states_by_sequence_enumeration(model, max_len):
     return states
 
 
+def explored_states(graph):
+    """Every explored state's records, in id order."""
+    return [graph.state(sid) for sid in range(graph.state_count)]
+
+
 def test_two_site_reaches_four_distinct_states(two_site):
     # oracle first: enumerate sequences until the state set is closed
     oracle_states = states_by_sequence_enumeration(two_site, 8)
     assert len(oracle_states) == 4
     graph = explore(two_site)
-    assert set(graph.distinct_states()) == oracle_states
-    assert len(graph.distinct_states()) == 4
+    assert set(explored_states(graph)) == oracle_states
+    assert graph.state_count == 4
     assert not graph.truncated
 
 
@@ -77,17 +84,22 @@ def test_gadget_reaches_all_four_records(gadget):
     }
     assert oracle_states == expected
     graph = explore(gadget)
-    assert set(graph.distinct_states()) == expected
+    assert set(explored_states(graph)) == expected
 
 
 def test_zero_event_model_is_a_single_node():
     space = PossibilitySpace.create(["w"])
     model = Model(space, ("site1",), RecordState((space.full(),)), ())
     graph = explore(model)
-    assert len(graph.nodes) == 1
-    assert graph.edges == ()
+    assert graph.state_count == 1
+    assert graph.arcs == ()
     assert not graph.truncated
-    assert graph.initial.occurred == frozenset()
+    assert graph.state(0) == model.initial
+    assert graph.occurred_names(0) == []
+    # the benchmark tracer's counting views
+    assert graph.nodes == (Node(model.initial, frozenset()),)
+    assert graph.edges == ()
+    assert graph.distinct_states() == (model.initial,)
 
 
 def test_exploration_is_deterministic(gadget):
@@ -104,7 +116,7 @@ def test_exploration_is_deterministic(gadget):
 def test_exploration_limit_sets_truncated(gadget):
     graph = explore(gadget, ExplorationLimits(max_states=2, max_depth=64))
     assert graph.truncated
-    assert len(graph.nodes) == 2
+    assert graph.state_count == 2
     graph = explore(gadget, ExplorationLimits(max_states=100_000, max_depth=1))
     assert graph.truncated
 
@@ -113,7 +125,7 @@ def test_state_limit_counts_distinct_states(bd_flip):
     # bd_flip reaches 8 states along 11 distinct (state, occurred-set) pairs
     graph = explore(bd_flip, ExplorationLimits(max_states=8))
     assert not graph.truncated
-    assert len(graph.nodes) == 8
+    assert graph.state_count == 8
     assert explore(bd_flip, ExplorationLimits(max_states=7)).truncated
 
 
@@ -189,10 +201,11 @@ def test_occurrence_masks_match_path_enumeration(seed):
         first.setdefault(state, occurred)
     # states in the order they are first reached, each with the occurred
     # set of its first history
-    assert [(node.state, node.occurred) for node in graph.nodes] == list(first.items())
-    index = {node.state: i for i, node in enumerate(graph.nodes)}
-    expect_fired = [0] * len(graph.nodes)
-    expect_unfired = [0] * len(graph.nodes)
+    ids = range(graph.state_count)
+    assert [(graph.state(i), frozenset(graph.occurred_names(i))) for i in ids] == list(first.items())
+    index = {graph.state(i): i for i in ids}
+    expect_fired = [0] * graph.state_count
+    expect_unfired = [0] * graph.state_count
     for state, occurred in histories:
         for bit, name in enumerate(model.event_names):
             if name in occurred:
@@ -210,38 +223,52 @@ def test_explore_builds_nodes_on_request(bd_flip, monkeypatch):
     graph = explore(bd_flip)
     assert built == []
     assert graph.state_count == 8
-    assert graph.nodes == tuple(graph.node(i) for i in range(graph.state_count))
-    assert graph.node(3) is graph.nodes[3]
-    assert graph.node(-1) is graph.nodes[7]
+    assert graph.state(3) is graph.state(3)
+    assert built == [3]
+    # the benchmark tracer counts these views, so they must match the ids
+    ids = range(graph.state_count)
+    names = bd_flip.event_names
+    assert graph.nodes == tuple(Node(graph.state(i), frozenset(graph.occurred_names(i))) for i in ids)
+    assert graph.edges == tuple(Edge(src, names[event], tgt) for src, event, tgt in graph.arcs)
+    assert graph.distinct_states() == tuple(map(graph.state, ids))
+    assert sorted(built) == list(ids)
     with pytest.raises(IndexError):
-        graph.node(8)
+        graph.state(len(graph.table.packed))
+    with pytest.raises(IndexError):
+        graph.occurred_names(graph.state_count)
 
 
-@pytest.mark.parametrize("name", ["bd_flip", "cycle_gadget"])
-def test_diagnose_builds_only_the_nodes_it_names(name, monkeypatch):
-    built = []
+def _module(relative, name):
+    """The module at `relative` to the repository root, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / relative
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
-    def recording_node(state, occurred):
-        built.append(state)
-        return Node(state, occurred)
 
-    monkeypatch.setattr(reachability, "Node", recording_node)
-    report = diagnose(load_fixture(name))
-    taxonomy_json(report)
-    ig = report.influence
-    named = {w.state for w in (*ig.weak_edges.values(), *ig.strong_edges.values())}
-    named |= set(report.gs_violations)
-    assert 0 < len(named) < report.graph.state_count
-    table = report.graph.table
-    assert sorted(table.intern_state(state) for state in built) == sorted(named)
+def test_pipeline_builds_no_node(monkeypatch, tmp_path):
+    # `Node`, `Edge`, `nodes`, `edges` and `distinct_states` are only the
+    # benchmark tracer's counting views: no frozen CLI run, `--dot` views
+    # included, and no report reads them
+    def refuse(*args):
+        raise AssertionError("a benchmark counting view was used")
+
+    monkeypatch.setattr(reachability, "Node", refuse)
+    monkeypatch.setattr(reachability, "Edge", refuse)
+    monkeypatch.setattr(reachability.ReachabilityGraph, "nodes", property(refuse))
+    monkeypatch.setattr(reachability.ReachabilityGraph, "edges", property(refuse))
+    monkeypatch.setattr(reachability.ReachabilityGraph, "distinct_states", refuse)
+    record_golden = _module("scripts/record_golden.py", "record_golden")
+    recorded = json.loads(record_golden.STDOUT_PATH.read_text(encoding="utf-8"))
+    assert record_golden.compute_stdout_digests(tmp_path) == recorded
+    for name in record_golden.FIXTURES:
+        taxonomy_json(diagnose(load_fixture(name)))
 
 
 def _dense_draw():
     """The first model of the benchmark's `dense` workload."""
-    path = Path(__file__).resolve().parents[1] / "chronobench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = _module("chronobench/workloads.py", "workloads")
     return workloads.dense_model(random.Random(f"dense:{workloads.DENSE_SEED}:0"))
 
 
@@ -281,32 +308,30 @@ def test_limits_must_be_positive():
 
 def test_occurred_sets_replay_along_some_path(gadget):
     graph = explore(gadget)
-    incoming = {}
-    for edge in graph.edges:
-        incoming.setdefault(edge.target, []).append(edge)
-    for target_index, target in enumerate(graph.nodes):
-        # breadth-first back to the initial node, collecting edge labels
-        labels_by_node = {0: frozenset()}
-        queue = deque([0])
-        while queue:
-            idx = queue.popleft()
-            for edge in graph.edges:
-                if edge.source == idx and edge.target not in labels_by_node:
-                    labels_by_node[edge.target] = labels_by_node[idx] | {edge.event}
-                    queue.append(edge.target)
-        assert target_index in labels_by_node
-        assert labels_by_node[target_index] == target.occurred
+    names = gadget.event_names
+    # breadth-first from the initial state, collecting arc labels
+    labels_by_state = {0: frozenset()}
+    queue = deque([0])
+    while queue:
+        sid = queue.popleft()
+        for src, event, tgt in graph.arcs:
+            if src == sid and tgt not in labels_by_state:
+                labels_by_state[tgt] = labels_by_state[sid] | {names[event]}
+                queue.append(tgt)
+    assert sorted(labels_by_state) == list(range(graph.state_count))
+    for sid, labels in labels_by_state.items():
+        assert graph.occurred_names(sid) == sorted(labels)
 
 
 def findings_by_direct_application(model, graph):
     """Reference shrink-only findings: per explored arc, in arc order, and
     per supported site, the worlds the event gains under `apply_event`."""
     expected = []
-    for edge in graph.edges:
-        event, source = model.event(edge.event), graph.state(edge.source)
+    for src, index, _ in graph.arcs:
+        event, source = model.events[index], graph.state(src)
         after = apply_event(event, source)
         expected += [
-            MonotonicityFinding(event.name, site, after[site] - source[site], edge.source)
+            MonotonicityFinding(event.name, site, after[site] - source[site], src)
             for site in event.support
             if not after[site] <= source[site]
         ]
@@ -317,9 +342,8 @@ def findings_by_direct_application(model, graph):
 def test_every_edge_matches_direct_application(seed):
     model = random_model(random.Random(seed))
     graph = explore(model)
-    for edge in graph.edges:
-        after = apply_event(model.event(edge.event), graph.nodes[edge.source].state)
-        assert after == graph.nodes[edge.target].state
+    for src, event, tgt in graph.arcs:
+        assert apply_event(model.events[event], graph.state(src)) == graph.state(tgt)
     assert check_monotonicity(graph) == findings_by_direct_application(model, graph)
 
 
@@ -405,8 +429,8 @@ def test_check_gs_gadget_flags_empty_record(gadget):
     flagged = check_gs(graph)
     assert flagged
     empty = gadget.space.empty()
-    assert all(graph.nodes[i].state[0] == empty for i in flagged)
-    assert any(graph.nodes[i].occurred == frozenset({"a", "b"}) for i in flagged)
+    assert all(graph.state(i)[0] == empty for i in flagged)
+    assert any(graph.occurred_names(i) == ["a", "b"] for i in flagged)
 
 
 def test_check_gs_zero_event_model_clean():
@@ -445,7 +469,7 @@ def test_diamond_guarded_table_against_intersect_still_clean():
     )
     graph = explore(model)
     # oracle: apply both orders at every explored state directly
-    for state in graph.distinct_states():
+    for state in explored_states(graph):
         lhs = apply_event(overwrite, apply_event(tighten, state))
         rhs = apply_event(tighten, apply_event(overwrite, state))
         assert lhs == rhs
@@ -505,21 +529,15 @@ def test_clock_gadget_no_backward_tick(gadget):
 
 def test_identity_edges_keep_clock_value(gadget):
     graph = explore(gadget)
-    for edge in graph.edges:
-        if graph.nodes[edge.source].state == graph.nodes[edge.target].state:
-            src = information_content(graph.nodes[edge.source].state)
-            dst = information_content(graph.nodes[edge.target].state)
-            assert src == dst
+    for src, _, tgt in graph.arcs:
+        if graph.state(src) == graph.state(tgt):
+            assert information_content(graph.state(src)) == information_content(graph.state(tgt))
 
 
 def test_clock_fixture_builds_only_the_violating_edges():
     # the clock model frozen in the golden CLI record: `grow` adds weight
     # back from {c} and from {a}
-    spec = importlib.util.spec_from_file_location(
-        "record_golden", Path(__file__).resolve().parents[1] / "scripts" / "record_golden.py"
-    )
-    record_golden = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(record_golden)
+    record_golden = _module("scripts/record_golden.py", "record_golden")
     model = model_from_dict(record_golden.CLOCK_MODEL)
     graph = explore(model)
     assert check_clock_monotone(graph) == [
@@ -536,10 +554,8 @@ def test_clean_monotonicity_implies_shrinking_feasible_sets(seed):
     graph = explore(model)
     if check_monotonicity(graph):
         return
-    for edge in graph.edges:
-        src = feasible_set(graph.nodes[edge.source].state)
-        dst = feasible_set(graph.nodes[edge.target].state)
-        assert dst.issubset(src)
+    for src, _, tgt in graph.arcs:
+        assert feasible_set(graph.state(tgt)).issubset(feasible_set(graph.state(src)))
     assert check_clock_monotone(graph) == []
 
 
@@ -549,19 +565,16 @@ def test_clock_ticks_exactly_when_feasible_weight_drops(seed):
     graph = explore(model)
     if check_monotonicity(graph):
         return
-    mus = [measure_of(feasible_set(node.state)) for node in graph.nodes]
-    infos = [information_content(node.state) for node in graph.nodes]
-    for edge in graph.edges:
-        strictly_more_info = infos[edge.target] > infos[edge.source]
-        strictly_less_weight = mus[edge.target] < mus[edge.source]
-        assert strictly_more_info == strictly_less_weight
+    mus = [measure_of(feasible_set(state)) for state in explored_states(graph)]
+    infos = [information_content(state) for state in explored_states(graph)]
+    for src, _, tgt in graph.arcs:
+        assert (infos[tgt] > infos[src]) == (mus[tgt] < mus[src])
 
 
 def test_diamond_pairs_join_at_the_same_node(two_site):
     graph = explore(two_site)
-    successors = {}
-    for edge in graph.edges:
-        successors[(edge.source, edge.event)] = edge.target
+    names = two_site.event_names
+    successors = {(src, names[event]): tgt for src, event, tgt in graph.arcs}
     via_e1_e2 = successors[(successors[(0, "e1")], "e2")]
     via_e2_e1 = successors[(successors[(0, "e2")], "e1")]
     assert via_e1_e2 == via_e2_e1
