@@ -266,6 +266,31 @@ def test_pipeline_builds_no_node(monkeypatch, tmp_path):
         taxonomy_json(diagnose(load_fixture(name)))
 
 
+@pytest.mark.parametrize("name", ["bd_flip", "cycle_gadget"])
+def test_diagnose_builds_only_the_nodes_it_names(name, monkeypatch):
+    # the report writes a node entry (records plus occurred names) only for
+    # the states its witnesses and GS violations name, and builds no `Node`
+    def refuse(*args):
+        raise AssertionError("a benchmark counting view was used")
+
+    written = []
+    occurred_names = reachability.ReachabilityGraph.occurred_names
+    monkeypatch.setattr(reachability, "Node", refuse)
+    monkeypatch.setattr(
+        reachability.ReachabilityGraph,
+        "occurred_names",
+        lambda graph, sid: written.append(sid) or occurred_names(graph, sid),
+    )
+    report = diagnose(load_fixture(name))
+    assert written == []
+    taxonomy_json(report)
+    ig = report.influence
+    named = {w.state for w in (*ig.weak_edges.values(), *ig.strong_edges.values())}
+    named |= set(report.gs_violations)
+    assert 0 < len(named) < report.graph.state_count
+    assert set(written) == named
+
+
 def _dense_draw():
     """The first model of the benchmark's `dense` workload."""
     workloads = _module("chronobench/workloads.py", "workloads")
