@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import sys
 from collections import Counter
@@ -446,11 +447,24 @@ def model_digest(model: Model) -> str:
     return hashlib.sha256(serialize_model(model).encode("utf-8")).hexdigest()
 
 
-def load_model(path: str | Path) -> Model:
+def load_model(path: str | os.PathLike[str]) -> Model:
+    """Read and parse the model file at `path`.
+
+    The file is read as strict UTF-8 with universal newlines, as
+    `Path.read_text` reads it: a CRLF or lone CR line break reads as LF.
+    One unbuffered binary read and a decode cost less than a text-mode
+    stream, and line breaks are translated only when the text holds a CR.
+    `os.fspath` refuses an int, so a file descriptor is neither read nor
+    closed.
+    """
+    with open(os.fspath(path), "rb", buffering=0) as file:
+        data = file.read()
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ModelFormatError(f"{path}: not UTF-8 text: {exc}") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     return parse_model(text)
 
 

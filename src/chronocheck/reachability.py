@@ -59,7 +59,10 @@ def compile_event(event: Event, table: TransitionTable) -> Callable[[MaskState],
     pack, site_full = table.pack, table.site_full
 
     def cover(items: Iterable[tuple[int, Subset]]) -> int:
-        return sum([site_full[site] for site, _ in items])
+        mask = 0
+        for site, _ in items:
+            mask |= site_full[site]
+        return mask
 
     if event.kind is EventKind.INTERSECT:
         keep = ~cover(event.constants) | pack(event.constants)
@@ -103,9 +106,18 @@ class TransitionTable:
         self.width = width = model.space.size
         self._full = full = (1 << width) - 1
         self.site_full = site_full = [full << site * width for site in range(len(model.sites))]
-        keep = mode_mask(model.space, model.mode)
-        self.keep = sum(keep << site * width for site in range(len(model.sites)))
-        self.supports = [sum(map(site_full.__getitem__, event.support)) for event in model.events]
+        counts = mode_mask(model.space, model.mode)
+        keep = 0
+        for site in range(len(model.sites)):
+            keep |= counts << site * width
+        self.keep = keep
+        supports = []
+        for event in model.events:
+            support = 0
+            for site in event.support:
+                support |= site_full[site]
+            supports.append(support)
+        self.supports = supports
         self.packed: list[MaskState] = []
         self._apply = [compile_event(event, self) for event in model.events]
         self._ids: dict[MaskState, int] = {}
@@ -146,7 +158,10 @@ class TransitionTable:
     def pack(self, records: Iterable[tuple[int, Subset]]) -> int:
         """Each (site, record) pair's world mask at its site, packed."""
         width = self.width
-        return sum(record.mask << site * width for site, record in records)
+        value = 0
+        for site, record in records:
+            value |= record.mask << site * width
+        return value
 
     def field(self, value: int, site: int) -> int:
         """The world mask that packed `value` holds at `site`."""

@@ -1,9 +1,11 @@
 import json
+import os
 import random
 import re
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +19,7 @@ from chronocheck import (
     PossibilitySpace,
     fixture_path,
     load_fixture,
+    load_model,
     model_digest,
     parse_model,
     serialize_model,
@@ -380,6 +383,98 @@ def test_parse_rejects_a_byte_order_mark_as_json_loads_does():
         parse_model(doc)
     message = "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"
     assert str(info.value) == message
+
+
+def _read_as_text(path):
+    """Reference reader: the file through a text-mode stream, strict UTF-8
+    with universal newlines."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"{path}: not UTF-8 text: {exc}") from None
+    return parse_model(text)
+
+
+def _outcome(load, path):
+    try:
+        model = load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return model_digest(model), model.static_defects()
+
+
+class _PathLike:
+    def __init__(self, path):
+        self.path = path
+
+    def __fspath__(self):
+        return str(self.path)
+
+
+_PATH_FORMS = (str, Path, _PathLike)
+_DOC = (
+    b'{"worlds": ["0", "1"],%s"sites": ["s"],%s'
+    b'"events": [{"name": "e", "kind": "table", "support": ["s"], "rules": []}]}'
+)
+
+
+@settings(max_examples=150)
+@given(data=st.binary(max_size=200), form=st.sampled_from(_PATH_FORMS))
+@example(data=_DOC % (b"\r\n", b"\r\n"), form=str)
+@example(data=_DOC % (b"\r", b" "), form=Path)
+@example(data=_DOC % (b"\r\r\n", b"\n\r"), form=_PathLike)
+@example(data=b'{\r\n\r"worlds": [],\n\r\n"sites": x}', form=str)  # positions after mixed breaks
+@example(data=b'{"worlds": ["a\rb"],\r\n "sites": ["s"], "events": []}', form=str)  # CR inside a string
+@example(data=b"\xef\xbb\xbf" + _DOC % (b" ", b" "), form=str)  # UTF-8 byte order mark
+@example(data=b'{"worlds": ["\xff"]}\r\n', form=Path)  # invalid UTF-8
+@example(data=b"\r\n\xe2\x82", form=str)  # truncated UTF-8 sequence at the end
+@example(data=b"", form=str)
+def test_load_model_reads_as_the_text_stream_did(data, form, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "differential_read.json"
+    path.write_bytes(data)  # a new file each time: truncating one can be slow
+    try:
+        arg = form(path)
+        assert _outcome(load_model, arg) == _outcome(_read_as_text, arg)
+    finally:
+        path.unlink()
+
+
+@pytest.mark.parametrize("form", _PATH_FORMS, ids=["str", "Path", "PathLike"])
+def test_load_model_fails_on_a_missing_file_or_a_directory_as_before(form, tmp_path):
+    for path in (tmp_path / "missing.json", tmp_path):
+        arg = form(path)
+        outcome = _outcome(load_model, arg)
+        assert issubclass(outcome[0], OSError)
+        assert outcome == _outcome(_read_as_text, arg)
+
+
+def test_load_model_refuses_a_file_descriptor_and_leaves_it_open():
+    fd = os.open(fixture_path("two_site"), os.O_RDONLY)
+    try:
+        with pytest.raises(TypeError):
+            load_model(fd)
+        os.fstat(fd)  # raises if `load_model` closed it
+    finally:
+        os.close(fd)
+
+
+def test_load_model_reads_every_fixture_without_a_text_stream(monkeypatch, tmp_path):
+    # one binary read and a decode per file, and a CRLF or CR copy of each
+    # bundled fixture reads as the LF original
+    def refuse(*args, **kwargs):
+        raise AssertionError("a text-mode read was used")
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    fixtures = sorted(fixture_path("two_site").parent.glob("*.json"))
+    assert len(fixtures) >= 3
+    for original in fixtures:
+        data = original.read_bytes()
+        assert b"\n" in data and b"\r" not in data
+        digest = model_digest(load_model(original))
+        for newline in (b"\r\n", b"\r"):
+            copy = tmp_path / f"{newline.hex()}_{original.name}"
+            copy.write_bytes(data.replace(b"\n", newline))
+            assert model_digest(load_model(copy)) == digest
 
 
 @pytest.mark.parametrize("quote", ['"', ""], ids=["string", "number"])

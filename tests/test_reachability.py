@@ -444,6 +444,28 @@ def test_transition_table_matches_apply_event(seed, truncated, shape):
     assert check_monotonicity(graph) == findings_by_direct_application(model, graph)
 
 
+def test_an_empty_first_rule_is_the_identity_at_every_state():
+    # an empty guard matches every state and an empty result writes
+    # nothing, so the later rule never fires
+    space = PossibilitySpace.create(["0", "1", "2"])
+    noop = Event.table(
+        "noop", [0, 1], [Rule.of({}, {}), Rule.of({}, {0: space.subset(["0"])})]
+    )
+    tighten = Event.intersect("tighten", [0, 1], {0: space.subset(["1", "2"]), 1: space.subset(["2"])})
+    widen = Event.table("widen", [1], [Rule.of({1: space.subset(["2"])}, {1: space.full()})])
+    model = Model(space, ("a", "b"), RecordState((space.full(), space.full())), (noop, tighten, widen))
+    graph = explore(model)
+    assert graph.state_count > 1
+    for sid in range(graph.state_count):
+        state = graph.state(sid)
+        assert apply_event(noop, state) == state
+        assert graph.table.step(sid, 0) == sid
+
+
+def test_pack_of_no_pairs_is_zero(two_site):
+    assert TransitionTable(two_site).pack(()) == 0
+
+
 def test_check_gs_two_site_clean(two_site):
     graph = explore(two_site)
     assert check_gs(graph) == []
