@@ -118,19 +118,16 @@ def projection(report: TaxonomyReport) -> dict[str, Any]:
     """The normalized, count-free view of one report that is digested.
     Shrink-only findings are listed one by one, as the API gives them, not
     grouped by cause as the report writes them."""
-    model = report.model
     doc = taxonomy_json(report)
     graph = report.graph
-    gs_states = {_canonical(state_json(model, graph.state(i))) for i in report.gs_violations}
+    gs_states = {_canonical(state_json(graph, i)) for i in report.gs_violations}
     bd_findings = {_canonical(entry) for entry in doc["bd_violations"]}
     return {
         "verdict": doc["verdict"],
         "influence": doc["influence"],
         "chronology": doc["chronology"],
         "cycles": doc["cycles"],
-        "monotonicity_violations": [
-            monotonicity_json(model, graph, f) for f in report.monotonicity_violations
-        ],
+        "monotonicity_violations": [monotonicity_json(graph, f) for f in report.monotonicity_violations],
         "diamond_violations": doc["diamond_violations"],
         "gs_violations": sorted(gs_states),
         "bd_violations": sorted(bd_findings),

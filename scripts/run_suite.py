@@ -60,7 +60,7 @@ def main(argv=None) -> int:
                 gap_models.append((index, model))
         for witness in report.influence.weak_edges.values():
             try:
-                binary_witness(model, report.graph, witness)
+                binary_witness(report.graph, witness)
                 stats["postcheck_ok"] += 1
             except WitnessPostcheckError:
                 stats["postcheck_failed"] += 1

@@ -12,6 +12,8 @@ failed premise (consistency, commutation, shrink-only writing, branch
 determinacy), or a cycle that none of the premise checks accounts for.
 `check_trace_invariance` runs a schedule and its reorderings on the
 transition table, and its report names the states it reached by id.
+Every check here takes the explored graph and reads the model it was
+explored from as `graph.model`; only `diagnose` starts from a model.
 """
 
 from __future__ import annotations
@@ -148,32 +150,25 @@ class BDViolation:
     actual: Subset
 
 
-def check_branch_determinacy(
-    model: Model, graph: ReachabilityGraph, ig: InfluenceGraph
-) -> list[BDViolation]:
+def check_branch_determinacy(graph: ReachabilityGraph, ig: InfluenceGraph) -> list[BDViolation]:
     """For each strong witness, scan every explored state whose records at
     the influenced event's support match the witness context, with the
     influencer fired on some path to the state or not fired on some path,
     and require the written branch constraint to agree with the witness
     branch.  A state is listed at most once per witness and polarity."""
-    table = graph.table_for(model)
     if not ig.strong_edges:
         return []
     fired, unfired = occurrence_masks(graph)
     violations: list[BDViolation] = []
     for witness in ig.strong_edges.values():
-        violations.extend(_branch_violations(model, table, witness, fired, unfired))
+        violations.extend(_branch_violations(graph.table, witness, fired, unfired))
     return violations
 
 
 def _branch_violations(
-    model: Model,
-    table: TransitionTable,
-    witness: StrongWitness,
-    fired: list[int],
-    unfired: list[int],
+    table: TransitionTable, witness: StrongWitness, fired: list[int], unfired: list[int]
 ) -> list[BDViolation]:
-    packed, keep = table.packed, table.keep
+    model, packed, keep = table.model, table.packed, table.keep
     e, f = model.event_names.index(witness.e), model.event_names.index(witness.f)
     # f's records with only the worlds that count, as one packed mask
     context = table.supports[f] & keep
@@ -227,11 +222,7 @@ class TraceInvarianceReport:
 
 
 def check_trace_invariance(
-    model: Model,
-    schedule: Sequence[str],
-    swaps: int = 20,
-    seed: int = 0,
-    graph: ReachabilityGraph | None = None,
+    graph: ReachabilityGraph, schedule: Sequence[str], swaps: int = 20, seed: int = 0
 ) -> TraceInvarianceReport:
     """Run a schedule, then every single swap of adjacent independent
     events plus seeded random chains of such swaps, and verify the final
@@ -241,20 +232,18 @@ def check_trace_invariance(
     not depend on a schedule, so they are not compared across variants.  A
     model that fails the commutation check cannot be trace-invariant, so in
     that case the commutation failures are reported and no variants are
-    attempted.  `graph` is the model's explored graph; when it is omitted,
-    the check explores the model once, with the default limits.  A
-    negative `swaps` raises `ValueError`.
+    attempted.  The schedule runs on `graph`'s transition table, from its
+    model's initial state.  A negative `swaps` raises `ValueError`.
     """
     if swaps < 0:
         raise ValueError("swaps must not be negative")
+    model = graph.model
     for name in schedule:
         model.event(name)  # raises on unknown names
-    if graph is None:
-        graph = explore(model)
-    diamonds = check_diamond(graph, model)
+    diamonds = check_diamond(graph)
     schedule = tuple(schedule)
     table = graph.table
-    final = _run_schedule(model, table, schedule)
+    final = _run_schedule(table, schedule)
     if diamonds:
         return TraceInvarianceReport(schedule, seed, final, 0, [], diamonds, graph)
 
@@ -285,7 +274,7 @@ def check_trace_invariance(
 
     state_mismatches: list[tuple[tuple[str, ...], int]] = []
     for variant in unique_variants:
-        variant_final = _run_schedule(model, table, variant)
+        variant_final = _run_schedule(table, variant)
         if not table.same(variant_final, final):
             state_mismatches.append((variant, variant_final))
     return TraceInvarianceReport(
@@ -293,10 +282,10 @@ def check_trace_invariance(
     )
 
 
-def _run_schedule(model: Model, table: TransitionTable, schedule: Sequence[str]) -> int:
-    sid = table.intern_state(model.initial)
+def _run_schedule(table: TransitionTable, schedule: Sequence[str]) -> int:
+    sid = table.intern_state(table.model.initial)
     for name in schedule:
-        sid = table.step(sid, model.event_names.index(name))
+        sid = table.step(sid, table.model.event_names.index(name))
     return sid
 
 
@@ -308,7 +297,6 @@ class Verdict(Enum):
 
 @dataclass
 class TaxonomyReport:
-    model: Model
     graph: ReachabilityGraph
     influence: InfluenceGraph
     chronology: Chronology
@@ -354,12 +342,11 @@ def diagnose(model: Model, limits: ExplorationLimits | None = None) -> TaxonomyR
     """
     graph = explore(model, limits)
     monotonicity = check_monotonicity(graph)
-    diamonds = check_diamond(graph, model)
+    diamonds = check_diamond(graph)
     gs = check_gs(graph)
     ig = build_influence_graphs(model, graph)
-    bd = check_branch_determinacy(model, graph, ig)
+    bd = check_branch_determinacy(graph, ig)
     return TaxonomyReport(
-        model=model,
         graph=graph,
         influence=ig,
         chronology=transitive_closure(ig),

@@ -3,11 +3,14 @@
 Subcommands: validate, explore, influence, chronology, diagnose,
 trace-check.  Every run prints one JSON report to stdout; --json writes
 the same document to a file and --dot, which validate and trace-check do
-not accept, writes a Graphviz view.  Each handler returns its view as a
-function, so the DOT text is built only when --dot is given, and whether
-its exploration was truncated, which the report lists as a warning.  Exit
-codes: 0 clean, 1 violations found (listed in the report), 2 a run that
-cannot be judged (a usage, parse or write error, or a --strict finding).
+not accept, writes a Graphviz view.  Every handler but validate explores
+the loaded model once and hands the graph, which carries the model, to
+each check and report writer; only `build_influence_graphs` takes the
+model beside it.  Each handler returns its view as a function, so the
+DOT text is built only when --dot is given, and whether its exploration
+was truncated, which the report lists as a warning.  Exit codes: 0
+clean, 1 violations found (listed in the report), 2 a run that cannot be
+judged (a usage, parse or write error, or a --strict finding).
 
 The argument parser is built once per process, when this module is
 imported, and every `main` call reuses it; `import chronocheck` does not
@@ -117,19 +120,19 @@ def _flags(args: argparse.Namespace) -> dict[str, Any]:
     return flags
 
 
-def _check_strict(model: Model, args: argparse.Namespace, findings: list[MonotonicityFinding]) -> None:
+def _check_strict(graph: ReachabilityGraph, args: argparse.Namespace, findings: list[MonotonicityFinding]) -> None:
     if args.strict and findings:
         first = findings[0]
         raise ValueError(
             f"monotonicity violation: event {first.event} adds worlds "
-            f"{first.added.sorted_labels()} at site {model.sites[first.site]}"
+            f"{first.added.sorted_labels()} at site {graph.model.sites[first.site]}"
         )
 
 
 def _explored(model: Model, args: argparse.Namespace) -> ReachabilityGraph:
     graph = explore(model, _limits(args))
     if args.strict:
-        _check_strict(model, args, check_monotonicity(graph))
+        _check_strict(graph, args, check_monotonicity(graph))
     return graph
 
 
@@ -155,25 +158,25 @@ def _cmd_validate(model: Model, args: argparse.Namespace):
 def _cmd_explore(model: Model, args: argparse.Namespace):
     graph = explore(model, _limits(args))
     mono = check_monotonicity(graph)
-    _check_strict(model, args, mono)
+    _check_strict(graph, args, mono)
     gs = check_gs(graph)
-    diamonds = check_diamond(graph, model)
+    diamonds = check_diamond(graph)
     clock = check_clock_monotone(graph)
     results = {
         "exploration": report_mod.graph_summary_json(graph),
-        "gs_violations": [report_mod.node_json(model, graph, i) for i in gs],
-        "monotonicity_violations": report_mod.monotonicity_causes_json(model, graph, mono),
-        "diamond_violations": [report_mod.diamond_json(model, graph, v) for v in diamonds],
-        "clock_violations": [report_mod.clock_json(model, graph, v) for v in clock],
+        "gs_violations": [report_mod.node_json(graph, i) for i in gs],
+        "monotonicity_violations": report_mod.monotonicity_causes_json(graph, mono),
+        "diamond_violations": [report_mod.diamond_json(graph, v) for v in diamonds],
+        "clock_violations": [report_mod.clock_json(graph, v) for v in clock],
     }
     violations = bool(gs or mono or diamonds or clock)
-    return results, violations, [], lambda: reachability_dot(model, graph), graph.truncated
+    return results, violations, [], lambda: reachability_dot(graph), graph.truncated
 
 
 def _cmd_influence(model: Model, args: argparse.Namespace):
     graph = _explored(model, args)
     ig = build_influence_graphs(model, graph)
-    results = report_mod.influence_json(model, graph, ig)
+    results = report_mod.influence_json(graph, ig)
     notes = report_mod.influence_notes(ig)
     return results, False, notes, lambda: influence_dot(
         ig.events, ig.weak_edges, ig.strong_edges
@@ -186,7 +189,7 @@ def _cmd_chronology(model: Model, args: argparse.Namespace):
     chron = transitive_closure(ig)
     results = {
         "chronology": report_mod.chronology_json(chron),
-        "cycles": report_mod.cycles_json(model, graph, ig, chron.cycles),
+        "cycles": report_mod.cycles_json(graph, ig, chron.cycles),
         "strong_edges": [list(pair) for pair in ig.strong_edges],
     }
     notes = report_mod.influence_notes(ig)
@@ -197,7 +200,7 @@ def _cmd_chronology(model: Model, args: argparse.Namespace):
 
 def _cmd_diagnose(model: Model, args: argparse.Namespace):
     taxonomy = diagnose(model, _limits(args))
-    _check_strict(model, args, taxonomy.monotonicity_violations)
+    _check_strict(taxonomy.graph, args, taxonomy.monotonicity_violations)
     results = report_mod.taxonomy_json(taxonomy)
     ig, precedes = taxonomy.influence, taxonomy.chronology.precedes
     notes = report_mod.influence_notes(ig)
@@ -210,8 +213,8 @@ def _cmd_diagnose(model: Model, args: argparse.Namespace):
 def _cmd_trace_check(model: Model, args: argparse.Namespace):
     graph = _explored(model, args)
     schedule = [name.strip() for name in args.schedule.split(",") if name.strip()]
-    trace = check_trace_invariance(model, schedule, swaps=args.swaps, seed=args.seed, graph=graph)
-    results = report_mod.trace_json(model, trace)
+    trace = check_trace_invariance(graph, schedule, swaps=args.swaps, seed=args.seed)
+    results = report_mod.trace_json(trace)
     return results, not trace.invariant, [], None, graph.truncated
 
 

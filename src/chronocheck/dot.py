@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .model import Model
 from .reachability import ReachabilityGraph
 
 
@@ -46,13 +45,14 @@ def _label(parts: Sequence[str]) -> str:
     return '"' + "\\n".join(escaped) + '"'
 
 
-def reachability_dot(model: Model, graph: ReachabilityGraph) -> str:
+def reachability_dot(graph: ReachabilityGraph) -> str:
     """One vertex per explored state, labeled with its records and the
     events on the path that first reached it; edges carry event names."""
     lines = ["digraph reachability {"]
+    sites = graph.model.sites
     for sid in range(graph.state_count):
         parts = [
-            f"{model.sites[i]}={{{', '.join(rec.sorted_labels())}}}"
+            f"{sites[i]}={{{', '.join(rec.sorted_labels())}}}"
             for i, rec in enumerate(graph.state(sid))
         ]
         parts.append(f"occ={{{', '.join(graph.occurred_names(sid))}}}")

@@ -9,6 +9,11 @@ is deterministic (exploration order of states, then site index), so
 reports are reproducible.  A witness names its state by table id;
 `ReachabilityGraph.state` gives the records on request.
 
+The four queries take the model beside its explored graph and refuse,
+through `ReachabilityGraph.table_for`, a graph explored from a model with
+other events or mode; the post-checks `binary_witness` and
+`verify_strong_witness` read the graph's own model.
+
 An event reads and writes only its support.  So at a state where e leaves
 every site it shares with f unchanged, e leaves all of f's support
 unchanged, f writes the same records with or without e, and neither kind
@@ -93,14 +98,16 @@ def _changed_sites(graph: ReachabilityGraph, events: Sequence[int]) -> list[_Cha
 
 
 def _influence(
-    model: Model, graph: ReachabilityGraph, e: int, f: int, changes: _Changes
+    graph: ReachabilityGraph, e: int, f: int, changes: _Changes
 ) -> tuple[WeakWitness | None, StrongWitness | None]:
     """First weak and first strong witness for event index e before f,
     found in one scan of e's change entries (`changes`, from
-    `_changed_sites`), in exploration order, then site order.  Callers
-    dismiss pairs with disjoint supports before building the entries.
+    `_changed_sites`), in exploration order, then site order.  Both callers
+    dismiss pairs with disjoint supports before the scan: `_single_pair`
+    before it builds e's entries, `build_influence_graphs` after it has
+    built every event's entries in one pass over the states.
     """
-    table = graph.table
+    table, model = graph.table, graph.model
     shared = table.supports[e] & table.supports[f]
     test = table.keep & shared
     field = table.field
@@ -152,23 +159,25 @@ def _influence(
     return weak, strong
 
 
-def _pair(model: Model, e_name: str, f_name: str) -> tuple[Event, Event]:
-    """The two named events, which influence needs to be distinct."""
+def _pair(graph: ReachabilityGraph, e_name: str, f_name: str) -> tuple[Event, Event]:
+    """The two named events of the graph's model, which influence needs to
+    be distinct."""
     if e_name == f_name:
         raise ValueError(f"influence needs two distinct events, got {e_name!r} twice")
-    return model.event(e_name), model.event(f_name)
+    return graph.model.event(e_name), graph.model.event(f_name)
 
 
 def _single_pair(
-    model: Model, graph: ReachabilityGraph, e_name: str, f_name: str
+    graph: ReachabilityGraph, e_name: str, f_name: str
 ) -> tuple[WeakWitness | None, StrongWitness | None]:
     """`_influence` for one pair, with change entries built for e only."""
-    _pair(model, e_name, f_name)  # raises on an unknown or repeated name
-    e, f = model.event_names.index(e_name), model.event_names.index(f_name)
-    supports = graph.table_for(model).supports
+    _pair(graph, e_name, f_name)  # raises on an unknown or repeated name
+    names = graph.model.event_names
+    e, f = names.index(e_name), names.index(f_name)
+    supports = graph.table.supports
     if not supports[e] & supports[f]:
         return None, None
-    return _influence(model, graph, e, f, _changed_sites(graph, (e,))[0])
+    return _influence(graph, e, f, _changed_sites(graph, (e,))[0])
 
 
 def weak_influence(
@@ -176,16 +185,18 @@ def weak_influence(
 ) -> WeakWitness | None:
     """First witness that executing e changes f's write effect at a shared
     site, or None.  Pairs with disjoint supports are dismissed outright."""
-    return _single_pair(model, graph, e_name, f_name)[0]
+    graph.table_for(model)
+    return _single_pair(graph, e_name, f_name)[0]
 
 
-def binary_witness(model: Model, graph: ReachabilityGraph, witness: WeakWitness) -> Subset:
+def binary_witness(graph: ReachabilityGraph, witness: WeakWitness) -> Subset:
     """Observable built as the symmetric difference of the two write
     effects, post-verified to separate the two post-f records with
     positive weight at the witness state of `graph`.  Raises
     WitnessPostcheckError when the construction does not separate them,
     which happens exactly when the entire write difference consists of
     worlds the influencer removed itself."""
+    model = graph.model
     observable = witness.delta_with ^ witness.delta_without
     e, f = model.event(witness.e), model.event(witness.f)
     base = graph.state(witness.state)
@@ -214,7 +225,8 @@ def strong_influence(
     nontrivial branches meets both differences.  The emitted witness uses
     the canonical observable P0 xor P1.
     """
-    return _single_pair(model, graph, e_name, f_name)[1]
+    graph.table_for(model)
+    return _single_pair(graph, e_name, f_name)[1]
 
 
 def strong_influence_oracle(
@@ -227,15 +239,18 @@ def strong_influence_oracle(
 
     Kept deliberately naive as the independent cross-check for
     strong_influence: it applies events through `apply_event`, not the
-    transition table.  It refuses spaces with more than ORACLE_MAX_WORLDS
-    worlds because it enumerates all 2^|worlds| observables.
+    transition table.  Like `strong_influence`, it refuses a graph explored
+    from a model with other events or mode, and it refuses spaces with
+    more than ORACLE_MAX_WORLDS worlds because it enumerates all
+    2^|worlds| observables.
     """
+    graph.table_for(model)
     size = model.space.size
     if size > ORACLE_MAX_WORLDS:
         raise ValueError(
             f"oracle enumeration infeasible: {size} worlds > {ORACLE_MAX_WORLDS}"
         )
-    e, f = _pair(model, e_name, f_name)
+    e, f = _pair(graph, e_name, f_name)
     shared = sorted(set(e.support) & set(f.support))
     if not shared:
         return None
@@ -268,9 +283,10 @@ def strong_influence_oracle(
     return None
 
 
-def verify_strong_witness(model: Model, graph: ReachabilityGraph, witness: StrongWitness) -> bool:
+def verify_strong_witness(graph: ReachabilityGraph, witness: StrongWitness) -> bool:
     """Re-derive a strong witness from its state in `graph` and check its
     claims."""
+    model = graph.model
     e, f = model.event(witness.e), model.event(witness.f)
     if witness.site not in set(e.support) & set(f.support):
         return False
@@ -296,7 +312,7 @@ def build_influence_graphs(model: Model, graph: ReachabilityGraph) -> InfluenceG
         for f in range(len(names)):
             if f == e or not changes or not supports[e] & supports[f]:
                 continue
-            w, s = _influence(model, graph, e, f, changes)
+            w, s = _influence(graph, e, f, changes)
             if w is not None:
                 weak[(names[e], names[f])] = w
             if s is not None:

@@ -207,7 +207,8 @@ class ExplorationLimits:
 
 @dataclass(frozen=True, eq=False)
 class ReachabilityGraph:
-    """Explored states and transitions over one transition table.
+    """Explored states and transitions over one transition table.  `model`
+    is the model the table was compiled from; every check reads it there.
 
     The explored states are table states 0 to `state_count - 1`;
     `occurred[i]` is the event bitmask of the breadth-first path that first
@@ -274,7 +275,8 @@ class ReachabilityGraph:
 
     def table_for(self, model: Model) -> TransitionTable:
         """The graph's transition table, checked to apply `model`'s events
-        and to judge in `model`'s mode."""
+        and to judge in `model`'s mode: the guard of the influence queries,
+        the only functions that take a model beside its graph."""
         if (model.events, model.mode) != (self.model.events, self.model.mode):
             raise ValueError("the graph was explored from a model with other events or mode")
         return self.table
@@ -356,11 +358,11 @@ class DiamondViolation:
     e_then_f: int
 
 
-def check_diamond(graph: ReachabilityGraph, model: Model) -> list[DiamondViolation]:
+def check_diamond(graph: ReachabilityGraph) -> list[DiamondViolation]:
     """Compare both application orders of every independent pair at every
     explored state; a mismatch is a commutation failure."""
-    table = graph.table_for(model)
-    events = model.events
+    table = graph.table
+    events = graph.model.events
     pairs = [
         (i, j)
         for i, e in enumerate(events)

@@ -3,7 +3,8 @@ full command report.  Field order is fixed so equal inputs produce
 byte-identical documents.
 
 Witnesses and findings name states by table id.  The writers take the
-explored graph and resolve only the ids they write: records through
+explored graph, read the model's site and event names from `graph.model`,
+and resolve only the ids they write: records through
 `ReachabilityGraph.state`, which builds each state's records once per
 graph, and the events on the path that first reached an explored state
 through `ReachabilityGraph.occurred_names`."""
@@ -14,9 +15,8 @@ import math
 from typing import Any
 
 from .chronology import BDViolation, Chronology, TaxonomyReport, TraceInvarianceReport
-from .core import RecordState, information_content
+from .core import information_content
 from .influence import InfluenceGraph, StrongWitness, WeakWitness
-from .model import Model
 from .modelfile import dumps_indented
 from .reachability import (
     ClockViolation,
@@ -26,54 +26,53 @@ from .reachability import (
 )
 
 
-def state_json(model: Model, state: RecordState) -> dict[str, list[str]]:
-    return {model.sites[i]: rec.sorted_labels() for i, rec in enumerate(state)}
+def state_json(graph: ReachabilityGraph, sid: int) -> dict[str, list[str]]:
+    sites = graph.model.sites
+    return {sites[i]: rec.sorted_labels() for i, rec in enumerate(graph.state(sid))}
 
 
-def node_json(model: Model, graph: ReachabilityGraph, sid: int) -> dict[str, Any]:
-    return {"state": state_json(model, graph.state(sid)), "occurred": graph.occurred_names(sid)}
+def node_json(graph: ReachabilityGraph, sid: int) -> dict[str, Any]:
+    return {"state": state_json(graph, sid), "occurred": graph.occurred_names(sid)}
 
 
 def _info_json(value: float) -> Any:
     return "inf" if math.isinf(value) else value
 
 
-def weak_witness_json(model: Model, graph: ReachabilityGraph, w: WeakWitness) -> dict[str, Any]:
+def weak_witness_json(graph: ReachabilityGraph, w: WeakWitness) -> dict[str, Any]:
     return {
         "e": w.e,
         "f": w.f,
-        "site": model.sites[w.site],
-        "node": node_json(model, graph, w.state),
+        "site": graph.model.sites[w.site],
+        "node": node_json(graph, w.state),
         "delta_without": w.delta_without.sorted_labels(),
         "delta_with": w.delta_with.sorted_labels(),
     }
 
 
-def strong_witness_json(model: Model, graph: ReachabilityGraph, w: StrongWitness) -> dict[str, Any]:
+def strong_witness_json(graph: ReachabilityGraph, w: StrongWitness) -> dict[str, Any]:
     return {
         "e": w.e,
         "f": w.f,
-        "site": model.sites[w.site],
-        "node": node_json(model, graph, w.state),
+        "site": graph.model.sites[w.site],
+        "node": node_json(graph, w.state),
         "observable": w.observable.sorted_labels(),
         "branch0": w.branch0.sorted_labels(),
         "branch1": w.branch1.sorted_labels(),
     }
 
 
-def monotonicity_json(
-    model: Model, graph: ReachabilityGraph, finding: MonotonicityFinding
-) -> dict[str, Any]:
+def monotonicity_json(graph: ReachabilityGraph, finding: MonotonicityFinding) -> dict[str, Any]:
     return {
         "event": finding.event,
-        "site": model.sites[finding.site],
+        "site": graph.model.sites[finding.site],
         "added": finding.added.sorted_labels(),
-        "state": state_json(model, graph.state(finding.state)),
+        "state": state_json(graph, finding.state),
     }
 
 
 def monotonicity_causes_json(
-    model: Model, graph: ReachabilityGraph, findings: list[MonotonicityFinding]
+    graph: ReachabilityGraph, findings: list[MonotonicityFinding]
 ) -> list[dict[str, Any]]:
     """One entry per (event, site) cause of `findings`: the fields of its
     first finding, then `count`, the number of its findings; entries keep
@@ -84,28 +83,26 @@ def monotonicity_causes_json(
         if key in causes:
             causes[key]["count"] += 1
         else:
-            causes[key] = {**monotonicity_json(model, graph, finding), "count": 1}
+            causes[key] = {**monotonicity_json(graph, finding), "count": 1}
     return list(causes.values())
 
 
-def diamond_json(
-    model: Model, graph: ReachabilityGraph, violation: DiamondViolation
-) -> dict[str, Any]:
+def diamond_json(graph: ReachabilityGraph, violation: DiamondViolation) -> dict[str, Any]:
     return {
         "e": violation.e,
         "f": violation.f,
-        "state": state_json(model, graph.state(violation.state)),
-        "f_then_e": state_json(model, graph.state(violation.f_then_e)),
-        "e_then_f": state_json(model, graph.state(violation.e_then_f)),
+        "state": state_json(graph, violation.state),
+        "f_then_e": state_json(graph, violation.f_then_e),
+        "e_then_f": state_json(graph, violation.e_then_f),
     }
 
 
-def clock_json(model: Model, graph: ReachabilityGraph, v: ClockViolation) -> dict[str, Any]:
+def clock_json(graph: ReachabilityGraph, v: ClockViolation) -> dict[str, Any]:
     src, event, tgt = v.arc
     return {
-        "event": model.event_names[event],
-        "source": node_json(model, graph, src),
-        "target": node_json(model, graph, tgt),
+        "event": graph.model.event_names[event],
+        "source": node_json(graph, src),
+        "target": node_json(graph, tgt),
         "mu_source": str(v.mu_source),
         "mu_target": str(v.mu_target),
         "info_source": _info_json(information_content(graph.state(src))),
@@ -113,24 +110,22 @@ def clock_json(model: Model, graph: ReachabilityGraph, v: ClockViolation) -> dic
     }
 
 
-def bd_violation_json(model: Model, graph: ReachabilityGraph, v: BDViolation) -> dict[str, Any]:
+def bd_violation_json(graph: ReachabilityGraph, v: BDViolation) -> dict[str, Any]:
     return {
         "e": v.witness.e,
         "f": v.witness.f,
-        "site": model.sites[v.witness.site],
+        "site": graph.model.sites[v.witness.site],
         "polarity": v.polarity,
-        "state": state_json(model, graph.state(v.state)),
+        "state": state_json(graph, v.state),
         "expected": v.expected.sorted_labels(),
         "actual": v.actual.sorted_labels(),
     }
 
 
-def influence_json(model: Model, graph: ReachabilityGraph, ig: InfluenceGraph) -> dict[str, Any]:
+def influence_json(graph: ReachabilityGraph, ig: InfluenceGraph) -> dict[str, Any]:
     return {
-        "weak_edges": [weak_witness_json(model, graph, w) for w in ig.weak_edges.values()],
-        "strong_edges": [
-            strong_witness_json(model, graph, w) for w in ig.strong_edges.values()
-        ],
+        "weak_edges": [weak_witness_json(graph, w) for w in ig.weak_edges.values()],
+        "strong_edges": [strong_witness_json(graph, w) for w in ig.strong_edges.values()],
     }
 
 
@@ -148,17 +143,14 @@ def chronology_json(chronology: Chronology) -> dict[str, Any]:
 
 
 def cycles_json(
-    model: Model,
-    graph: ReachabilityGraph,
-    ig: InfluenceGraph,
-    cycles: tuple[tuple[str, ...], ...],
+    graph: ReachabilityGraph, ig: InfluenceGraph, cycles: tuple[tuple[str, ...], ...]
 ) -> list[dict]:
     out = []
     for cycle in cycles:
         edges = []
         for i, src in enumerate(cycle):
             dst = cycle[(i + 1) % len(cycle)]
-            edges.append(strong_witness_json(model, graph, ig.strong_edges[(src, dst)]))
+            edges.append(strong_witness_json(graph, ig.strong_edges[(src, dst)]))
         out.append({"events": list(cycle), "edges": edges})
     return out
 
@@ -172,40 +164,34 @@ def graph_summary_json(graph: ReachabilityGraph) -> dict[str, Any]:
 
 
 def taxonomy_json(report: TaxonomyReport) -> dict[str, Any]:
-    model, graph = report.model, report.graph
+    graph = report.graph
     return {
         "verdict": report.verdict.value,
         "has_strong_cycle": report.has_strong_cycle,
         "truncated": report.truncated,
         "exploration": graph_summary_json(graph),
-        "gs_violations": [node_json(model, graph, i) for i in report.gs_violations],
-        "diamond_violations": [
-            diamond_json(model, graph, v) for v in report.diamond_violations
-        ],
-        "monotonicity_violations": monotonicity_causes_json(
-            model, graph, report.monotonicity_violations
-        ),
-        "bd_violations": [bd_violation_json(model, graph, v) for v in report.bd_violations],
-        "influence": influence_json(model, graph, report.influence),
+        "gs_violations": [node_json(graph, i) for i in report.gs_violations],
+        "diamond_violations": [diamond_json(graph, v) for v in report.diamond_violations],
+        "monotonicity_violations": monotonicity_causes_json(graph, report.monotonicity_violations),
+        "bd_violations": [bd_violation_json(graph, v) for v in report.bd_violations],
+        "influence": influence_json(graph, report.influence),
         "chronology": chronology_json(report.chronology),
-        "cycles": cycles_json(model, graph, report.influence, report.chronology.cycles),
+        "cycles": cycles_json(graph, report.influence, report.chronology.cycles),
     }
 
 
-def trace_json(model: Model, report: TraceInvarianceReport) -> dict[str, Any]:
+def trace_json(report: TraceInvarianceReport) -> dict[str, Any]:
     graph = report.graph
     return {
         "schedule": list(report.schedule),
         "seed": report.seed,
         "variants_checked": report.variants_checked,
-        "final_state": state_json(model, graph.state(report.final_state)),
+        "final_state": state_json(graph, report.final_state),
         "state_mismatches": [
-            {"schedule": list(schedule), "final_state": state_json(model, graph.state(state))}
+            {"schedule": list(schedule), "final_state": state_json(graph, state)}
             for schedule, state in report.state_mismatches
         ],
-        "diamond_violations": [
-            diamond_json(model, graph, v) for v in report.diamond_violations
-        ],
+        "diamond_violations": [diamond_json(graph, v) for v in report.diamond_violations],
         "invariant": report.invariant,
     }
 

@@ -138,7 +138,7 @@ def test_criterion_04_binary_witness_postcheck(suite_entries, capsys):
         for pair, witness in report.influence.weak_edges.items():
             weak_edges += 1
             try:
-                binary_witness(model, report.graph, witness)
+                binary_witness(report.graph, witness)
             except WitnessPostcheckError:
                 failures.append((index, pair))
     ok = not failures
@@ -258,10 +258,11 @@ def test_criterion_08_trace_invariance(capsys):
         )
         if not has_independent_pair:
             continue
-        if check_diamond(explore(model), model):
+        graph = explore(model)
+        if check_diamond(graph):
             continue  # only diamond-clean models enter the trace check
         schedule = random_schedule(rng, model)
-        report = check_trace_invariance(model, schedule, swaps=20, seed=index)
+        report = check_trace_invariance(graph, schedule, swaps=20, seed=index)
         models_checked += 1
         variants_total += report.variants_checked
         if not report.invariant:

@@ -10,7 +10,8 @@ they are, without importing the benchmark package.
 import importlib.util
 from pathlib import Path
 
-from chronocheck import build_influence_graphs, explore, load_fixture
+import chronocheck.cli
+from chronocheck import build_influence_graphs, explore, fixture_path, load_fixture
 
 
 def _tracing():
@@ -35,3 +36,20 @@ def test_graph_and_influence_count_hooks_on_bd_flip():
     assert tracing._graph_counts((model,), graph) == (8, 8, 24)
     ig = build_influence_graphs(model, graph)
     assert tracing._influence_counts((model, graph), ig) == (2, 1, 1)
+
+
+def test_traced_diagnose_writes_the_untraced_report(capsys):
+    # the hooks read the arguments and results of the calls they wrap, so
+    # a signature they no longer fit shows as a changed report or count
+    tracing = _tracing()
+    argv = ["diagnose", str(fixture_path("bd_flip"))]
+    untraced = chronocheck.cli.main(argv), capsys.readouterr().out
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = chronocheck.cli.main(argv), capsys.readouterr().out
+    finally:
+        tracer.remove()
+    assert traced == untraced
+    names = ("reachability.states", "reachability.edges", "influence.weak_edges", "influence.strong_edges")
+    assert {name: tracer.counts[name] for name in names} == dict(zip(names, (8, 24, 1, 1)))

@@ -87,14 +87,14 @@ def test_cycles_from_edges_representative_per_component():
 def test_branch_determinacy_gadget_clean(gadget):
     graph = explore(gadget)
     ig = build_influence_graphs(gadget, graph)
-    assert check_branch_determinacy(gadget, graph, ig) == []
+    assert check_branch_determinacy(graph, ig) == []
 
 
 def test_branch_determinacy_flip_model_single_violation(bd_flip):
     graph = explore(bd_flip)
     ig = build_influence_graphs(bd_flip, graph)
     assert set(ig.strong_edges) == {("e", "f")}
-    violations = check_branch_determinacy(bd_flip, graph, ig)
+    violations = check_branch_determinacy(graph, ig)
     assert len(violations) == 1
     violation = violations[0]
     assert violation.polarity == "e-not-occurred"
@@ -149,11 +149,11 @@ def test_branch_determinacy_lists_each_state_once_per_polarity():
 def test_branch_determinacy_vacuous_without_strong_edges(two_site):
     graph = explore(two_site)
     ig = build_influence_graphs(two_site, graph)
-    assert check_branch_determinacy(two_site, graph, ig) == []
+    assert check_branch_determinacy(graph, ig) == []
 
 
 def test_trace_invariance_two_site(two_site):
-    report = check_trace_invariance(two_site, ["e1", "e2"], swaps=5, seed=1)
+    report = check_trace_invariance(explore(two_site), ["e1", "e2"], swaps=5, seed=1)
     assert report.invariant
     assert report.variants_checked >= 1
     expected = RecordState(
@@ -161,7 +161,7 @@ def test_trace_invariance_two_site(two_site):
     )
     assert report.graph.state(report.final_state) == expected
     # the graph a report holds is left out of its equality and its repr
-    again = check_trace_invariance(two_site, ["e1", "e2"], swaps=5, seed=1)
+    again = check_trace_invariance(explore(two_site), ["e1", "e2"], swaps=5, seed=1)
     assert again.graph is not report.graph
     assert again == report
     assert "graph" not in repr(report)
@@ -183,7 +183,7 @@ def test_trace_report_names_states_by_graph_id(two_site, gadget):
         if schedule:
             cases.append((model, schedule))
     for index, (model, schedule) in enumerate(cases):
-        report = check_trace_invariance(model, schedule, swaps=5, seed=index)
+        report = check_trace_invariance(explore(model), schedule, swaps=5, seed=index)
         graph = report.graph
         assert graph.state(report.final_state) == _run_by_application(model, schedule)
         for variant, sid in report.state_mismatches:
@@ -191,20 +191,20 @@ def test_trace_report_names_states_by_graph_id(two_site, gadget):
 
 
 def test_trace_invariance_gadget_vacuous(gadget):
-    report = check_trace_invariance(gadget, ["a", "b"], swaps=5, seed=1)
+    report = check_trace_invariance(explore(gadget), ["a", "b"], swaps=5, seed=1)
     assert report.invariant
     assert report.variants_checked == 0
 
 
 def test_trace_invariance_unknown_event(two_site):
     with pytest.raises(ValueError):
-        check_trace_invariance(two_site, ["e1", "zzz"])
+        check_trace_invariance(explore(two_site), ["e1", "zzz"])
 
 
 def test_trace_invariance_rejects_negative_swaps(two_site):
     with pytest.raises(ValueError, match="swaps must not be negative"):
-        check_trace_invariance(two_site, ["e1", "e1"], swaps=-3)
-    assert check_trace_invariance(two_site, ["e1", "e1"], swaps=0).invariant
+        check_trace_invariance(explore(two_site), ["e1", "e1"], swaps=-3)
+    assert check_trace_invariance(explore(two_site), ["e1", "e1"], swaps=0).invariant
 
 
 @given(seed=st.integers(0, 10**9))
@@ -214,7 +214,7 @@ def test_trace_invariance_random_intersect_models(seed):
     schedule = random_schedule(rng, model)
     if not schedule:
         return
-    report = check_trace_invariance(model, schedule, swaps=5, seed=seed)
+    report = check_trace_invariance(explore(model), schedule, swaps=5, seed=seed)
     assert report.diamond_violations == []
     assert report.invariant
 
@@ -260,7 +260,7 @@ def test_diagnose_cycle_with_clean_premises_yields_suspected_verdict(
 
 def test_diagnose_mode_override(two_site):
     report = diagnose(replace(two_site, mode=ConsistencyMode.POSITIVE_MEASURE))
-    assert report.model.mode is ConsistencyMode.POSITIVE_MEASURE
+    assert report.graph.model.mode is ConsistencyMode.POSITIVE_MEASURE
     assert report.verdict is Verdict.NO_CYCLE
 
 

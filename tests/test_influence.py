@@ -101,7 +101,7 @@ def test_weak_influence_identity_target_has_no_edge(gadget):
 def test_binary_witness_gadget(gadget):
     graph = explore(gadget)
     witness = weak_influence(gadget, graph, "a", "b")
-    observable = binary_witness(gadget, graph, witness)
+    observable = binary_witness(graph, witness)
     assert observable == gadget.space.subset(["0", "1"])
     # frozen separation check: post-b record of the full state is {0},
     # of the tightened state it is empty, so the difference within the
@@ -123,7 +123,7 @@ def test_binary_witness_one_sided_delta():
     assert witness is not None
     assert witness.delta_without == space.subset([])
     assert witness.delta_with == space.subset(["w2"])
-    assert binary_witness(model, graph, witness) == space.subset(["w2"])
+    assert binary_witness(graph, witness) == space.subset(["w2"])
 
 
 def test_binary_witness_fails_when_influencer_absorbs_the_difference(
@@ -138,7 +138,7 @@ def test_binary_witness_fails_when_influencer_absorbs_the_difference(
     assert witness is not None
     assert witness.delta_without != witness.delta_with
     with pytest.raises(WitnessPostcheckError):
-        binary_witness(model, graph, witness)
+        binary_witness(graph, witness)
     # exhaustive confirmation: no (state, observable) pair separates
     e, f = model.event("e"), model.event("f")
     for state in map(graph.state, range(graph.state_count)):
@@ -180,18 +180,18 @@ def test_strong_influence_gadget_b_to_a(gadget):
     assert witness.observable == gadget.space.subset(["0", "1"])
     assert witness.branch0 == gadget.space.subset(["0"])
     assert witness.branch1 == gadget.space.subset(["1"])
-    assert verify_strong_witness(gadget, graph, witness)
+    assert verify_strong_witness(graph, witness)
 
 
 def test_verify_strong_witness_rejects_a_moved_site_or_swapped_branches(bd_flip):
     graph = explore(bd_flip)
     witness = strong_influence(bd_flip, graph, "e", "f")
     assert witness is not None and witness.site == 0
-    assert verify_strong_witness(bd_flip, graph, witness)
+    assert verify_strong_witness(graph, witness)
     # e does not support site2, so the pair shares no record there
-    assert not verify_strong_witness(bd_flip, graph, replace(witness, site=1))
+    assert not verify_strong_witness(graph, replace(witness, site=1))
     swapped = replace(witness, branch0=witness.branch1, branch1=witness.branch0)
-    assert not verify_strong_witness(bd_flip, graph, swapped)
+    assert not verify_strong_witness(graph, swapped)
 
 
 def test_strong_influence_gadget_a_to_b_absent(gadget):
@@ -224,6 +224,17 @@ def test_oracle_none_when_posts_always_equal(twin_intersect_model):
     graph = explore(twin_intersect_model)
     assert strong_influence_oracle(twin_intersect_model, graph, "e", "f") is None
     assert strong_influence(twin_intersect_model, graph, "e", "f") is None
+
+
+def test_oracle_refuses_a_graph_of_another_model(bd_flip, two_site):
+    # the oracle used to answer from the model it was given: a witness
+    # under bd_flip's events in the other mode, None for two_site's events
+    graph = explore(bd_flip)
+    other_mode = replace(bd_flip, mode=ConsistencyMode.NONEMPTY)
+    for model, e, f in [(other_mode, "e", "f"), (two_site, "e1", "e2")]:
+        for query in (strong_influence, strong_influence_oracle):
+            with pytest.raises(ValueError, match="other events or mode"):
+                query(model, graph, e, f)
 
 
 def test_oracle_refuses_large_spaces():
@@ -266,7 +277,7 @@ def test_strong_witnesses_replay_soundly(seed):
     graph = explore(model)
     ig = build_influence_graphs(model, graph)
     for witness in ig.strong_edges.values():
-        assert verify_strong_witness(model, graph, witness)
+        assert verify_strong_witness(graph, witness)
 
 
 @given(seed=st.integers(0, 10**9))

@@ -26,6 +26,7 @@ from chronocheck import (
     Subset,
     TransitionTable,
     apply_event,
+    build_influence_graphs,
     check_clock_monotone,
     check_diamond,
     check_gs,
@@ -37,6 +38,9 @@ from chronocheck import (
     load_fixture,
     measure_of,
     occurrence_masks,
+    strong_influence,
+    strong_influence_oracle,
+    weak_influence,
 )
 from chronocheck import reachability
 from chronocheck.modelfile import model_from_dict
@@ -487,19 +491,33 @@ def test_check_gs_zero_event_model_clean():
 
 
 def test_diamond_two_site_clean(two_site):
-    assert check_diamond(explore(two_site), two_site) == []
+    assert check_diamond(explore(two_site)) == []
 
 
-def test_checks_refuse_a_model_in_another_mode(two_site):
-    # the graph's table judges equality in the mode it was explored in
+@pytest.mark.parametrize("change", ["mode", "events"])
+@pytest.mark.parametrize(
+    "query",
+    [build_influence_graphs, weak_influence, strong_influence, strong_influence_oracle],
+    ids=lambda query: query.__name__,
+)
+def test_checks_refuse_a_model_in_another_mode(two_site, query, change):
+    # the graph's table applies the events and judges equality in the mode
+    # it was explored with, so the queries that take a model beside the
+    # graph refuse one that differs in either
     graph = explore(two_site)
-    with pytest.raises(ValueError):
-        check_diamond(graph, replace(two_site, mode=ConsistencyMode.POSITIVE_MEASURE))
+    if change == "mode":
+        other = replace(two_site, mode=ConsistencyMode.POSITIVE_MEASURE)
+    else:  # e1 keeps its name and support but intersects with other worlds
+        e1 = Event.intersect("e1", [0], {0: two_site.space.subset(["00", "10"])})
+        other = replace(two_site, events=(e1, *two_site.events[1:]))
+    names = () if query is build_influence_graphs else ("e1", "e2")
+    with pytest.raises(ValueError, match="other events or mode"):
+        query(other, graph, *names)
 
 
 def test_diamond_gadget_vacuous(gadget):
     # single site: no independent pair exists
-    assert check_diamond(explore(gadget), gadget) == []
+    assert check_diamond(explore(gadget)) == []
 
 
 def test_diamond_guarded_table_against_intersect_still_clean():
@@ -520,7 +538,7 @@ def test_diamond_guarded_table_against_intersect_still_clean():
         lhs = apply_event(overwrite, apply_event(tighten, state))
         rhs = apply_event(tighten, apply_event(overwrite, state))
         assert lhs == rhs
-    assert check_diamond(graph, model) == []
+    assert check_diamond(graph) == []
 
 
 def test_monotonicity_two_site_clean(two_site):

@@ -22,7 +22,7 @@ def _assert_one_entry_per_cause(model):
     for entry in entries:
         cause = (entry["event"], entry["site"])
         first = findings[causes.index(cause)]
-        expected = {**monotonicity_json(model, report.graph, first), "count": causes.count(cause)}
+        expected = {**monotonicity_json(report.graph, first), "count": causes.count(cause)}
         assert entry == expected
         assert list(entry) == list(expected)
 
