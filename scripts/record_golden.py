@@ -29,6 +29,9 @@ which faults are checked is pinned too.  An outcome is the
 `ModelFormatError` text, or the model digest and the static defects of
 the model read.
 
+`cap_model()` builds the default limits' worst case, a probe for stage
+times and peak memory; it is not recorded.
+
 Usage:
     PYTHONPATH=src python scripts/record_golden.py   # rewrites the three files under tests/golden/
 
@@ -48,7 +51,16 @@ import tempfile
 from pathlib import Path
 from typing import Any, Iterator
 
-from chronocheck import Model, ModelFormatError, TaxonomyReport, diagnose, parse_model
+from chronocheck import (
+    Event,
+    Model,
+    ModelFormatError,
+    PossibilitySpace,
+    RecordState,
+    TaxonomyReport,
+    diagnose,
+    parse_model,
+)
 from chronocheck.cli import main as cli_main
 from chronocheck.modelfile import fixture_path, load_model, model_digest, serialize_model
 from chronocheck.randmodels import model_suite, random_model
@@ -101,6 +113,23 @@ def ladder_rung(n_events: int, attempts: int = 40) -> Model:
         if len(model.events) == n_events:
             return model
     raise ValueError(f"no draw of scale:{n_events} has {n_events} events")
+
+
+def cap_model() -> Model:
+    """The default limits' worst case: 10 worlds, 4 sites, full initial
+    records and 24 intersect events drawn from `Random("cap")`, each on
+    two sampled sites with every world but one per site.  Under the default
+    limits it reaches 100,000 states and 1,295,398 arcs and is truncated.
+    It is not recorded and no test runs it; it is a stage-time probe."""
+    rng = random.Random("cap")
+    space = PossibilitySpace.create([f"w{i}" for i in range(10)])
+    sites = tuple(f"s{i}" for i in range(4))
+    events = []
+    for j in range(24):
+        support = rng.sample(range(len(sites)), 2)
+        constants = {site: space.from_mask(space.full_mask & ~(1 << rng.randrange(10))) for site in support}
+        events.append(Event.intersect(f"e{j}", support, constants))
+    return Model(space, sites, RecordState(tuple(space.full() for _ in sites)), tuple(events))
 
 
 def golden_models() -> Iterator[tuple[str, Model]]:

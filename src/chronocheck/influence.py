@@ -14,26 +14,25 @@ through `ReachabilityGraph.table_for`, a graph explored from a model with
 other events or mode; the post-checks `binary_witness` and
 `verify_strong_witness` read the graph's own model.
 
-An event reads and writes only its support.  So at a state where e leaves
-every site it shares with f unchanged, e leaves all of f's support
-unchanged, f writes the same records with or without e, and neither kind
-of witness can sit there.  The search therefore computes, once per graph,
-which sites each event changes at each explored state, and scans for a
-pair (e, f) only the states where e changes a shared site.
-
-The scan reads the packed states of the graph's `TransitionTable` (see
-`reachability`), and both tests run on whole states, masked with the
-table's `supports` and `keep`: the weak test over every shared site in
-one expression, its witness site the table's `first_site` of the
-difference; the strong test gated by two whole-state ANDs and then
-checked per site with the table's `field`, because both one-sided
-differences must lie on the same site.
+The search runs on the graph's lanes (`reachability.Lanes`): X holds every
+explored state, one lane each, and the graph keeps `e(X)` per event, which
+is E when e is the influencer and P0 when e is the influenced event.  Per
+ordered pair it computes P1 = f(E) with the lane kernel, and then
+- the weak lanes `((X & ~P0) ^ (E & ~P1)) & rep(test)`, where `test` holds
+  the worlds that count on the shared sites;
+- the strong lanes, where one site field is nonzero in both one-sided
+  differences `P0 & ~P1` and `P1 & ~P0` (masked the same way), found with
+  a per-field carry test.
+The lowest set bit of each gives the first witness: its lane is the state
+and its field the site.  A pair is skipped when e moves no world of f's
+support at any explored state, weighted or not, since f's guards read
+zero-weight worlds too.  No state is stepped to on the way, so influence
+adds no state to the graph's table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .core import Subset, measure_of, mode_mask
 from .events import Event, apply_event
@@ -75,87 +74,56 @@ class InfluenceGraph:
     strong_edges: dict[tuple[str, str], StrongWitness]
 
 
-_Changes = list[tuple[int, int, list[int], list[int]]]
-
-
-def _changed_sites(graph: ReachabilityGraph, events: Sequence[int]) -> list[_Changes]:
-    """Per event index in `events`, one (state, packed state xor successor,
-    successor row of the state, successor row of the event's target) entry
-    for every explored state where the event changes some site, in
-    exploration order.  The rows are filled here, so the witness scan reads
-    them directly."""
-    table = graph.table
-    packed = table.packed
-    changes: list[_Changes] = [[] for _ in events]
-    for sid in range(graph.state_count):
-        base = packed[sid]
-        row = table.row(sid)
-        for entries, event in zip(changes, events):
-            target = row[event]
-            if target != sid:  # interned: a different id is a different state
-                entries.append((sid, base ^ packed[target], row, table.row(target)))
-    return changes
-
-
-def _influence(
-    graph: ReachabilityGraph, e: int, f: int, changes: _Changes
-) -> tuple[WeakWitness | None, StrongWitness | None]:
-    """First weak and first strong witness for event index e before f,
-    found in one scan of e's change entries (`changes`, from
-    `_changed_sites`), in exploration order, then site order.  Both callers
-    dismiss pairs with disjoint supports before the scan: `_single_pair`
-    before it builds e's entries, `build_influence_graphs` after it has
-    built every event's entries in one pass over the states.
-    """
-    table, model = graph.table, graph.model
+def _influence(graph: ReachabilityGraph, e: int, f: int) -> tuple[WeakWitness | None, StrongWitness | None]:
+    """First weak and first strong witness for event index e before f, in
+    exploration order, then site order, from one pass over the graph's
+    lanes (see the module docstring)."""
+    table, lanes = graph.table, graph.lanes
+    x, shifted = lanes.x, lanes.after(e)
     shared = table.supports[e] & table.supports[f]
-    test = table.keep & shared
-    field = table.field
-    packed = table.packed
-    space = model.space
-    e_name, f_name = model.event_names[e], model.event_names[f]
+    # e can move zero-weight worlds only, and f's guards still read them,
+    # so the gate is on every world of the shared sites
+    if not (x ^ shifted) & lanes.spread(shared):
+        return None, None
+    test = lanes.spread(table.keep & shared)
+    p0 = lanes.after(f)
+    p1 = lanes.apply(f, shifted)
     weak: WeakWitness | None = None
     strong: StrongWitness | None = None
-    for sid, moved, row, shifted_row in changes:
-        if not moved & shared:
-            continue
-        base = packed[sid]
-        shifted = packed[row[e]]
-        p0 = packed[row[f]]
-        p1 = packed[shifted_row[f]]
-        if weak is None:
-            delta_without = base & ~p0
-            delta_with = shifted & ~p1
-            differ = (delta_without ^ delta_with) & test
-            if differ:
-                site = table.first_site(differ)
-                weak = WeakWitness(
-                    e_name,
-                    f_name,
-                    sid,
-                    site,
-                    Subset(space, field(delta_without, site)),
-                    Subset(space, field(delta_with, site)),
-                )
-        if strong is None:
-            only0 = p0 & ~p1 & test
-            only1 = p1 & ~p0 & test
-            if only0 and only1:
-                for site in model.events[e].support:
-                    if field(only0, site) and field(only1, site):
-                        observable = field(p0 ^ p1, site)
-                        strong = StrongWitness(
-                            e_name,
-                            f_name,
-                            sid,
-                            site,
-                            Subset(space, observable),
-                            Subset(space, field(p0, site) & observable),
-                            Subset(space, field(p1, site) & observable),
-                        )
-                        break
-        if weak is not None and strong is not None:
-            break
+    delta_without = x & ~p0
+    delta_with = shifted & ~p1
+    differ = (delta_without ^ delta_with) & test
+    model = table.model
+    field, space, names = table.field, model.space, model.event_names
+    if differ:
+        sid = lanes.first(differ)
+        site = table.first_site(lanes.lane(differ, sid))
+        weak = WeakWitness(
+            names[e],
+            names[f],
+            sid,
+            site,
+            Subset(space, field(lanes.lane(delta_without, sid), site)),
+            Subset(space, field(lanes.lane(delta_with, sid), site)),
+        )
+    apart = (p0 ^ p1) & test
+    only0, only1 = apart & p0, apart & p1
+    if only0 and only1:
+        both = lanes.nonempty_fields(only0) & lanes.nonempty_fields(only1)
+        if both:
+            sid = lanes.first(both)
+            site = table.first_site(lanes.lane(both, sid))
+            post0, post1 = field(lanes.lane(p0, sid), site), field(lanes.lane(p1, sid), site)
+            observable = post0 ^ post1
+            strong = StrongWitness(
+                names[e],
+                names[f],
+                sid,
+                site,
+                Subset(space, observable),
+                Subset(space, post0 & observable),
+                Subset(space, post1 & observable),
+            )
     return weak, strong
 
 
@@ -170,14 +138,15 @@ def _pair(graph: ReachabilityGraph, e_name: str, f_name: str) -> tuple[Event, Ev
 def _single_pair(
     graph: ReachabilityGraph, e_name: str, f_name: str
 ) -> tuple[WeakWitness | None, StrongWitness | None]:
-    """`_influence` for one pair, with change entries built for e only."""
+    """`_influence` for one named pair; pairs with disjoint supports are
+    dismissed outright."""
     _pair(graph, e_name, f_name)  # raises on an unknown or repeated name
     names = graph.model.event_names
     e, f = names.index(e_name), names.index(f_name)
     supports = graph.table.supports
     if not supports[e] & supports[f]:
         return None, None
-    return _influence(graph, e, f, _changed_sites(graph, (e,))[0])
+    return _influence(graph, e, f)
 
 
 def weak_influence(
@@ -308,11 +277,14 @@ def build_influence_graphs(model: Model, graph: ReachabilityGraph) -> InfluenceG
     supports = graph.table_for(model).supports
     weak: dict[tuple[str, str], WeakWitness] = {}
     strong: dict[tuple[str, str], StrongWitness] = {}
-    for e, changes in enumerate(_changed_sites(graph, range(len(names)))):
+    lanes = graph.lanes
+    for e in range(len(names)):
+        if lanes.after(e) == lanes.x:  # e changes no explored state
+            continue
         for f in range(len(names)):
-            if f == e or not changes or not supports[e] & supports[f]:
+            if f == e or not supports[e] & supports[f]:
                 continue
-            w, s = _influence(graph, e, f, changes)
+            w, s = _influence(graph, e, f)
             if w is not None:
                 weak[(names[e], names[f])] = w
             if s is not None:

@@ -2,18 +2,34 @@
 
 Every transition comes from one `TransitionTable` per exploration.  A
 record state is one int, site-major (see `MaskState`), and this module is
-the only one that knows that layout.  Each event is compiled once into a
-function from one packed state to the next, states are interned to integer
-ids, and `TransitionTable.row` is the only engine code that applies an
-event: it fills a state's successor ids under every event in one loop.
-The table stores those ids and nothing else; shrink-only violations are
-read off the packed source and target of an arc.  Exploration and every
-check read the table and test whole states with single int operations,
-against masks the table packs once: the worlds that count at every site
-(`keep`) and each event's support (`supports`).  They read one site out of
-a packed value only through `TransitionTable.field` and
-`TransitionTable.first_site`, and pack (site, record) pairs only through
-`TransitionTable.pack`.
+the only one that knows that layout.  Each event is compiled once
+(`compile_event`) into packed masks: an intersect event is one rule whose
+empty guard matches every state and whose clear mask keeps the constants,
+and a table rule is a (guarded, guard, clear, result) tuple.  Those masks
+are the one compilation of an event.  `TransitionTable.row` applies them
+to one state, filling the state's successor ids under every event in one
+loop, and `Lanes.apply` applies them to every explored state at once.
+States are interned to integer ids; the table stores those ids and nothing
+else, and shrink-only violations are read off the packed source and target
+of an arc.  Checks test whole states with single int operations, against
+masks the table packs once: the worlds that count at every site (`keep`)
+and each event's support (`supports`).  They read one site out of a packed
+value only through `TransitionTable.field` and `TransitionTable.first_site`,
+and pack (site, record) pairs only through `TransitionTable.pack`.
+
+The lane layout puts every explored state of a graph into one int
+(`ReachabilityGraph.lanes`, built on first use): state i sits in lane i,
+bits [i*L, (i+1)*L), where L is the record width W*S (W worlds, S sites)
+rounded up to whole bytes with at least one spare bit above it.  One
+multiplication by REP, the int with bit 0 of every lane set, copies a mask
+into every lane, so one big-int operation tests every explored state (SIMD
+within a register: Lamport, CACM 18(8), 1975; Warren, Hacker's Delight,
+ch. 6).  A guarded rule matches the lanes where adding all ones to the
+guarded records xor the guard leaves the spare bit clear; the first
+matching rule wins.  `check_gs` ANDs the site fields of every lane together
+and flags, by the same carry test, the lanes where no counted world is
+left; the flagged lanes are read with one `to_bytes`.  The influence search
+(see `influence`) runs on the same lanes.
 
 Every finding and witness names the states it is about by table id, and
 callers such as the report and the DOT view read explored states by id
@@ -35,7 +51,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable
+from itertools import compress
+from typing import Iterable
 
 from .core import RecordState, Subset, mode_mask
 from .events import Event, EventKind, independent
@@ -46,17 +63,26 @@ MaskState = int
 its record's world mask in bits [s*W, (s+1)*W)."""
 
 
-def compile_event(event: Event, table: TransitionTable) -> Callable[[MaskState], MaskState]:
-    """The event as a function from a packed record state of `table`'s
-    layout to the packed state it leads to (see `MaskState`).
+CompiledRule = tuple[int, int, int, int]
+"""One guarded case of an event as packed masks (guarded, guard, clear,
+result): a state matches when `state & guarded == guard`, and a match leads
+to `state & clear | result`."""
 
-    An intersect event is one AND with a keep mask that holds each
-    constant at its site and all ones elsewhere.  A table rule matches when
-    the state, masked to the guarded sites, equals the packed guard; its
-    result clears the written sites and sets the packed replacements.  It
-    agrees with `apply_event`, which stays the reference semantics.
+
+def compile_event(event: Event, table: TransitionTable) -> tuple[CompiledRule, ...]:
+    """The event as masks of `table`'s layout (see `MaskState`): its rules
+    in match order, the first match wins and no match is the identity.
+
+    A table rule guards the sites its guard names, clears the sites its
+    result names and sets the packed replacements.  An intersect event is
+    one rule with an empty guard, which matches every state, and a clear
+    mask that holds each constant at its site and all ones elsewhere.  Every
+    mask is cut to the record bits, so a lane kernel can copy it into each
+    lane.  `TransitionTable.row` applies these masks to one state and
+    `Lanes.apply` to every explored state at once; both agree with
+    `apply_event`, which stays the reference semantics.
     """
-    pack, site_full = table.pack, table.site_full
+    pack, site_full, record_bits = table.pack, table.site_full, table.record_bits
 
     def cover(items: Iterable[tuple[int, Subset]]) -> int:
         mask = 0
@@ -65,25 +91,11 @@ def compile_event(event: Event, table: TransitionTable) -> Callable[[MaskState],
         return mask
 
     if event.kind is EventKind.INTERSECT:
-        keep = ~cover(event.constants) | pack(event.constants)
-
-        def intersect(state: MaskState) -> MaskState:
-            return state & keep
-
-        return intersect
-
-    rules = tuple(
-        (cover(rule.guard), pack(rule.guard), ~cover(rule.result), pack(rule.result))
+        return ((0, 0, record_bits & ~cover(event.constants) | pack(event.constants), 0),)
+    return tuple(
+        (cover(rule.guard), pack(rule.guard), record_bits & ~cover(rule.result), pack(rule.result))
         for rule in event.rules
     )
-
-    def first_match(state: MaskState) -> MaskState:
-        for guarded, guard, clear, result in rules:
-            if state & guarded == guard:
-                return state & clear | result
-        return state
-
-    return first_match
 
 
 class TransitionTable:
@@ -91,11 +103,13 @@ class TransitionTable:
     visits, filled one whole row on first lookup.
 
     States are interned to integer ids in first-seen order; `packed[sid]`
-    is the state as one `MaskState` of `width` worlds per site.  `keep`
-    holds the worlds that count in the model's mode at every site,
-    `site_full[s]` every world of site s, and `supports[i]` every world of
-    event i's supported sites.  `pack` builds a packed value from (site,
-    record) pairs, and `field` and `first_site` read one site out of one.
+    is the state as one `MaskState` of `width` worlds per site, and
+    `rules[i]` is event i compiled by `compile_event`.  `keep` holds the
+    worlds that count in the model's mode at every site, `record_bits`
+    every world of every site, `site_full[s]` every world of site s, and
+    `supports[i]` every world of event i's supported sites.  `pack` builds
+    a packed value from (site, record) pairs, and `field` and `first_site`
+    read one site out of one.
     `state` and `intern_state` convert to and from `RecordState` at the API
     boundary.  Lookups work for any interned state, so checks may step past
     a truncated exploration frontier.
@@ -105,6 +119,7 @@ class TransitionTable:
         self.model = model
         self.width = width = model.space.size
         self._full = full = (1 << width) - 1
+        self.record_bits = (1 << width * len(model.sites)) - 1
         self.site_full = site_full = [full << site * width for site in range(len(model.sites))]
         counts = mode_mask(model.space, model.mode)
         keep = 0
@@ -119,7 +134,7 @@ class TransitionTable:
             supports.append(support)
         self.supports = supports
         self.packed: list[MaskState] = []
-        self._apply = [compile_event(event, self) for event in model.events]
+        self.rules = [compile_event(event, self) for event in model.events]
         self._ids: dict[MaskState, int] = {}
         self._succ: list[list[int] | None] = []
 
@@ -144,8 +159,13 @@ class TransitionTable:
             state = self.packed[sid]
             ids = self._ids
             row = []
-            for apply in self._apply:
-                nxt = apply(state)
+            for rules in self.rules:
+                for guarded, guard, clear, result in rules:
+                    if state & guarded == guard:
+                        nxt = state & clear | result
+                        break
+                else:
+                    nxt = state
                 target = ids.get(nxt)
                 row.append(self._intern(nxt) if target is None else target)
             self._succ[sid] = row
@@ -182,6 +202,103 @@ class TransitionTable:
         return tuple(Subset(space, self.field(packed, site)) for site in range(len(self.model.sites)))
 
 
+class Lanes:
+    """Table states 0 to `count - 1` in one int `x`, one lane per state, and
+    each event applied to every lane at once.
+
+    State i sits in bits [i*size, (i+1)*size).  `size` is the table's
+    record width `bits` rounded up to whole bytes with at least one spare
+    bit above it, so a lane can carry out of its records without reaching
+    the next lane.  `rep` holds bit 0 of every lane, and `spread(mask)`, one
+    multiplication by it, copies a mask of one lane into every lane.
+    `apply(event, value)` applies the event's compiled rules to every lane
+    of `value`, and `after(event)` keeps `apply(event, x)` per event.
+    `first`, `lane` and `flagged` read lanes back out.
+    """
+
+    def __init__(self, table: TransitionTable, count: int) -> None:
+        self.table = table
+        self.count = count
+        self.bits = bits = table.record_bits.bit_length()
+        nbytes = bits // 8 + 1
+        self.size = 8 * nbytes
+        self.x = int.from_bytes(b"".join([p.to_bytes(nbytes, "little") for p in table.packed[:count]]), "little")
+        self.rep = rep = int.from_bytes(b"\1".ljust(nbytes, b"\0") * count, "little")
+        self._records = table.record_bits * rep
+        # the top bit of every site field: bit width - 1 of each field
+        self._tops = (table.record_bits // table.site_full[0] << table.width - 1) * rep
+        self._rules: list[list[CompiledRule] | None] = [None] * len(table.rules)
+        self._after: list[int | None] = [None] * len(table.rules)
+
+    def spread(self, mask: int) -> int:
+        """`mask`, below bit `size`, in every lane."""
+        return mask * self.rep
+
+    def apply(self, event: int, value: int) -> int:
+        """Event index `event` applied to every lane of `value` at once.
+
+        A guarded rule matches a lane iff the lane's guarded records xor the
+        guard are zero, that is iff adding all ones to the lane's record bits
+        carries nothing into its spare bit.  `(hit << bits) - hit` widens the
+        matching lanes' bit 0 to their record bits; `unmatched` keeps the
+        lanes no earlier rule matched, so the first match wins.
+        """
+        rules = self._rules[event]
+        if rules is None:
+            rep = self.rep
+            rules = self._rules[event] = [
+                (guarded * rep, guard * rep, clear * rep, result * rep)
+                for guarded, guard, clear, result in self.table.rules[event]
+            ]
+        if not rules:
+            return value
+        guarded, guard, clear, result = rules[0]
+        if not guarded:  # an empty first guard matches every lane
+            return value & clear | result
+        bits, records = self.bits, self._records
+        out, unmatched = value, self.rep
+        for guarded, guard, clear, result in rules:
+            hit = unmatched & ~(((value & guarded) ^ guard) + records >> bits) if guarded else unmatched
+            if hit:
+                out ^= ((value & clear | result) ^ value) & ((hit << bits) - hit)
+                unmatched ^= hit
+                if not unmatched:
+                    break
+        return out
+
+    def after(self, event: int) -> int:
+        """`apply(event, x)`: every state's successor under the event."""
+        value = self._after[event]
+        if value is None:
+            value = self._after[event] = self.apply(event, self.x)
+        return value
+
+    def nonempty_fields(self, value: int) -> int:
+        """The top bit of every site field of every lane of `value` that is
+        nonzero: adding all ones to a field's low bits carries into its top
+        bit iff they are nonzero."""
+        tops = self._tops
+        low = self._records ^ tops
+        return ((value & low) + low | value) & tops
+
+    def first(self, value: int) -> int:
+        """The lane that holds the lowest set bit of nonzero `value`."""
+        return ((value & -value).bit_length() - 1) // self.size
+
+    def lane(self, value: int, index: int) -> MaskState:
+        """The record bits of lane `index` of `value`, as a packed state."""
+        return value >> index * self.size & self.table.record_bits
+
+    def flagged(self, flags: int, bit: int) -> list[int]:
+        """Indices of the lanes whose bit `bit` is set in `flags`, which has
+        no other bit set: one `to_bytes` and a scan of every lane's byte."""
+        if not flags:
+            return []
+        step = self.size // 8
+        data = flags.to_bytes(self.count * step, "little")
+        return list(compress(range(self.count), data[bit // 8 :: step]))
+
+
 @dataclass(frozen=True)
 class Node:
     state: RecordState
@@ -216,7 +333,8 @@ class ReachabilityGraph:
     state) triple, one per expanded state and event, except that arcs to
     states past the `max_states` limit are dropped.  `state(i)` builds
     state i's records on first request and `occurred_names(i)` names the
-    events in `occurred[i]`; the feasible world masks `feasible` are built
+    events in `occurred[i]`.  `lanes`, every explored state in one int, and
+    `feasible`, the clock check's per-state feasible world masks, are built
     in full on first access.
     """
 
@@ -262,9 +380,15 @@ class ReachabilityGraph:
         return tuple(Edge(src, names[event], tgt) for src, event, tgt in self.arcs)
 
     @cached_property
+    def lanes(self) -> Lanes:
+        """The explored states as lanes of one int, built on first use."""
+        return Lanes(self.table, self.state_count)
+
+    @cached_property
     def feasible(self) -> tuple[int, ...]:
         """Per explored state, the world mask of the worlds that every
-        site's record allows, folded out of the packed int once per graph."""
+        site's record allows, folded out of the packed int once per graph,
+        for `check_clock_monotone`."""
         table = self.table
         packed = table.packed[: self.state_count]
         feasible = packed
@@ -341,9 +465,21 @@ def occurrence_masks(graph: ReachabilityGraph) -> tuple[list[int], list[int]]:
 
 def check_gs(graph: ReachabilityGraph) -> list[int]:
     """Indices of explored states that are not globally consistent under
-    the model's consistency mode."""
-    test = mode_mask(graph.model.space, graph.model.mode)
-    return [sid for sid, worlds in enumerate(graph.feasible) if not worlds & test]
+    the model's consistency mode.
+
+    On the graph's lanes: the sites' records are ANDed into each lane's
+    first field, which is masked to the worlds that count.  Adding all ones
+    to that field carries into the bit above it iff some counted world is
+    left, so the lanes without that carry are the inconsistent states."""
+    table, lanes = graph.table, graph.lanes
+    width, x = table.width, lanes.x
+    feasible = x
+    for site in range(1, len(table.site_full)):
+        feasible &= x >> site * width
+    counted = feasible & lanes.spread(mode_mask(graph.model.space, graph.model.mode))
+    carry = lanes.spread(1 << width)
+    empty = (counted + lanes.spread(table.site_full[0])) & carry ^ carry
+    return lanes.flagged(empty, width)
 
 
 @dataclass(frozen=True)

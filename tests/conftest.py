@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -10,13 +12,18 @@ settings.register_profile(
 settings.load_profile("suite")
 
 from chronocheck import (
+    ConsistencyMode,
     Event,
+    ExplorationLimits,
     Model,
     PossibilitySpace,
     RecordState,
     Rule,
+    Subset,
+    explore,
     load_fixture,
 )
+from chronocheck.randmodels import random_model
 
 
 @pytest.fixture
@@ -104,3 +111,65 @@ def emptying_flip_model():
 @pytest.fixture
 def twin_intersect_model():
     return make_twin_intersect_model()
+
+
+# Shapes of drawn models for the checks that run on a graph's lanes: the
+# scale-ladder recipe ("wide"), and record widths (worlds x sites) that are
+# a multiple of 8, where a lane's spare bit needs a whole extra byte.
+LANE_SHAPES = ("drawn", "wide", "8x1", "4x2", "8x2")
+
+
+def _drawn_event(rng: random.Random, name: str, space: PossibilitySpace, initial, intersect_prob: float) -> Event:
+    """An intersect event, or a table event whose rules guard any number of
+    supported sites: none (a wildcard), one, or several."""
+    n_sites = len(initial)
+    support = sorted(rng.sample(range(n_sites), rng.randint(1, n_sites)))
+
+    def record() -> Subset:
+        return space.from_mask(rng.randrange(1 << space.size))
+
+    if rng.random() < intersect_prob:
+        return Event.intersect(name, support, {site: record() for site in support})
+    rules = []
+    for _ in range(rng.randint(1, 3)):
+        guarded = rng.sample(support, rng.randint(0, len(support)))
+        # guards on records the model starts from match explored states often
+        guard = {site: rng.choice((space.full(), initial[site], record())) for site in guarded}
+        written = rng.sample(support, rng.randint(0, len(support)))
+        rules.append(Rule.of(guard, {site: record() for site in written}))
+    return Event.table(name, support, rules)
+
+
+def draw_shaped_model(rng: random.Random, shape: str, intersect_prob: float = 0.5) -> Model:
+    """One model of `shape` (see LANE_SHAPES); about half the draws weigh
+    worlds, some of them zero, and judge in POSITIVE_MEASURE mode."""
+    if shape == "drawn":
+        return random_model(rng, max_sites=4, intersect_prob=intersect_prob, measured_prob=0.5)
+    if shape == "wide":
+        # about one seven-event ladder draw in twenty reaches more than 64
+        # states: keep the first that does, or else the largest
+        best = None
+        for _ in range(300):
+            model = random_model(rng, max_worlds=12, max_sites=4, max_events=7, intersect_prob=0.7)
+            if len(model.events) == 7:
+                size = explore(model, ExplorationLimits(max_states=65)).state_count
+                if best is None or size > best[0]:
+                    best = (size, model)
+                if size > 64:
+                    break
+        return best[1] if best else model
+    n_worlds, n_sites = map(int, shape.split("x"))
+    worlds = [f"w{i}" for i in range(n_worlds)]
+    if rng.random() < 0.5:
+        weights = [rng.choice((0, 1, 2)) for _ in worlds]
+        weights[rng.randrange(n_worlds)] = 1
+        space = PossibilitySpace(tuple(worlds), tuple(weights))
+        mode = ConsistencyMode.POSITIVE_MEASURE
+    else:
+        space = PossibilitySpace.create(worlds)
+        mode = ConsistencyMode.NONEMPTY
+    initial = RecordState(
+        tuple(space.full() if rng.random() < 0.7 else space.from_mask(rng.randrange(1, 1 << n_worlds)) for _ in range(n_sites))
+    )
+    events = tuple(_drawn_event(rng, f"e{j}", space, initial, intersect_prob) for j in range(rng.randint(2, 4)))
+    return Model(space, tuple(f"s{i}" for i in range(n_sites)), initial, events, mode)

@@ -29,6 +29,7 @@ from chronocheck import (
 )
 from chronocheck.core import mode_mask
 from chronocheck.randmodels import random_model
+from conftest import LANE_SHAPES, draw_shaped_model
 
 
 def brute_force_weak_pairs(model, graph):
@@ -341,14 +342,15 @@ def full_scan_witnesses(model, graph, e, f):
     ),
     mode=st.sampled_from(ConsistencyMode),
     intersect_prob=st.sampled_from([0.0, 0.5, 1.0]),
+    shape=st.sampled_from(LANE_SHAPES),
 )
-def test_witnesses_match_full_scan(seed, limits, mode, intersect_prob):
+def test_witnesses_match_full_scan(seed, limits, mode, intersect_prob, shape):
     # zero-weight worlds are common, so the two modes compare different
     # worlds; truncated graphs leave states whose successors were never
-    # explored
-    model = random_model(
-        random.Random(seed), max_sites=4, intersect_prob=intersect_prob, measured_prob=0.5
-    )
+    # explored; the shapes put more than 64 states, or records whose width
+    # is a multiple of 8 bits, into the graph's lanes, and table guards
+    # name no site, one site or several
+    model = draw_shaped_model(random.Random(seed), shape, intersect_prob)
     model = replace(model, mode=mode)
     graph = explore(model, limits)
     ig = build_influence_graphs(model, graph)
@@ -442,3 +444,15 @@ def test_weak_witness_names_the_first_differing_shared_site():
     assert (witness.state, witness.site) == (0, 1)
     assert (witness.delta_without.mask, witness.delta_with.mask) == (0b10, 0)
     assert build_influence_graphs(model, graph).weak_edges[("e", "f")] == witness
+
+
+def test_influence_interns_no_state_past_a_truncated_frontier(gadget):
+    # the states at the depth limit were never expanded; influence reads
+    # their successors off the graph's lanes without interning them
+    graph = explore(gadget, ExplorationLimits(max_depth=1))
+    assert graph.truncated
+    interned = len(graph.table.packed)
+    ig = build_influence_graphs(gadget, graph)
+    assert len(graph.table.packed) == interned
+    for witness in (*ig.weak_edges.values(), *ig.strong_edges.values()):
+        assert witness.state < graph.state_count

@@ -46,6 +46,7 @@ from chronocheck import reachability
 from chronocheck.modelfile import model_from_dict
 from chronocheck.randmodels import random_model
 from chronocheck.report import taxonomy_json
+from conftest import LANE_SHAPES, draw_shaped_model
 
 
 def states_by_sequence_enumeration(model, max_len):
@@ -464,6 +465,68 @@ def test_an_empty_first_rule_is_the_identity_at_every_state():
         state = graph.state(sid)
         assert apply_event(noop, state) == state
         assert graph.table.step(sid, 0) == sid
+
+
+@settings(max_examples=200)
+@given(
+    seed=st.integers(0, 10**9),
+    shape=st.sampled_from(LANE_SHAPES),
+    truncated=st.booleans(),
+)
+def test_lane_kernel_matches_apply_event_lane_by_lane(seed, shape, truncated):
+    rng = random.Random(seed)
+    model = draw_shaped_model(rng, shape)
+    space, n_sites = model.space, len(model.sites)
+    support = sorted(rng.sample(range(n_sites), rng.randint(1, n_sites)))
+    # an intersect event's keep mask is negative before it is cut to the
+    # record bits; a table event whose first rule has an empty guard
+    extra = (
+        Event.intersect("keep", support, {site: space.from_mask(rng.randrange(1 << space.size)) for site in support}),
+        Event.table(
+            "wild",
+            support,
+            [Rule.of({}, {support[0]: space.from_mask(rng.randrange(1 << space.size))}), Rule.of({}, {})],
+        ),
+    )
+    model = replace(model, events=model.events + extra)
+    graph = explore(model, ExplorationLimits(max_depth=1) if truncated else None)
+    table, lanes = graph.table, graph.lanes
+    assert all(mask >= 0 for rules in table.rules for rule in rules for mask in rule)
+    states = [graph.state(sid) for sid in range(graph.state_count)]
+    for e, event in enumerate(model.events):
+        after = [apply_event(event, state) for state in states]
+        for sid, state in enumerate(after):
+            assert lanes.lane(lanes.after(e), sid) == table.pack(enumerate(state))
+        # the kernel on a value other than X: f after e, as influence runs it
+        f = rng.randrange(len(model.events))
+        shifted = lanes.apply(f, lanes.after(e))
+        for sid, state in enumerate(after):
+            assert lanes.lane(shifted, sid) == table.pack(enumerate(apply_event(model.events[f], state)))
+        # nothing outside the record bits: no spare bit set, no lane past the last
+        for value in (lanes.after(e), shifted):
+            assert value & ~lanes.spread(table.record_bits) == 0
+
+
+@settings(max_examples=200)
+@given(
+    seed=st.integers(0, 10**9),
+    shape=st.sampled_from(LANE_SHAPES),
+    limits=st.sampled_from([None, ExplorationLimits(max_states=3), ExplorationLimits(max_depth=1)]),
+    mode=st.sampled_from(ConsistencyMode),
+)
+def test_lane_check_gs_matches_the_per_state_definition(seed, shape, limits, mode):
+    # drawn spaces often weigh some worlds zero, so the two modes differ
+    model = replace(draw_shaped_model(random.Random(seed), shape), mode=mode)
+    graph = explore(model, limits)
+
+    def consistent(state):
+        worlds = feasible_set(state)
+        if mode is ConsistencyMode.POSITIVE_MEASURE:
+            return measure_of(worlds) > 0
+        return bool(worlds.mask)
+
+    expected = [sid for sid in range(graph.state_count) if not consistent(graph.state(sid))]
+    assert check_gs(graph) == expected
 
 
 def test_pack_of_no_pairs_is_zero(two_site):
