@@ -39,7 +39,6 @@ from .events import (
     apply_event,
     independent,
     validate_event_static,
-    write_effect,
 )
 from .influence import (
     InfluenceGraph,

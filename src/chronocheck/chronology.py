@@ -10,8 +10,10 @@ reachability map.  `diagnose` runs the whole pipeline into a
 premise findings alone: no strong cycle, a cycle explained by at least one
 failed premise (consistency, commutation, shrink-only writing, branch
 determinacy), or a cycle that none of the premise checks accounts for.
-`check_trace_invariance` runs a schedule and its reorderings on the
-transition table, and its report names the states it reached by id.
+`check_trace_invariance` decides, in one pass over the ideals of a
+schedule's dependence order, whether every reordering of the schedule
+within its trace reaches the same state on the transition table; its
+report names the states it reached by id.
 Every check here takes the explored graph and reads the model it was
 explored from as `graph.model`; only `diagnose` starts from a model.
 """
@@ -19,7 +21,6 @@ explored from as `graph.model`; only `diagnose` starts from a model.
 from __future__ import annotations
 
 import heapq
-import random
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -204,82 +205,72 @@ def _branch_violations(
 
 @dataclass
 class TraceInvarianceReport:
-    """`final_state`, the state of each `state_mismatches` entry and the
-    states of `diamond_violations` are ids of `graph`, the explored graph
-    the check read; `graph.state(id)` builds the records of one."""
+    """`final_state` and the state of each `state_mismatches` entry are ids
+    of `graph`, the explored graph the check read; `graph.state(id)` builds
+    the records of one.  A `truncated` pass stopped before the full ideal
+    and decides nothing."""
 
     schedule: tuple[str, ...]
-    seed: int
     final_state: int
-    variants_checked: int
+    ideals_visited: int
+    truncated: bool
     state_mismatches: list[tuple[tuple[str, ...], int]]
-    diamond_violations: list[DiamondViolation]
     graph: ReachabilityGraph = field(compare=False, repr=False)
 
     @property
     def invariant(self) -> bool:
-        return not (self.state_mismatches or self.diamond_violations)
+        return not (self.truncated or self.state_mismatches)
 
 
 def check_trace_invariance(
-    graph: ReachabilityGraph, schedule: Sequence[str], swaps: int = 20, seed: int = 0
+    graph: ReachabilityGraph, schedule: Sequence[str], limits: ExplorationLimits | None = None
 ) -> TraceInvarianceReport:
-    """Run a schedule, then every single swap of adjacent independent
-    events plus seeded random chains of such swaps, and verify the final
-    record state is unchanged.
+    """Decide whether every reordering of `schedule` within its trace, one
+    that keeps each pair of dependent events in order, reaches the state
+    the schedule reaches, compared exactly.
 
-    Influence edges are defined over the model's reachable states, which do
-    not depend on a schedule, so they are not compared across variants.  A
-    model that fails the commutation check cannot be trace-invariant, so in
-    that case the commutation failures are reported and no variants are
-    attempted.  The schedule runs on `graph`'s transition table, from its
-    model's initial state.  A negative `swaps` raises `ValueError`.
+    Every such linearization passes through the ideals (downsets) of the
+    schedule's dependence order, where positions i < j are ordered when
+    their events are not independent.  One breadth-first pass over the
+    ideals, each a bitmask of positions, keeps the table ids each ideal
+    reaches with the first linearization that reached each id; positions
+    are tried in ascending order, so that linearization is deterministic.
+    The full ideal's ids other than the schedule's own are the mismatches.
+    The pass visits at most `limits.max_states` ideals and reports
+    `truncated` when it stops early.  Everything runs on `graph`'s
+    transition table, from its model's initial state.
     """
-    if swaps < 0:
-        raise ValueError("swaps must not be negative")
+    limits = limits or ExplorationLimits()
     model = graph.model
-    for name in schedule:
-        model.event(name)  # raises on unknown names
-    diamonds = check_diamond(graph)
+    events = [model.event(name) for name in schedule]  # raises on unknown names
     schedule = tuple(schedule)
     table = graph.table
     final = _run_schedule(table, schedule)
-    if diamonds:
-        return TraceInvarianceReport(schedule, seed, final, 0, [], diamonds, graph)
-
-    def swappable(seq: Sequence[str]) -> list[int]:
-        """Positions k where events seq[k] and seq[k + 1] are independent."""
-        return [
-            k
-            for k in range(len(seq) - 1)
-            if independent(model.event(seq[k]), model.event(seq[k + 1]))
-        ]
-
-    variants: list[tuple[str, ...]] = []
-    for k in swappable(schedule):
-        seq = list(schedule)
-        seq[k], seq[k + 1] = seq[k + 1], seq[k]
-        variants.append(tuple(seq))
-    rng = random.Random(seed)
-    for _ in range(swaps):
-        seq = list(schedule)
-        for _ in range(max(1, len(seq))):
-            positions = swappable(seq)
-            if not positions:
-                break
-            k = rng.choice(positions)
-            seq[k], seq[k + 1] = seq[k + 1], seq[k]
-        variants.append(tuple(seq))
-    unique_variants = [variant for variant in dict.fromkeys(variants) if variant != schedule]
-
-    state_mismatches: list[tuple[tuple[str, ...], int]] = []
-    for variant in unique_variants:
-        variant_final = _run_schedule(table, variant)
-        if not table.same(variant_final, final):
-            state_mismatches.append((variant, variant_final))
-    return TraceInvarianceReport(
-        schedule, seed, final, len(unique_variants), state_mismatches, [], graph
-    )
+    indices = [model.event_names.index(name) for name in schedule]
+    # the earlier positions that position j must follow
+    before = [
+        sum(1 << i for i in range(j) if not independent(events[i], events[j]))
+        for j in range(len(events))
+    ]
+    reached = {0: {table.intern_state(model.initial): ()}}
+    ideals = [0]  # visited in insertion order, by size; the full ideal comes last
+    for visited, ideal in enumerate(ideals):
+        if visited == limits.max_states:
+            return TraceInvarianceReport(schedule, final, visited, True, [], graph)
+        here = reached.pop(ideal)
+        for pos, event in enumerate(indices):
+            if ideal >> pos & 1 or before[pos] & ~ideal:
+                continue
+            targets = reached.get(ideal | 1 << pos)
+            if targets is None:
+                targets = reached[ideal | 1 << pos] = {}
+                ideals.append(ideal | 1 << pos)
+            for sid, path in here.items():
+                targets.setdefault(table.step(sid, event), path + (pos,))
+    mismatches = [
+        (tuple(schedule[pos] for pos in path), sid) for sid, path in here.items() if sid != final
+    ]
+    return TraceInvarianceReport(schedule, final, len(ideals), False, mismatches, graph)
 
 
 def _run_schedule(table: TransitionTable, schedule: Sequence[str]) -> int:

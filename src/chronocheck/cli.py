@@ -7,8 +7,9 @@ not accept, writes a Graphviz view.  Every handler but validate explores
 the loaded model once and hands the graph, which carries the model, to
 each check and report writer; only `build_influence_graphs` takes the
 model beside it.  Each handler returns its view as a function, so the
-DOT text is built only when --dot is given, and whether its exploration
-was truncated, which the report lists as a warning.  Exit codes: 0
+DOT text is built only when --dot is given, and whether its exploration,
+or trace-check's pass over the schedule's ideals, which --max-states also
+bounds, was truncated; the report lists that as a warning.  Exit codes: 0
 clean, 1 violations found (listed in the report), 2 a run that cannot be
 judged (a usage, parse or write error, or a --strict finding).
 
@@ -84,8 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=text, parents=[common, view, strict] if has_view else [common, strict])
         if name == "trace-check":
             sp.add_argument("--schedule", required=True, help="comma-separated event names")
-            sp.add_argument("--swaps", type=int, default=20, help="random swap chains to try")
-            sp.add_argument("--seed", type=int, default=0, help="seed for the swap chains")
     return parser
 
 
@@ -116,7 +115,7 @@ def _flags(args: argparse.Namespace) -> dict[str, Any]:
         "strict": args.strict,
     }
     if args.command == "trace-check":
-        flags.update(schedule=args.schedule, swaps=args.swaps, seed=args.seed)
+        flags["schedule"] = args.schedule
     return flags
 
 
@@ -213,9 +212,9 @@ def _cmd_diagnose(model: Model, args: argparse.Namespace):
 def _cmd_trace_check(model: Model, args: argparse.Namespace):
     graph = _explored(model, args)
     schedule = [name.strip() for name in args.schedule.split(",") if name.strip()]
-    trace = check_trace_invariance(graph, schedule, swaps=args.swaps, seed=args.seed)
+    trace = check_trace_invariance(graph, schedule, _limits(args))
     results = report_mod.trace_json(trace)
-    return results, not trace.invariant, [], None, graph.truncated
+    return results, bool(trace.state_mismatches), [], None, graph.truncated or trace.truncated
 
 
 _HANDLERS = {

@@ -92,15 +92,6 @@ def apply_event(event: Event, state: RecordState) -> RecordState:
     return tuple(records)
 
 
-def write_effect(event: Event, state: RecordState, site: int) -> Subset:
-    """Worlds the event rules out at a site: record before minus record after."""
-    if site < 0 or site >= len(state):
-        raise ValueError(f"unknown site index: {site}")
-    if site not in event.support:
-        return state[site].space.empty()
-    return state[site] - apply_event(event, state)[site]
-
-
 def independent(e: Event, f: Event) -> bool:
     """True iff the two events touch disjoint site sets."""
     return not set(e.support) & set(f.support)

@@ -54,7 +54,7 @@ from functools import cached_property
 from itertools import compress
 from typing import Iterable
 
-from .core import RecordState, Subset, mode_mask
+from .core import RecordState, Subset, feasible_set, measure_of, mode_mask
 from .events import Event, EventKind, independent
 from .model import Model
 
@@ -333,9 +333,8 @@ class ReachabilityGraph:
     state) triple, one per expanded state and event, except that arcs to
     states past the `max_states` limit are dropped.  `state(i)` builds
     state i's records on first request and `occurred_names(i)` names the
-    events in `occurred[i]`.  `lanes`, every explored state in one int, and
-    `feasible`, the clock check's per-state feasible world masks, are built
-    in full on first access.
+    events in `occurred[i]`.  `lanes`, every explored state in one int, is
+    built in full on first access.
     """
 
     table: TransitionTable
@@ -383,19 +382,6 @@ class ReachabilityGraph:
     def lanes(self) -> Lanes:
         """The explored states as lanes of one int, built on first use."""
         return Lanes(self.table, self.state_count)
-
-    @cached_property
-    def feasible(self) -> tuple[int, ...]:
-        """Per explored state, the world mask of the worlds that every
-        site's record allows, folded out of the packed int once per graph,
-        for `check_clock_monotone`."""
-        table = self.table
-        packed = table.packed[: self.state_count]
-        feasible = packed
-        for site in range(1, len(self.model.sites)):
-            shift = site * table.width
-            feasible = [f & p >> shift for f, p in zip(feasible, packed)]
-        return tuple(f & self.model.space.full_mask for f in feasible)
 
     def table_for(self, model: Model) -> TransitionTable:
         """The graph's transition table, checked to apply `model`'s events
@@ -560,12 +546,16 @@ class ClockViolation:
 
 def check_clock_monotone(graph: ReachabilityGraph) -> list[ClockViolation]:
     """Arcs along which the feasible set gains weight, i.e. the
-    information clock ticks backwards.  Empty whenever no edge violates
-    shrink-only writing."""
-    space = graph.model.space
-    mus = [space.measure_mask(worlds) for worlds in graph.feasible]
+    information clock ticks backwards.  Only arcs whose target holds a
+    packed bit its source lacks are weighed: on any other arc the target's
+    feasible set is a subset of the source's, so its weight cannot grow.
+    Empty whenever no edge violates shrink-only writing."""
+    packed = graph.table.packed
+    grown = [arc for arc in graph.arcs if packed[arc[2]] & ~packed[arc[0]]]
+    ends = {sid for src, _, tgt in grown for sid in (src, tgt)}
+    mus = {sid: measure_of(feasible_set(graph.state(sid))) for sid in ends}
     return [
         ClockViolation((src, event, tgt), mus[src], mus[tgt])
-        for src, event, tgt in graph.arcs
+        for src, event, tgt in grown
         if mus[tgt] > mus[src]
     ]

@@ -184,14 +184,13 @@ def trace_json(report: TraceInvarianceReport) -> dict[str, Any]:
     graph = report.graph
     return {
         "schedule": list(report.schedule),
-        "seed": report.seed,
-        "variants_checked": report.variants_checked,
+        "ideals_visited": report.ideals_visited,
+        "truncated": report.truncated,
         "final_state": state_json(graph, report.final_state),
         "state_mismatches": [
             {"schedule": list(schedule), "final_state": state_json(graph, state)}
             for schedule, state in report.state_mismatches
         ],
-        "diamond_violations": [diamond_json(graph, v) for v in report.diamond_violations],
         "invariant": report.invariant,
     }
 

@@ -7,6 +7,10 @@ from hypothesis import strategies as st
 
 from chronocheck import (
     ConsistencyMode,
+    Event,
+    ExplorationLimits,
+    Model,
+    PossibilitySpace,
     RecordState,
     Verdict,
     apply_event,
@@ -16,6 +20,7 @@ from chronocheck import (
     closure_from_edges,
     diagnose,
     explore,
+    independent,
     parse_model,
     transitive_closure,
 )
@@ -153,15 +158,15 @@ def test_branch_determinacy_vacuous_without_strong_edges(two_site):
 
 
 def test_trace_invariance_two_site(two_site):
-    report = check_trace_invariance(explore(two_site), ["e1", "e2"], swaps=5, seed=1)
+    report = check_trace_invariance(explore(two_site), ["e1", "e2"])
     assert report.invariant
-    assert report.variants_checked >= 1
+    assert (report.ideals_visited, report.truncated) == (4, False)
     expected = RecordState(
         (two_site.space.subset(["00", "01"]), two_site.space.subset(["00", "10"]))
     )
     assert report.graph.state(report.final_state) == expected
     # the graph a report holds is left out of its equality and its repr
-    again = check_trace_invariance(explore(two_site), ["e1", "e2"], swaps=5, seed=1)
+    again = check_trace_invariance(explore(two_site), ["e1", "e2"])
     assert again.graph is not report.graph
     assert again == report
     assert "graph" not in repr(report)
@@ -182,29 +187,116 @@ def test_trace_report_names_states_by_graph_id(two_site, gadget):
         schedule = random_schedule(rng, model)
         if schedule:
             cases.append((model, schedule))
-    for index, (model, schedule) in enumerate(cases):
-        report = check_trace_invariance(explore(model), schedule, swaps=5, seed=index)
+    for model, schedule in cases:
+        report = check_trace_invariance(explore(model), schedule)
         graph = report.graph
         assert graph.state(report.final_state) == _run_by_application(model, schedule)
         for variant, sid in report.state_mismatches:
             assert graph.state(sid) == _run_by_application(model, variant)
 
 
-def test_trace_invariance_gadget_vacuous(gadget):
-    report = check_trace_invariance(explore(gadget), ["a", "b"], swaps=5, seed=1)
+def test_trace_invariance_dependent_events_visit_one_chain(gadget):
+    # a and b share the gadget's one site, so the ideals are the prefixes
+    report = check_trace_invariance(explore(gadget), ["a", "b"])
     assert report.invariant
-    assert report.variants_checked == 0
+    assert report.ideals_visited == 3
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_trace_invariance_chain_of_n_visits_n_plus_one_ideals(two_site, n):
+    report = check_trace_invariance(explore(two_site), ["e1"] * n)
+    assert (report.ideals_visited, report.invariant) == (n + 1, True)
+
+
+@pytest.mark.parametrize("w", [1, 2, 4])
+def test_trace_invariance_w_independent_events_visit_two_to_the_w_ideals(w):
+    space = PossibilitySpace.create(("w0", "w1"))
+    sites = tuple(f"s{i}" for i in range(w))
+    events = tuple(
+        Event.intersect(f"e{i}", [i], {i: space.subset(["w0"])}) for i in range(w)
+    )
+    model = Model(space, sites, tuple(space.full() for _ in sites), events, ConsistencyMode.NONEMPTY)
+    report = check_trace_invariance(explore(model), [e.name for e in events])
+    assert (report.ideals_visited, report.invariant) == (2**w, True)
+
+
+def test_trace_invariance_stops_at_max_states_ideals(two_site):
+    graph = explore(two_site)
+    schedule = ["e1", "e2", "e1", "e2"]  # (2 + 1) * (2 + 1) ideals
+    assert check_trace_invariance(graph, schedule, ExplorationLimits(9)).ideals_visited == 9
+    report = check_trace_invariance(graph, schedule, ExplorationLimits(5))
+    assert (report.ideals_visited, report.truncated) == (5, True)
+    assert report.state_mismatches == []
+    assert not report.invariant  # a truncated pass decides nothing
+
+
+def test_trace_invariance_reports_a_corrupted_successor(monkeypatch, two_site):
+    graph = explore(two_site)
+    table = graph.table
+    start = table.intern_state(two_site.initial)
+    e1, e2 = (two_site.event_names.index(name) for name in ("e1", "e2"))
+    after_e1 = table.step(start, e1)
+    honest = table.step(after_e1, e2)
+    step = table.step
+
+    def corrupted(sid, event):
+        # e1 then e2 now leads back to the initial state; e2 then e1 does not
+        return start if (sid, event) == (after_e1, e2) else step(sid, event)
+
+    monkeypatch.setattr(table, "step", corrupted)
+    report = check_trace_invariance(graph, ["e1", "e2"])
+    assert not report.invariant
+    assert report.final_state == start
+    assert report.state_mismatches == [(("e2", "e1"), honest)]
+    for linearization, sid in report.state_mismatches:
+        replayed = start
+        for name in linearization:
+            replayed = table.step(replayed, two_site.event_names.index(name))
+        assert replayed == sid
+
+
+def _linearizations(events):
+    """Every order of the positions of `events` that keeps each pair of
+    dependent events in schedule order, by plain enumeration."""
+    n = len(events)
+
+    def extend(prefix):
+        if len(prefix) == n:
+            yield prefix
+            return
+        for j in range(n):
+            if j not in prefix and all(
+                i in prefix for i in range(j) if not independent(events[i], events[j])
+            ):
+                yield from extend(prefix + (j,))
+
+    return extend(())
+
+
+@given(seed=st.integers(0, 10**9))
+def test_trace_invariance_finds_the_final_states_of_every_linearization(seed):
+    rng = random.Random(seed)
+    model = random_model(rng)
+    schedule = random_schedule(rng, model, max_length=7)
+    events = [model.event(name) for name in schedule]
+    expected = {
+        _run_by_application(model, [schedule[pos] for pos in order])
+        for order in _linearizations(events)
+    }
+    report = check_trace_invariance(explore(model), schedule)
+    graph = report.graph
+    found = [report.final_state] + [sid for _, sid in report.state_mismatches]
+    assert len(set(found)) == len(found)
+    assert {graph.state(sid) for sid in found} == expected
+    assert report.invariant == (len(expected) == 1)
+    for linearization, sid in report.state_mismatches:
+        assert sorted(linearization) == sorted(schedule)
+        assert graph.state(sid) == _run_by_application(model, linearization)
 
 
 def test_trace_invariance_unknown_event(two_site):
     with pytest.raises(ValueError):
         check_trace_invariance(explore(two_site), ["e1", "zzz"])
-
-
-def test_trace_invariance_rejects_negative_swaps(two_site):
-    with pytest.raises(ValueError, match="swaps must not be negative"):
-        check_trace_invariance(explore(two_site), ["e1", "e1"], swaps=-3)
-    assert check_trace_invariance(explore(two_site), ["e1", "e1"], swaps=0).invariant
 
 
 @given(seed=st.integers(0, 10**9))
@@ -214,8 +306,7 @@ def test_trace_invariance_random_intersect_models(seed):
     schedule = random_schedule(rng, model)
     if not schedule:
         return
-    report = check_trace_invariance(explore(model), schedule, swaps=5, seed=seed)
-    assert report.diamond_violations == []
+    report = check_trace_invariance(explore(model), schedule)
     assert report.invariant
 
 

@@ -269,13 +269,12 @@ def test_reports_are_stable_across_runs(capsys):
 
 
 def test_trace_check_two_site(capsys):
-    status, out, _ = run_cli(
-        capsys, "trace-check", TWO_SITE, "--schedule", "e1,e2", "--seed", "7"
-    )
+    status, out, _ = run_cli(capsys, "trace-check", TWO_SITE, "--schedule", "e1,e2")
     assert status == 0
     report = json.loads(out)
     assert report["results"]["invariant"] is True
-    assert report["flags"]["seed"] == 7
+    assert report["results"]["ideals_visited"] == 4
+    assert report["flags"]["schedule"] == "e1,e2"
 
 
 def test_trace_check_unknown_event_exits_two(capsys):
@@ -286,12 +285,26 @@ def test_trace_check_unknown_event_exits_two(capsys):
     assert "unknown event" in err
 
 
-def test_trace_check_negative_swaps_exits_two(capsys):
+@pytest.mark.parametrize("flag", [["--swaps", "3"], ["--seed", "7"]], ids=["swaps", "seed"])
+def test_trace_check_rejects_retired_flags(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["trace-check", TWO_SITE, "--schedule", "e1,e2", *flag])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+
+
+def test_trace_check_truncated_pass_warns(capsys):
+    # 9 ideals, 4 explored states: only the pass over the ideals stops
     status, out, err = run_cli(
-        capsys, "trace-check", TWO_SITE, "--schedule", "e1,e1", "--swaps", "-3"
+        capsys, "trace-check", TWO_SITE, "--schedule", "e1,e2,e1,e2", "--max-states", "5"
     )
-    assert (status, out) == (2, "")
-    assert err == "chronocheck: error: swaps must not be negative\n"
+    report = json.loads(out)
+    assert (status, err) == (0, "")
+    assert report["results"]["truncated"] is True
+    assert report["results"]["ideals_visited"] == 5
+    assert report["results"]["invariant"] is False
+    assert report["warnings"] == ["exploration truncated: results cover the explored region only"]
 
 
 def test_truncation_warning_present(capsys):
@@ -428,7 +441,7 @@ def test_consecutive_in_process_runs_do_not_share_options(monkeypatch, tmp_path,
     value or default carries over from one run on the shared parser to the
     next."""
     runs = [
-        ["trace-check", "two_site.json", "--schedule", "e1,e2", "--swaps", "3", "--seed", "7"],
+        ["trace-check", "two_site.json", "--schedule", "e1,e2", "--max-states", "3", "--mode", "measure"],
         ["diagnose", "two_site.json", "--strict", "--max-states", "3", "--json", "r.json", "--dot", "v.dot"],
         ["diagnose", "two_site.json", "--max-states", "many"],
         ["diagnose", "cycle_gadget.json"],

@@ -17,7 +17,6 @@ from chronocheck import (
     independent,
     load_fixture,
     validate_event_static,
-    write_effect,
 )
 from chronocheck.randmodels import random_model
 
@@ -84,30 +83,6 @@ def test_unmatched_guard_means_identity(gadget):
     state = RecordState((gadget.space.empty(),))
     after = apply_event(a, state)
     assert after == state
-
-
-def test_write_effect_gadget_b_at_full(gadget):
-    post = gadget_table_apply(GADGET_B, frozenset({"0", "1"}))
-    expected = frozenset({"0", "1"}) - post
-    assert expected == frozenset({"1"})
-    assert write_effect(gadget.event("b"), gadget.initial, 0) == gadget.space.subset(
-        sorted(expected)
-    )
-
-
-def test_write_effect_outside_support_is_empty(two_site):
-    e1 = two_site.event("e1")
-    assert write_effect(e1, two_site.initial, 1).is_empty
-
-
-def test_write_effect_of_identity_event_is_empty(gadget):
-    noop = Event.table("noop", [0], [])
-    assert write_effect(noop, gadget.initial, 0).is_empty
-
-
-def test_write_effect_unknown_site(gadget):
-    with pytest.raises(ValueError):
-        write_effect(gadget.event("a"), gadget.initial, 5)
 
 
 def test_independence_is_support_disjointness(two_site, gadget):
@@ -220,18 +195,6 @@ def test_apply_event_is_deterministic(seed):
     model = random_model(rng)
     for event in model.events:
         assert apply_event(event, model.initial) == apply_event(event, model.initial)
-
-
-@given(seed=st.integers(0, 10**9))
-def test_write_effect_is_always_within_the_record(seed):
-    rng = random.Random(seed)
-    model = random_model(rng)
-    for event in model.events:
-        for site in range(len(model.sites)):
-            effect = write_effect(event, model.initial, site)
-            assert effect.issubset(model.initial[site])
-            if site not in event.support:
-                assert effect.is_empty
 
 
 @given(seed=st.integers(0, 10**9))

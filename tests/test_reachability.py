@@ -699,6 +699,19 @@ def test_clock_ticks_exactly_when_feasible_weight_drops(seed):
         assert (infos[tgt] > infos[src]) == (mus[tgt] < mus[src])
 
 
+@given(seed=st.integers(0, 10**9))
+def test_clock_check_is_the_per_arc_definition(seed):
+    # shrink-only violations are common at this bias, and so are clock ones
+    model = random_model(random.Random(seed), monotone_bias=0.3, measured_prob=0.5)
+    graph = explore(model)
+    mus = [measure_of(feasible_set(state)) for state in explored_states(graph)]
+    assert check_clock_monotone(graph) == [
+        ClockViolation(arc, mus[arc[0]], mus[arc[2]])
+        for arc in graph.arcs
+        if mus[arc[2]] > mus[arc[0]]
+    ]
+
+
 def test_diamond_pairs_join_at_the_same_node(two_site):
     graph = explore(two_site)
     names = two_site.event_names
