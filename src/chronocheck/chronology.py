@@ -261,12 +261,13 @@ def check_trace_invariance(
         for pos, event in enumerate(indices):
             if ideal >> pos & 1 or before[pos] & ~ideal:
                 continue
-            targets = reached.get(ideal | 1 << pos)
-            if targets is None:
-                targets = reached[ideal | 1 << pos] = {}
-                ideals.append(ideal | 1 << pos)
+            nxt = ideal | 1 << pos
+            if nxt not in reached:
+                ideals.append(nxt)
+            targets = reached.setdefault(nxt, {})
             for sid, path in here.items():
                 targets.setdefault(table.step(sid, event), path + (pos,))
+    # `here` holds the full ideal's ids now
     mismatches = [
         (tuple(schedule[pos] for pos in path), sid) for sid, path in here.items() if sid != final
     ]

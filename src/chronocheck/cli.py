@@ -7,9 +7,10 @@ not accept, writes a Graphviz view.  Every handler but validate explores
 the loaded model once and hands the graph, which carries the model, to
 each check and report writer; only `build_influence_graphs` takes the
 model beside it.  Each handler returns its view as a function, so the
-DOT text is built only when --dot is given, and whether its exploration,
-or trace-check's pass over the schedule's ideals, which --max-states also
-bounds, was truncated; the report lists that as a warning.  Exit codes: 0
+DOT text is built only when --dot is given, and whether its run was
+truncated (the exploration, or trace-check's pass over the schedule's
+ideals, which --max-states also bounds), which the report lists as a
+warning.  Exit codes: 0
 clean, 1 violations found (listed in the report), 2 a run that cannot be
 judged (a usage, parse or write error, or a --strict finding).
 
