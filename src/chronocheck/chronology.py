@@ -242,17 +242,20 @@ def check_trace_invariance(
     """
     limits = limits or ExplorationLimits()
     model = graph.model
-    events = [model.event(name) for name in schedule]  # raises on unknown names
     schedule = tuple(schedule)
+    # raises on unknown names
+    indices = [model.events.index(model.event(name)) for name in schedule]
+    events = [model.events[i] for i in indices]
     table = graph.table
-    final = _run_schedule(table, schedule)
-    indices = [model.event_names.index(name) for name in schedule]
+    start = final = table.intern_state(model.initial)
+    for event in indices:
+        final = table.step(final, event)
     # the earlier positions that position j must follow
     before = [
         sum(1 << i for i in range(j) if not independent(events[i], events[j]))
         for j in range(len(events))
     ]
-    reached = {0: {table.intern_state(model.initial): ()}}
+    reached = {0: {start: ()}}
     ideals = [0]  # visited in insertion order, by size; the full ideal comes last
     for visited, ideal in enumerate(ideals):
         if visited == limits.max_states:
@@ -272,13 +275,6 @@ def check_trace_invariance(
         (tuple(schedule[pos] for pos in path), sid) for sid, path in here.items() if sid != final
     ]
     return TraceInvarianceReport(schedule, final, len(ideals), False, mismatches, graph)
-
-
-def _run_schedule(table: TransitionTable, schedule: Sequence[str]) -> int:
-    sid = table.intern_state(table.model.initial)
-    for name in schedule:
-        sid = table.step(sid, table.model.event_names.index(name))
-    return sid
 
 
 class Verdict(Enum):

@@ -248,7 +248,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         exit_status = 1 if violations else 0
         warnings = []
         if truncated:
-            warnings.append("exploration truncated: results cover the explored region only")
+            warnings.append("truncated at --max-states: results are partial")
         for defect in model.static_defects():
             warnings.append(f"static defect [{defect.kind}] {defect.event}: {defect.message}")
         report = {

@@ -16,6 +16,7 @@ from chronocheck import (
     apply_event,
     build_influence_graphs,
     check_branch_determinacy,
+    check_diamond,
     check_trace_invariance,
     closure_from_edges,
     diagnose,
@@ -307,8 +308,9 @@ def test_trace_invariance_random_intersect_models(seed):
     schedule = random_schedule(rng, model)
     if not schedule:
         return
-    report = check_trace_invariance(explore(model), schedule)
-    assert report.invariant
+    graph = explore(model)
+    assert check_diamond(graph) == []
+    assert check_trace_invariance(graph, schedule).invariant
 
 
 def test_diagnose_two_site_all_clean(two_site):

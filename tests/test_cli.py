@@ -304,7 +304,7 @@ def test_trace_check_truncated_pass_warns(capsys):
     assert report["results"]["truncated"] is True
     assert report["results"]["ideals_visited"] == 5
     assert report["results"]["invariant"] is False
-    assert report["warnings"] == ["exploration truncated: results cover the explored region only"]
+    assert report["warnings"] == ["truncated at --max-states: results are partial"]
 
 
 def test_truncation_warning_present(capsys):
