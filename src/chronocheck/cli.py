@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("influence", "weak and strong influence edges with witnesses"),
         ("chronology", "derived order, ranks, and strong cycles"),
         ("diagnose", "full premise check and escape classification"),
-        ("trace-check", "schedule invariance under swaps of adjacent independent events"),
+        ("trace-check", "schedule invariance over every reordering of independent events"),
     ]:
         has_view = name not in ("validate", "trace-check")
         sp = sub.add_parser(name, help=text, parents=[common, view, strict] if has_view else [common, strict])
