@@ -10,6 +10,9 @@ reachability map.  `diagnose` runs the whole pipeline into a
 premise findings alone: no strong cycle, a cycle explained by at least one
 failed premise (consistency, commutation, shrink-only writing, branch
 determinacy), or a cycle that none of the premise checks accounts for.
+Every per-state premise check runs on the graph's lanes
+(`reachability.Lanes`), branch determinacy here included, and none steps
+past the explored states.
 `check_trace_invariance` decides, in one pass over the ideals of a
 schedule's dependence order, whether every reordering of the schedule
 within its trace reaches the same state on the transition table; its
@@ -35,7 +38,6 @@ from .reachability import (
     ExplorationLimits,
     MonotonicityFinding,
     ReachabilityGraph,
-    TransitionTable,
     check_diamond,
     check_gs,
     check_monotonicity,
@@ -152,25 +154,45 @@ class BDViolation:
 
 
 def check_branch_determinacy(graph: ReachabilityGraph, ig: InfluenceGraph) -> list[BDViolation]:
-    """For each strong witness, scan every explored state whose records at
+    """For each strong witness, find every explored state whose records at
     the influenced event's support match the witness context, with the
     influencer fired on some path to the state or not fired on some path,
-    and require the written branch constraint to agree with the witness
-    branch.  A state is listed at most once per witness and polarity."""
+    and whose written branch constraint disagrees with the witness branch.
+    Findings are state-major per witness, and a state is listed at most
+    once per witness and polarity.
+
+    The lanes give the states where the context matches and the write is
+    off the branch (`_off_branch`).  Only if some state is left does the
+    event-occurrence fixpoint (`occurrence_masks`) run, once, and it is
+    read for those states alone."""
     if not ig.strong_edges:
         return []
-    fired, unfired = occurrence_masks(graph)
     violations: list[BDViolation] = []
+    fired = unfired = None
+    space, names = graph.model.space, graph.model.event_names
     for witness in ig.strong_edges.values():
-        violations.extend(_branch_violations(graph.table, witness, fired, unfired))
+        candidates = _off_branch(graph, witness)
+        if candidates and fired is None:
+            fired, unfired = occurrence_masks(graph)
+        e = names.index(witness.e)
+        for sid, occurred, written in candidates:
+            if (fired if occurred else unfired)[sid] >> e & 1:
+                polarity = "e-occurred" if occurred else "e-not-occurred"
+                expected = witness.branch1 if occurred else witness.branch0
+                violations.append(BDViolation(witness, sid, polarity, expected, Subset(space, written)))
     return violations
 
 
-def _branch_violations(
-    table: TransitionTable, witness: StrongWitness, fired: list[int], unfired: list[int]
-) -> list[BDViolation]:
-    model, packed, keep = table.model, table.packed, table.keep
-    e, f = model.event_names.index(witness.e), model.event_names.index(witness.f)
+def _off_branch(graph: ReachabilityGraph, witness: StrongWitness) -> list[tuple[int, int, int]]:
+    """(state, occurred, written) triples in state order, `occurred` 0 for
+    the e-not-occurred polarity and 1 for e-occurred: the explored states
+    whose records on f's support, at the worlds that count, equal the
+    witness state's (after e, for e-occurred), and where f writes `written`
+    on the observable, which differs from that polarity's witness branch at
+    a counted world."""
+    table, lanes = graph.table, graph.lanes
+    names, keep = table.model.event_names, table.keep
+    e, f = names.index(witness.e), names.index(witness.f)
     # f's records with only the worlds that count, as one packed mask
     context = table.supports[f] & keep
     # the observable and both branches, packed once at the witness site
@@ -180,27 +202,20 @@ def _branch_violations(
         for sub in (witness.observable, witness.branch0, witness.branch1)
     )
     base = witness.state
-    expectations = (
-        ("e-not-occurred", unfired, packed[base] & context, witness.branch0, branch0),
-        ("e-occurred", fired, packed[table.step(base, e)] & context, witness.branch1, branch1),
-    )
-    violations = []
-    for sid in range(len(fired)):
-        for polarity, on_some_path, expected_context, expected, branch in expectations:
-            if not on_some_path[sid] >> e & 1 or packed[sid] & context != expected_context:
-                continue
-            actual = packed[table.step(sid, f)] & observable
-            if (actual ^ branch) & keep:
-                violations.append(
-                    BDViolation(
-                        witness,
-                        sid,
-                        polarity,
-                        expected,
-                        Subset(model.space, table.field(actual, site)),
-                    )
-                )
-    return violations
+    contexts = (table.packed[base] & context, lanes.lane(lanes.after(e), base) & context)
+    at_context = lanes.x & lanes.spread(context)
+    written = lanes.after(f) & lanes.spread(observable)
+    counted = lanes.spread(keep)
+    found = []
+    for occurred, (expected, branch) in enumerate(zip(contexts, (branch0, branch1))):
+        matching = lanes.nonzero(at_context ^ lanes.spread(expected)) ^ lanes.rep
+        off = lanes.nonzero((written ^ lanes.spread(branch)) & counted)
+        found += [(sid, occurred) for sid in lanes.flagged(matching & off, 0)]
+    if not found:
+        return []
+    found.sort()
+    values = lanes.read(written, [sid for sid, _ in found])
+    return [(sid, occurred, table.field(value, site)) for (sid, occurred), value in zip(found, values)]
 
 
 @dataclass

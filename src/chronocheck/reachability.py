@@ -11,11 +11,12 @@ to one state, filling the state's successor ids under every event in one
 loop, and `Lanes.apply` applies them to every explored state at once.
 States are interned to integer ids; the table stores those ids and nothing
 else, and shrink-only violations are read off the packed source and target
-of an arc.  Checks test whole states with single int operations, against
-masks the table packs once: the worlds that count at every site (`keep`)
-and each event's support (`supports`).  They read one site out of a packed
-value only through `TransitionTable.field` and `TransitionTable.first_site`,
-and pack (site, record) pairs only through `TransitionTable.pack`.
+of a flagged arc.  Checks test whole states with single int operations,
+against masks the table packs once: the worlds that count at every site
+(`keep`) and each event's support (`supports`).  They read one site out of
+a packed value only through `TransitionTable.field` and
+`TransitionTable.first_site`, and pack (site, record) pairs only through
+`TransitionTable.pack`.
 
 The lane layout puts every explored state of a graph into one int
 (`ReachabilityGraph.lanes`, built on first use): state i sits in lane i,
@@ -24,12 +25,21 @@ rounded up to whole bytes with at least one spare bit above it.  One
 multiplication by REP, the int with bit 0 of every lane set, copies a mask
 into every lane, so one big-int operation tests every explored state (SIMD
 within a register: Lamport, CACM 18(8), 1975; Warren, Hacker's Delight,
-ch. 6).  A guarded rule matches the lanes where adding all ones to the
-guarded records xor the guard leaves the spare bit clear; the first
-matching rule wins.  `check_gs` ANDs the site fields of every lane together
-and flags, by the same carry test, the lanes where no counted world is
-left; the flagged lanes are read with one `to_bytes`.  The influence search
-(see `influence`) runs on the same lanes.
+ch. 6).  Adding all ones to a lane's record bits carries into its spare bit
+iff they are nonzero, which `Lanes.nonzero` tests for every lane at once.
+A guarded rule matches the lanes where the guarded records xor the guard
+are zero; the first matching rule wins.  Flagged lanes are read with one
+`to_bytes`, so a check costs one scan plus work per finding.
+
+Every per-state premise check runs on the lanes, as does the influence
+search (see `influence`): `check_gs` ANDs the site fields of every lane
+together and flags the lanes where no counted world is left;
+`check_monotonicity` flags, per event, the lanes where `after(e) & ~x` is
+nonzero, and `check_clock_monotone` weighs only those arcs; `check_diamond`
+compares both orders of each independent pair on every lane; and the
+branch-determinacy check in `chronology` filters states the same way.  No
+premise check steps past the explored states: the only states one interns
+are the two end states of a commutation finding.
 
 Every finding and witness names the states it is about by table id, and
 callers such as the report and the DOT view read explored states by id
@@ -43,7 +53,8 @@ Exploration visits each distinct record state once and keeps, per state,
 the event bitmask of the breadth-first path that first reached it.  Which
 events have or have not fired on the way to a state is a property of the
 paths into it, not of the state, so `occurrence_masks` computes it for
-every state at once with a fixpoint over the explored arcs.
+every state at once with a fixpoint over the explored arcs; branch
+determinacy runs it only when the lanes leave a candidate state.
 """
 
 from __future__ import annotations
@@ -51,11 +62,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
 from typing import Iterable
 
 from .core import RecordState, Subset, feasible_set, measure_of, mode_mask
-from .events import Event, EventKind, independent
+from .events import Event, EventKind
 from .model import Model
 
 MaskState = int
@@ -111,8 +122,8 @@ class TransitionTable:
     a packed value from (site, record) pairs, and `field` and `first_site`
     read one site out of one.
     `state` and `intern_state` convert to and from `RecordState` at the API
-    boundary.  Lookups work for any interned state, so checks may step past
-    a truncated exploration frontier.
+    boundary.  Lookups work for any interned state; exploration fills the
+    rows of the states it expands, and no premise check fills another.
     """
 
     def __init__(self, model: Model) -> None:
@@ -213,7 +224,8 @@ class Lanes:
     multiplication by it, copies a mask of one lane into every lane.
     `apply(event, value)` applies the event's compiled rules to every lane
     of `value`, and `after(event)` keeps `apply(event, x)` per event.
-    `first`, `lane` and `flagged` read lanes back out.
+    `nonzero` flags the lanes with any record bit set, and `first`, `lane`,
+    `read` and `flagged` read lanes back out.
     """
 
     def __init__(self, table: TransitionTable, count: int) -> None:
@@ -238,10 +250,10 @@ class Lanes:
         """Event index `event` applied to every lane of `value` at once.
 
         A guarded rule matches a lane iff the lane's guarded records xor the
-        guard are zero, that is iff adding all ones to the lane's record bits
-        carries nothing into its spare bit.  `(hit << bits) - hit` widens the
-        matching lanes' bit 0 to their record bits; `unmatched` keeps the
-        lanes no earlier rule matched, so the first match wins.
+        guard are zero, that is iff `nonzero` leaves the lane's bit 0 clear.
+        `(hit << bits) - hit` widens the matching lanes' bit 0 to their
+        record bits; `unmatched` keeps the lanes no earlier rule matched, so
+        the first match wins.
         """
         rules = self._rules[event]
         if rules is None:
@@ -255,10 +267,10 @@ class Lanes:
         guarded, guard, clear, result = rules[0]
         if not guarded:  # an empty first guard matches every lane
             return value & clear | result
-        bits, records = self.bits, self._records
+        bits, nonzero = self.bits, self.nonzero
         out, unmatched = value, self.rep
         for guarded, guard, clear, result in rules:
-            hit = unmatched & ~(((value & guarded) ^ guard) + records >> bits) if guarded else unmatched
+            hit = unmatched & ~nonzero((value & guarded) ^ guard) if guarded else unmatched
             if hit:
                 out ^= ((value & clear | result) ^ value) & ((hit << bits) - hit)
                 unmatched ^= hit
@@ -272,6 +284,13 @@ class Lanes:
         if value is None:
             value = self._after[event] = self.apply(event, self.x)
         return value
+
+    def nonzero(self, value: int) -> int:
+        """Bit 0 of every lane of `value` whose record bits are not all
+        zero; `value` has no bit outside the record bits.  Adding all ones
+        to a lane's records carries into its spare bit iff they are
+        nonzero."""
+        return (value + self._records) >> self.bits & self.rep
 
     def nonempty_fields(self, value: int) -> int:
         """The top bit of every site field of every lane of `value` that is
@@ -288,6 +307,13 @@ class Lanes:
     def lane(self, value: int, index: int) -> MaskState:
         """The record bits of lane `index` of `value`, as a packed state."""
         return value >> index * self.size & self.table.record_bits
+
+    def read(self, value: int, indices: list[int]) -> list[MaskState]:
+        """The record bits of each lane in `indices` of `value`, read with
+        one `to_bytes`, not one shift of `value` per lane."""
+        step, record_bits = self.size // 8, self.table.record_bits
+        data = value.to_bytes(self.count * step, "little")
+        return [int.from_bytes(data[i * step : (i + 1) * step], "little") & record_bits for i in indices]
 
     def flagged(self, flags: int, bit: int) -> list[int]:
         """Indices of the lanes whose bit `bit` is set in `flags`, which has
@@ -353,8 +379,8 @@ class ReachabilityGraph:
 
     def state(self, sid: int) -> RecordState:
         """Table state `sid` as a `RecordState`, one shared value per id.
-        Any id of the table resolves, so a commutation finding may name a
-        state that a check stepped to past a truncated frontier."""
+        Any id of the table resolves, so a commutation finding may name an
+        end state past a truncated frontier."""
         state = self._states.get(sid)
         if state is None:
             state = self._states[sid] = self.table.state(sid)
@@ -454,18 +480,17 @@ def check_gs(graph: ReachabilityGraph) -> list[int]:
     the model's consistency mode.
 
     On the graph's lanes: the sites' records are ANDed into each lane's
-    first field, which is masked to the worlds that count.  Adding all ones
-    to that field carries into the bit above it iff some counted world is
-    left, so the lanes without that carry are the inconsistent states."""
+    first field, which is masked to the worlds that count, and the lanes
+    where `nonzero` finds no counted world left are the inconsistent
+    states."""
     table, lanes = graph.table, graph.lanes
     width, x = table.width, lanes.x
     feasible = x
     for site in range(1, len(table.site_full)):
         feasible &= x >> site * width
-    counted = feasible & lanes.spread(mode_mask(graph.model.space, graph.model.mode))
-    carry = lanes.spread(1 << width)
-    empty = (counted + lanes.spread(table.site_full[0])) & carry ^ carry
-    return lanes.flagged(empty, width)
+    # `keep`'s first field holds the worlds that count
+    counted = feasible & lanes.spread(table.keep & table.site_full[0])
+    return lanes.flagged(lanes.nonzero(counted) ^ lanes.rep, 0)
 
 
 @dataclass(frozen=True)
@@ -482,28 +507,73 @@ class DiamondViolation:
 
 def check_diamond(graph: ReachabilityGraph) -> list[DiamondViolation]:
     """Compare both application orders of every independent pair at every
-    explored state; a mismatch is a commutation failure."""
+    explored state; a mismatch up to the model's mode is a commutation
+    failure.  Findings are state-major, then in pair order.
+
+    Per pair, `apply(e, after(f))` and `apply(f, after(e))` hold both
+    orders at every lane at once, and the lanes that differ on a counted
+    world are the findings.  Only a finding's two end states are interned,
+    so the check adds no other state to the table."""
     table = graph.table
-    events = graph.model.events
+    supports = table.supports
+    # independent events are those with disjoint supports
     pairs = [
         (i, j)
-        for i, e in enumerate(events)
-        for j in range(i + 1, len(events))
-        if independent(e, events[j])
+        for i, support in enumerate(supports)
+        for j in range(i + 1, len(supports))
+        if not support & supports[j]
     ]
-    violations: list[DiamondViolation] = []
     if not pairs:
-        return violations
-    row = table.row
-    for sid in range(graph.state_count):
-        after = [row(target) for target in row(sid)]
-        for e, f in pairs:
-            f_then_e = after[f][e]
-            e_then_f = after[e][f]
-            if f_then_e == e_then_f or table.same(f_then_e, e_then_f):
-                continue
-            violations.append(DiamondViolation(sid, events[e].name, events[f].name, f_then_e, e_then_f))
+        return []
+    events, lanes = graph.model.events, graph.lanes
+    keep = lanes.spread(table.keep)
+    found: list[tuple[int, int, MaskState, MaskState]] = []  # (state, pair, f then e, e then f)
+    for index, (e, f) in enumerate(pairs):
+        f_then_e, e_then_f = lanes.apply(e, lanes.after(f)), lanes.apply(f, lanes.after(e))
+        flags = lanes.nonzero((f_then_e ^ e_then_f) & keep)
+        if flags:
+            sids = lanes.flagged(flags, 0)
+            found += zip(sids, repeat(index), lanes.read(f_then_e, sids), lanes.read(e_then_f, sids))
+    violations = []
+    for sid, index, f_then_e, e_then_f in sorted(found):
+        e, f = pairs[index]
+        violations.append(
+            DiamondViolation(sid, events[e].name, events[f].name, table._intern(f_then_e), table._intern(e_then_f))
+        )
     return violations
+
+
+def _grown_arcs(graph: ReachabilityGraph) -> list[tuple[int, int, int]]:
+    """The explored arcs whose target holds a packed bit that its source
+    lacks, in arc order.
+
+    Per event, `after(event) & ~x` flags the lanes at which the event adds
+    a bit back.  A flagged (state, event) pair is an arc iff the state was
+    expanded and its target is explored; the expanded states are the ids up
+    to the last arc's source, so their rows are already filled and reading
+    a target interns nothing."""
+    arcs = graph.arcs
+    if not arcs:
+        return []
+    lanes = graph.lanes
+    x, after = lanes.x, lanes.after
+    pairs = []
+    for event in range(len(graph.table.rules)):
+        grown = after(event) & ~x
+        if grown:
+            pairs += [(sid, event) for sid in lanes.flagged(lanes.nonzero(grown), 0)]
+    if not pairs:
+        return []
+    pairs.sort()
+    last, count, row = arcs[-1][0], graph.state_count, graph.table.row
+    grown_arcs = []
+    for sid, event in pairs:
+        if sid > last:
+            break
+        target = row(sid)[event]
+        if target < count:
+            grown_arcs.append((sid, event, target))
+    return grown_arcs
 
 
 @dataclass(frozen=True)
@@ -520,18 +590,27 @@ class MonotonicityFinding:
 def check_monotonicity(graph: ReachabilityGraph) -> list[MonotonicityFinding]:
     """Shrink-only violations on the explored arcs, one entry per
     (event, site, source state), in arc order and then support order.  An
-    arc's added worlds are the target's packed bits that its source lacks."""
+    arc's added worlds are the target's packed bits that its source lacks;
+    the arcs that add any come from one scan of the graph's lanes
+    (`_grown_arcs`), and findings with equal added worlds share one
+    `Subset`."""
     table = graph.table
     packed, field = table.packed, table.field
     events = graph.model.events
     space = graph.model.space
-    return [
-        MonotonicityFinding(events[event].name, site, Subset(space, field(added, site)), src)
-        for src, event, tgt in graph.arcs
-        if (added := packed[tgt] & ~packed[src])
-        for site in events[event].support
-        if field(added, site)
-    ]
+    subsets: dict[int, Subset] = {}
+    findings = []
+    for src, event, tgt in _grown_arcs(graph):
+        added = packed[tgt] & ~packed[src]
+        name = events[event].name
+        for site in events[event].support:
+            mask = field(added, site)
+            if mask:
+                subset = subsets.get(mask)
+                if subset is None:
+                    subset = subsets[mask] = Subset(space, mask)
+                findings.append(MonotonicityFinding(name, site, subset, src))
+    return findings
 
 
 @dataclass(frozen=True)
@@ -546,12 +625,11 @@ class ClockViolation:
 
 def check_clock_monotone(graph: ReachabilityGraph) -> list[ClockViolation]:
     """Arcs along which the feasible set gains weight, i.e. the
-    information clock ticks backwards.  Only arcs whose target holds a
-    packed bit its source lacks are weighed: on any other arc the target's
+    information clock ticks backwards.  Only the arcs that the shrink-only
+    scan flags (`_grown_arcs`) are weighed: on any other arc the target's
     feasible set is a subset of the source's, so its weight cannot grow.
     Empty whenever no edge violates shrink-only writing."""
-    packed = graph.table.packed
-    grown = [arc for arc in graph.arcs if packed[arc[2]] & ~packed[arc[0]]]
+    grown = _grown_arcs(graph)
     ends = {sid for src, _, tgt in grown for sid in (src, tgt)}
     mus = {sid: measure_of(feasible_set(graph.state(sid))) for sid in ends}
     return [

@@ -1,4 +1,6 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -98,6 +100,15 @@ def make_twin_intersect_model() -> Model:
     return Model(space, ("site1",), RecordState((space.full(),)), (e, f))
 
 
+def dense_draw() -> Model:
+    """The first model of the benchmark's `dense` workload."""
+    path = Path(__file__).resolve().parents[1] / "chronobench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.dense_model(random.Random(f"dense:{workloads.DENSE_SEED}:0"))
+
+
 @pytest.fixture
 def aligned_flip_model():
     return make_aligned_flip_model()
@@ -173,3 +184,25 @@ def draw_shaped_model(rng: random.Random, shape: str, intersect_prob: float = 0.
     )
     events = tuple(_drawn_event(rng, f"e{j}", space, initial, intersect_prob) for j in range(rng.randint(2, 4)))
     return Model(space, tuple(f"s{i}" for i in range(n_sites)), initial, events, mode)
+
+
+def corrupt_one_event(rng: random.Random, graph) -> None:
+    """Replace one event's compiled rules in `graph`'s table, after
+    exploration, by random rules that write anywhere in the record bits:
+    the event no longer keeps to its support, so it stops commuting with
+    the events independent of it, and its write no longer follows its
+    support's records.  The table forgets the rows it filled with the old
+    rules.  No loadable model reaches these faults."""
+    table = graph.table
+    bits = table.record_bits
+
+    def mask() -> int:
+        return rng.getrandbits(bits.bit_length()) & bits
+
+    rules = []
+    for _ in range(rng.randint(1, 3)):
+        guarded = rng.choice((0, mask()))
+        guard = table.packed[rng.randrange(len(table.packed))] & guarded
+        rules.append((guarded, guard, mask(), mask()))
+    table.rules[rng.randrange(len(table.rules))] = tuple(rules)
+    table._succ = [None] * len(table._succ)

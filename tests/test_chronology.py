@@ -2,30 +2,37 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chronocheck import (
+    BDViolation,
     ConsistencyMode,
     Event,
     ExplorationLimits,
     Model,
     PossibilitySpace,
     RecordState,
+    Subset,
     Verdict,
     apply_event,
     build_influence_graphs,
     check_branch_determinacy,
     check_diamond,
+    check_monotonicity,
     check_trace_invariance,
     closure_from_edges,
     diagnose,
     explore,
     independent,
+    load_fixture,
+    occurrence_masks,
     parse_model,
     transitive_closure,
 )
+from chronocheck import chronology
 from chronocheck.randmodels import random_model, random_schedule
+from conftest import LANE_SHAPES, corrupt_one_event, dense_draw, draw_shaped_model, make_aligned_flip_model
 
 
 def test_closure_three_chain():
@@ -156,6 +163,113 @@ def test_branch_determinacy_vacuous_without_strong_edges(two_site):
     graph = explore(two_site)
     ig = build_influence_graphs(two_site, graph)
     assert check_branch_determinacy(graph, ig) == []
+
+
+def scalar_branch_determinacy(graph, ig):
+    """Reference branch-determinacy check: per strong witness, every
+    explored state in state order and both polarities in turn, stepped on
+    the table.  It may intern states past a truncated frontier, so it runs
+    after the check it is compared with."""
+    if not ig.strong_edges:
+        return []
+    table, model = graph.table, graph.model
+    packed, keep = table.packed, table.keep
+    fired, unfired = occurrence_masks(graph)
+    violations = []
+    for witness in ig.strong_edges.values():
+        e, f = model.event_names.index(witness.e), model.event_names.index(witness.f)
+        context = table.supports[f] & keep
+        site = witness.site
+        observable, branch0, branch1 = (
+            table.pack(((site, sub),)) for sub in (witness.observable, witness.branch0, witness.branch1)
+        )
+        base = witness.state
+        expectations = (
+            ("e-not-occurred", unfired, packed[base] & context, witness.branch0, branch0),
+            ("e-occurred", fired, packed[table.step(base, e)] & context, witness.branch1, branch1),
+        )
+        for sid in range(graph.state_count):
+            for polarity, on_some_path, expected_context, expected, branch in expectations:
+                if not on_some_path[sid] >> e & 1 or packed[sid] & context != expected_context:
+                    continue
+                actual = packed[table.step(sid, f)] & observable
+                if (actual ^ branch) & keep:
+                    written = Subset(model.space, table.field(actual, site))
+                    violations.append(BDViolation(witness, sid, polarity, expected, written))
+    return violations
+
+
+@settings(max_examples=200)
+@given(
+    seed=st.integers(0, 10**9),
+    shape=st.sampled_from(LANE_SHAPES),
+    limits=st.sampled_from([None, ExplorationLimits(max_states=3), ExplorationLimits(max_depth=1)]),
+    mode=st.sampled_from(ConsistencyMode),
+    corrupt=st.booleans(),
+)
+@example(seed=0, shape="aligned_flip", limits=None, mode=ConsistencyMode.NONEMPTY, corrupt=False)
+@example(seed=0, shape="bd_flip", limits=None, mode=ConsistencyMode.NONEMPTY, corrupt=False)
+@example(seed=0, shape="bd_flip", limits=ExplorationLimits(max_depth=1), mode=ConsistencyMode.NONEMPTY, corrupt=False)
+@example(seed=0, shape="reached_twice", limits=None, mode=ConsistencyMode.POSITIVE_MEASURE, corrupt=False)
+# a drawn state writes off the branch only at a zero-weight world
+@example(seed=5, shape="8x1", limits=None, mode=ConsistencyMode.POSITIVE_MEASURE, corrupt=False)
+def test_lane_branch_determinacy_matches_the_scalar_loop(seed, shape, limits, mode, corrupt):
+    # a loadable model's write follows its support's records, so a state
+    # with the witness context writes off the branch only where the two
+    # differ at zero-weight worlds; a corrupted event's write does not, and
+    # gives findings far more often
+    rng = random.Random(seed)
+    if shape == "aligned_flip":
+        model = make_aligned_flip_model()
+    elif shape == "bd_flip":
+        model = load_fixture("bd_flip")
+    elif shape == "reached_twice":
+        model = parse_model(REACHED_TWICE)
+    else:
+        # the first of a few draws, mostly table events, with a strong edge
+        for _ in range(10):
+            model = replace(draw_shaped_model(rng, shape, intersect_prob=0.2), mode=mode)
+            if build_influence_graphs(model, explore(model, limits)).strong_edges:
+                break
+    graph = explore(model, limits)
+    if corrupt:
+        corrupt_one_event(rng, graph)
+    ig = build_influence_graphs(model, graph)
+    assert check_branch_determinacy(graph, ig) == scalar_branch_determinacy(graph, ig)
+
+
+def test_premise_checks_add_no_state_to_a_truncated_table(gadget, two_site):
+    # a depth-1 graph leaves states unexpanded: stepping from one of them
+    # would intern its successors
+    for model in (gadget, two_site):
+        graph = explore(model, ExplorationLimits(max_depth=1))
+        assert graph.truncated
+        count = len(graph.table.packed)
+        check_monotonicity(graph)
+        check_diamond(graph)
+        check_branch_determinacy(graph, build_influence_graphs(model, graph))
+        assert len(graph.table.packed) == count
+
+
+def test_branch_determinacy_runs_the_occurrence_fixpoint_only_when_needed(monkeypatch, two_site, bd_flip):
+    # the lane filter leaves no candidate state on two_site and on the
+    # first model of the benchmark's dense workload, and some on bd_flip
+    models = {"two_site": two_site, "dense": dense_draw(), "bd_flip": bd_flip}
+    expected = {}
+    for name, model in models.items():
+        graph = explore(model)
+        expected[name] = scalar_branch_determinacy(graph, build_influence_graphs(model, graph))
+    calls = []
+    monkeypatch.setattr(chronology, "occurrence_masks", lambda graph: calls.append(1) or occurrence_masks(graph))
+    counts = {}
+    for name, model in models.items():
+        graph = explore(model)
+        before = len(calls)
+        assert check_branch_determinacy(graph, build_influence_graphs(model, graph)) == expected[name]
+        counts[name] = len(calls) - before
+    assert counts["two_site"] == counts["dense"] == 0
+    assert counts["bd_flip"] >= 1
+    assert expected["bd_flip"]
 
 
 def test_trace_invariance_two_site(two_site):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from chronocheck import (
     ClockViolation,
     ConsistencyMode,
+    DiamondViolation,
     Edge,
     Event,
     ExplorationLimits,
@@ -34,6 +35,7 @@ from chronocheck import (
     diagnose,
     explore,
     feasible_set,
+    independent,
     information_content,
     load_fixture,
     measure_of,
@@ -46,7 +48,7 @@ from chronocheck import reachability
 from chronocheck.modelfile import model_from_dict
 from chronocheck.randmodels import random_model
 from chronocheck.report import taxonomy_json
-from conftest import LANE_SHAPES, draw_shaped_model
+from conftest import LANE_SHAPES, corrupt_one_event, dense_draw, draw_shaped_model
 
 
 def states_by_sequence_enumeration(model, max_len):
@@ -296,17 +298,11 @@ def test_diagnose_builds_only_the_nodes_it_names(name, monkeypatch):
     assert set(written) == named
 
 
-def _dense_draw():
-    """The first model of the benchmark's `dense` workload."""
-    workloads = _module("chronobench/workloads.py", "workloads")
-    return workloads.dense_model(random.Random(f"dense:{workloads.DENSE_SEED}:0"))
-
-
 @pytest.mark.parametrize("name", ["cycle_gadget", "bd_flip", "dense"])
 def test_only_the_report_builds_states_and_each_once(name, monkeypatch):
     # findings and witnesses name states by id: `diagnose` builds no
     # `RecordState`, and the report builds each state it writes once
-    model = _dense_draw() if name == "dense" else load_fixture(name)
+    model = dense_draw() if name == "dense" else load_fixture(name)
     built = []
     state = TransitionTable.state
     monkeypatch.setattr(TransitionTable, "state", lambda table, sid: built.append(sid) or state(table, sid))
@@ -527,6 +523,94 @@ def test_lane_check_gs_matches_the_per_state_definition(seed, shape, limits, mod
 
     expected = [sid for sid in range(graph.state_count) if not consistent(graph.state(sid))]
     assert check_gs(graph) == expected
+
+
+def scalar_monotonicity(graph):
+    """Reference shrink-only check: per explored arc, in arc order, and per
+    supported site, the packed bits the target holds and the source lacks."""
+    table = graph.table
+    packed, field = table.packed, table.field
+    events = graph.model.events
+    return [
+        MonotonicityFinding(events[event].name, site, Subset(graph.model.space, field(added, site)), src)
+        for src, event, tgt in graph.arcs
+        if (added := packed[tgt] & ~packed[src])
+        for site in events[event].support
+        if field(added, site)
+    ]
+
+
+def scalar_diamond(graph):
+    """Reference commutation check: both orders of every independent pair
+    stepped on the table at every explored state, in state order and then
+    pair order.  It interns every state it steps to, so it runs after the
+    check it is compared with."""
+    table = graph.table
+    events = graph.model.events
+    pairs = [(i, j) for i, e in enumerate(events) for j in range(i + 1, len(events)) if independent(e, events[j])]
+    violations = []
+    for sid in range(graph.state_count):
+        after = [table.row(target) for target in table.row(sid)]
+        for e, f in pairs:
+            f_then_e, e_then_f = after[f][e], after[e][f]
+            if not table.same(f_then_e, e_then_f):
+                violations.append(DiamondViolation(sid, events[e].name, events[f].name, f_then_e, e_then_f))
+    return violations
+
+
+PREMISE_LIMITS = st.sampled_from([None, ExplorationLimits(max_states=3), ExplorationLimits(max_depth=1)])
+
+
+@settings(max_examples=200)
+@given(
+    seed=st.integers(0, 10**9),
+    shape=st.sampled_from(LANE_SHAPES),
+    limits=PREMISE_LIMITS,
+    mode=st.sampled_from(ConsistencyMode),
+)
+def test_lane_monotonicity_matches_the_scalar_loop(seed, shape, limits, mode):
+    # mostly table events, so shrink-only violations are common
+    model = replace(draw_shaped_model(random.Random(seed), shape, intersect_prob=0.3), mode=mode)
+    graph = explore(model, limits)
+    findings = check_monotonicity(graph)
+    assert findings == scalar_monotonicity(graph)
+    # the clock check weighs the arcs the same scan flags
+    mus = [measure_of(feasible_set(state)) for state in explored_states(graph)]
+    assert check_clock_monotone(graph) == [
+        ClockViolation(arc, mus[arc[0]], mus[arc[2]]) for arc in graph.arcs if mus[arc[2]] > mus[arc[0]]
+    ]
+
+
+@settings(max_examples=200)
+@given(
+    seed=st.integers(0, 10**9),
+    shape=st.sampled_from(LANE_SHAPES),
+    limits=PREMISE_LIMITS,
+    mode=st.sampled_from(ConsistencyMode),
+)
+def test_lane_commutation_matches_the_scalar_loop(seed, shape, limits, mode):
+    # no loadable model fails commutation, so one event is corrupted
+    rng = random.Random(seed)
+    model = replace(draw_shaped_model(rng, shape), mode=mode)
+    graph = explore(model, limits)
+    corrupt_one_event(rng, graph)
+    table = graph.table
+    count = len(table.packed)
+    found = check_diamond(graph)
+    # only the end states of a finding are new to the table
+    assert len(table.packed) <= count + 2 * len(found)
+
+    def ends(violations):
+        return [(v.state, v.e, v.f, table.packed[v.f_then_e], table.packed[v.e_then_f]) for v in violations]
+
+    expected = scalar_diamond(graph)
+    assert ends(found) == ends(expected)
+    # each reported end state is the state its order reaches
+    names = model.event_names
+    for v in found:
+        e, f = names.index(v.e), names.index(v.f)
+        assert v.f_then_e == table.step(table.step(v.state, f), e)
+        assert v.e_then_f == table.step(table.step(v.state, e), f)
 
 
 def test_pack_of_no_pairs_is_zero(two_site):
