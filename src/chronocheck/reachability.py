@@ -10,11 +10,12 @@ are the one compilation of an event.  `TransitionTable.row` applies them
 to one state, filling the state's successor ids under every event in one
 loop, and `Lanes.apply` applies them to every explored state at once.
 States are interned to integer ids; the table stores those ids and nothing
-else, and shrink-only violations are read off the packed source and target
-of a flagged arc.  Checks test whole states with single int operations,
-against masks the table packs once: the worlds that count at every site
-(`keep`) and each event's support (`supports`).  They read one site out of
-a packed value only through `TransitionTable.field` and
+else, and its rows are the one store of transitions (see
+`ReachabilityGraph`).  Shrink-only violations are read off the packed
+source and target of a flagged arc.  Checks test whole states with single
+int operations, against masks the table packs once: the worlds that count
+at every site (`keep`) and each event's support (`supports`).  They read
+one site out of a packed value only through `TransitionTable.field` and
 `TransitionTable.first_site`, and pack (site, record) pairs only through
 `TransitionTable.pack`.
 
@@ -53,7 +54,7 @@ Exploration visits each distinct record state once and keeps, per state,
 the event bitmask of the breadth-first path that first reached it.  Which
 events have or have not fired on the way to a state is a property of the
 paths into it, not of the state, so `occurrence_masks` computes it for
-every state at once with a fixpoint over the explored arcs; branch
+every state at once with a fixpoint over the explored rows; branch
 determinacy runs it only when the lanes leave a candidate state.
 """
 
@@ -355,9 +356,13 @@ class ReachabilityGraph:
 
     The explored states are table states 0 to `state_count - 1`;
     `occurred[i]` is the event bitmask of the breadth-first path that first
-    reached state i.  Each arc is a (source state, event index, target
-    state) triple, one per expanded state and event, except that arcs to
-    states past the `max_states` limit are dropped.  `state(i)` builds
+    reached state i.  Exploration filled the table rows of states 0 to
+    `expanded - 1`, and those rows hold every transition: an arc is a
+    (source state, event index, target state) triple, one per expanded
+    state and event, except that arcs to states past the `max_states` limit
+    (ids from `state_count` on) are dropped.  `arcs` lists them and
+    `arc_count` counts them, both read off the rows on every access, so a
+    row filled after exploration adds no arc.  `state(i)` builds
     state i's records on first request and `occurred_names(i)` names the
     events in `occurred[i]`.  `lanes`, every explored state in one int, is
     built in full on first access.
@@ -365,7 +370,7 @@ class ReachabilityGraph:
 
     table: TransitionTable
     occurred: tuple[int, ...]
-    arcs: tuple[tuple[int, int, int], ...]
+    expanded: int
     truncated: bool
     _states: dict[int, RecordState] = field(default_factory=dict, init=False, repr=False)
 
@@ -376,6 +381,26 @@ class ReachabilityGraph:
     @property
     def state_count(self) -> int:
         return len(self.occurred)
+
+    @property
+    def arcs(self) -> tuple[tuple[int, int, int], ...]:
+        """Every arc, source-major and then in event order, built anew on
+        each access."""
+        count, row = self.state_count, self.table.row
+        return tuple(
+            (src, event, tgt) for src in range(self.expanded) for event, tgt in enumerate(row(src)) if tgt < count
+        )
+
+    @property
+    def arc_count(self) -> int:
+        """`len(arcs)`, counted off the rows without building an arc."""
+        count, row = self.state_count, self.table.row
+        arcs = 0
+        for src in range(self.expanded):
+            for tgt in row(src):
+                if tgt < count:
+                    arcs += 1
+        return arcs
 
     def state(self, sid: int) -> RecordState:
         """Table state `sid` as a `RecordState`, one shared value per id.
@@ -437,7 +462,6 @@ def explore(model: Model, limits: ExplorationLimits | None = None) -> Reachabili
     table.intern_state(model.initial)
     occurred: list[int] = [0]
     depths: list[int] = [0]
-    arcs: list[tuple[int, int, int]] = []
     truncated = False
     for src, depth in enumerate(depths):  # visits the states appended below too
         if depth >= limits.max_depth:  # ids are breadth-first, so depths never decrease
@@ -446,27 +470,31 @@ def explore(model: Model, limits: ExplorationLimits | None = None) -> Reachabili
         for event, target in enumerate(table.row(src)):
             if target >= limits.max_states:
                 truncated = True
-                continue
-            if target == len(depths):  # ids are handed out in this order
+            elif target == len(depths):  # ids are handed out in this order
                 occurred.append(occurred[src] | 1 << event)
                 depths.append(depth + 1)
-            arcs.append((src, event, target))
-    return ReachabilityGraph(table, tuple(occurred), tuple(arcs), truncated)
+    else:  # every explored state was expanded
+        src = len(depths)
+    return ReachabilityGraph(table, tuple(occurred), src, truncated)
 
 
 def occurrence_masks(graph: ReachabilityGraph) -> tuple[list[int], list[int]]:
     """Per explored state, the event bitmask fired on some explored path to
-    it and the event bitmask not fired on some explored path to it."""
-    succ: list[list[tuple[int, int]]] = [[] for _ in graph.occurred]
-    for src, event, tgt in graph.arcs:
-        succ[src].append((1 << event, tgt))
-    fired = [0] * len(succ)
-    unfired = [0] * len(succ)
+    it and the event bitmask not fired on some explored path to it: a
+    fixpoint that walks the arcs in the expanded states' rows."""
+    count, expanded, row = graph.state_count, graph.expanded, graph.table.row
+    fired = [0] * count
+    unfired = [0] * count
     unfired[0] = (1 << len(graph.model.events)) - 1
     pending = [0]
     while pending:
         src = pending.pop()
-        for bit, tgt in succ[src]:
+        if src >= expanded:
+            continue
+        for event, tgt in enumerate(row(src)):
+            if tgt >= count:
+                continue
+            bit = 1 << event
             now_fired = fired[tgt] | fired[src] | bit
             now_unfired = unfired[tgt] | unfired[src] & ~bit
             if now_fired != fired[tgt] or now_unfired != unfired[tgt]:
@@ -548,13 +576,9 @@ def _grown_arcs(graph: ReachabilityGraph) -> list[tuple[int, int, int]]:
     lacks, in arc order.
 
     Per event, `after(event) & ~x` flags the lanes at which the event adds
-    a bit back.  A flagged (state, event) pair is an arc iff the state was
-    expanded and its target is explored; the expanded states are the ids up
-    to the last arc's source, so their rows are already filled and reading
-    a target interns nothing."""
-    arcs = graph.arcs
-    if not arcs:
-        return []
+    a bit back.  A flagged (state, event) pair is an arc iff the state is
+    below `graph.expanded` and its target is explored; exploration filled
+    those states' rows, so reading a target interns nothing."""
     lanes = graph.lanes
     x, after = lanes.x, lanes.after
     pairs = []
@@ -565,10 +589,10 @@ def _grown_arcs(graph: ReachabilityGraph) -> list[tuple[int, int, int]]:
     if not pairs:
         return []
     pairs.sort()
-    last, count, row = arcs[-1][0], graph.state_count, graph.table.row
+    expanded, count, row = graph.expanded, graph.state_count, graph.table.row
     grown_arcs = []
     for sid, event in pairs:
-        if sid > last:
+        if sid >= expanded:
             break
         target = row(sid)[event]
         if target < count:

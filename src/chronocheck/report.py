@@ -158,7 +158,7 @@ def cycles_json(
 def graph_summary_json(graph: ReachabilityGraph) -> dict[str, Any]:
     return {
         "nodes": graph.state_count,
-        "edges": len(graph.arcs),
+        "edges": graph.arc_count,
         "truncated": graph.truncated,
     }
 

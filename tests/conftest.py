@@ -192,7 +192,8 @@ def corrupt_one_event(rng: random.Random, graph) -> None:
     the event no longer keeps to its support, so it stops commuting with
     the events independent of it, and its write no longer follows its
     support's records.  The table forgets the rows it filled with the old
-    rules.  No loadable model reaches these faults."""
+    rules, so the graph's arcs, read off the rows, follow the new ones.  No
+    loadable model reaches these faults."""
     table = graph.table
     bits = table.record_bits
 

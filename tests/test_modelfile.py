@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import re
@@ -335,17 +336,16 @@ def test_many_measured_worlds_are_read_in_linear_time():
 def _growth(prepare, n, repeats=5):
     """Best-of-`repeats` time of the work for 4n over that for n.
     `prepare(size)` builds fresh input of that size, outside the timing,
-    and returns the work to time."""
-    best = []
-    for size in (n, 4 * n):
-        times = []
-        for _ in range(repeats):
+    and returns the work to time.  Each repeat times both sizes in turn, so
+    a spell of slow host time lasting seconds slows both sizes, not one."""
+    best = {n: math.inf, 4 * n: math.inf}
+    for _ in range(repeats):
+        for size in best:
             work = prepare(size)
             start = time.perf_counter()
             work()
-            times.append(time.perf_counter() - start)
-        best.append(min(times))
-    return best[1] / best[0]
+            best[size] = min(best[size], time.perf_counter() - start)
+    return best[4 * n] / best[n]
 
 
 def test_an_event_over_many_sites_is_read_in_linear_time():

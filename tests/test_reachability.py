@@ -32,6 +32,7 @@ from chronocheck import (
     check_diamond,
     check_gs,
     check_monotonicity,
+    check_trace_invariance,
     diagnose,
     explore,
     feasible_set,
@@ -47,7 +48,7 @@ from chronocheck import (
 from chronocheck import reachability
 from chronocheck.modelfile import model_from_dict
 from chronocheck.randmodels import random_model
-from chronocheck.report import taxonomy_json
+from chronocheck.report import graph_summary_json, taxonomy_json
 from conftest import LANE_SHAPES, corrupt_one_event, dense_draw, draw_shaped_model
 
 
@@ -611,6 +612,92 @@ def test_lane_commutation_matches_the_scalar_loop(seed, shape, limits, mode):
         e, f = names.index(v.e), names.index(v.f)
         assert v.f_then_e == table.step(table.step(v.state, f), e)
         assert v.e_then_f == table.step(table.step(v.state, e), f)
+
+
+def arc_appending_explore(model, limits):
+    """Reference arcs: breadth-first exploration on a table of its own that
+    appends each kept row entry to a list as it goes, as `explore` did
+    when the graph stored its arcs."""
+    limits = limits or ExplorationLimits()
+    table = TransitionTable(model)
+    table.intern_state(model.initial)
+    depths = [0]
+    arcs = []
+    for src, depth in enumerate(depths):
+        if depth >= limits.max_depth:
+            break
+        for event, target in enumerate(table.row(src)):
+            if target >= limits.max_states:
+                continue
+            if target == len(depths):
+                depths.append(depth + 1)
+            arcs.append((src, event, target))
+    return tuple(arcs)
+
+
+def arc_list_occurrence_masks(graph, arcs):
+    """Reference fixpoint: `occurrence_masks` over an adjacency list built
+    from `arcs`."""
+    succ = [[] for _ in range(graph.state_count)]
+    for src, event, tgt in arcs:
+        succ[src].append((1 << event, tgt))
+    fired = [0] * len(succ)
+    unfired = [0] * len(succ)
+    unfired[0] = (1 << len(graph.model.events)) - 1
+    pending = [0]
+    while pending:
+        src = pending.pop()
+        for bit, tgt in succ[src]:
+            now_fired = fired[tgt] | fired[src] | bit
+            now_unfired = unfired[tgt] | unfired[src] & ~bit
+            if now_fired != fired[tgt] or now_unfired != unfired[tgt]:
+                fired[tgt], unfired[tgt] = now_fired, now_unfired
+                pending.append(tgt)
+    return fired, unfired
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 10**9), shape=st.sampled_from(LANE_SHAPES), limits=PREMISE_LIMITS)
+def test_arcs_read_off_the_rows_match_the_arc_appending_loop(seed, shape, limits):
+    model = draw_shaped_model(random.Random(seed), shape)
+    graph = explore(model, limits)
+    arcs = arc_appending_explore(model, limits)
+    assert graph.arcs == arcs
+    assert graph_summary_json(graph)["edges"] == len(arcs)
+    assert occurrence_masks(graph) == arc_list_occurrence_masks(graph, arcs)
+
+
+@pytest.mark.parametrize(
+    "name, limits",
+    [
+        ("cycle_gadget", ExplorationLimits(max_depth=1)),
+        ("bd_flip", ExplorationLimits(max_states=3)),
+        # the rows of bd_flip's depth-1 states lead back to explored states
+        ("bd_flip", ExplorationLimits(max_depth=1)),
+    ],
+)
+def test_rows_filled_after_exploration_add_no_arc(name, limits):
+    # the arcs are read off the rows of the expanded states only, so rows
+    # that later lookups fill, past the frontier or beyond it, change nothing
+    model = load_fixture(name)
+    graph = explore(model, limits)
+    assert graph.truncated
+    table = graph.table
+
+    def read():
+        count = len(table.packed)
+        seen = (graph.arcs, graph_summary_json(graph)["edges"], occurrence_masks(graph))
+        assert len(table.packed) == count  # reading interns no state
+        return seen, count
+
+    before, count = read()
+    for sid in range(graph.expanded, graph.state_count):
+        table.row(sid)
+    check_trace_invariance(graph, model.event_names)
+    check_diamond(graph)
+    after, grown = read()
+    assert after == before
+    assert grown > count
 
 
 def test_pack_of_no_pairs_is_zero(two_site):
