@@ -65,10 +65,8 @@ from .modelfile import (
 from .reachability import (
     ClockViolation,
     DiamondViolation,
-    Edge,
     ExplorationLimits,
     MonotonicityFinding,
-    Node,
     ReachabilityGraph,
     TransitionTable,
     check_clock_monotone,

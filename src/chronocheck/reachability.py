@@ -20,7 +20,7 @@ one site out of a packed value only through `TransitionTable.field` and
 `TransitionTable.pack`.
 
 The lane layout puts every explored state of a graph into one int
-(`ReachabilityGraph.lanes`, built on first use): state i sits in lane i,
+(`ReachabilityGraph.lanes`, built by `explore`): state i sits in lane i,
 bits [i*L, (i+1)*L), where L is the record width W*S (W worlds, S sites)
 rounded up to whole bytes with at least one spare bit above it.  One
 multiplication by REP, the int with bit 0 of every lane set, copies a mask
@@ -46,9 +46,11 @@ Every finding and witness names the states it is about by table id, and
 callers such as the report and the DOT view read explored states by id
 and arc: a state's records come from `ReachabilityGraph.state`, built
 once per id on request, and the events of the breadth-first path that
-first reached it from `ReachabilityGraph.occurred_names`.  `Node`, `Edge`
-and the graph's `nodes`, `edges` and `distinct_states` are only the views
-the benchmark's tracer counts.
+first reached it from `ReachabilityGraph.occurred_names`.  Only those
+callers and the reference post-checks and oracle build a `RecordState`;
+exploration, the premise checks and influence build none.  The graph's
+`nodes`, `edges` and `distinct_states` are the counting views of the
+benchmark's tracer: the explored ids and `arcs`.
 
 Exploration visits each distinct record state once and keeps, per state,
 the event bitmask of the breadth-first path that first reached it.  Which
@@ -62,11 +64,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import compress, repeat
 from typing import Iterable
 
-from .core import RecordState, Subset, feasible_set, measure_of, mode_mask
+from .core import RecordState, Subset, mode_mask
 from .events import Event, EventKind
 from .model import Model
 
@@ -327,19 +328,6 @@ class Lanes:
 
 
 @dataclass(frozen=True)
-class Node:
-    state: RecordState
-    occurred: frozenset[str]
-
-
-@dataclass(frozen=True)
-class Edge:
-    source: int
-    event: str
-    target: int
-
-
-@dataclass(frozen=True)
 class ExplorationLimits:
     max_states: int = 100_000
     max_depth: int = 64
@@ -365,13 +353,15 @@ class ReachabilityGraph:
     row filled after exploration adds no arc.  `state(i)` builds
     state i's records on first request and `occurred_names(i)` names the
     events in `occurred[i]`.  `lanes`, every explored state in one int, is
-    built in full on first access.
+    built by `explore`.  `nodes` and `distinct_states()` are the explored
+    ids and `edges` is `arcs`: the views the benchmark's tracer counts.
     """
 
     table: TransitionTable
     occurred: tuple[int, ...]
     expanded: int
     truncated: bool
+    lanes: Lanes = field(repr=False)
     _states: dict[int, RecordState] = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -417,22 +407,15 @@ class ReachabilityGraph:
         occ = self.occurred[sid]
         return sorted(name for i, name in enumerate(self.model.event_names) if occ >> i & 1)
 
-    @cached_property
-    def nodes(self) -> tuple[Node, ...]:
-        """Every explored state as a `Node`, for the benchmark's tracer."""
-        occurred = map(frozenset, map(self.occurred_names, range(self.state_count)))
-        return tuple(map(Node, self.distinct_states(), occurred))
+    @property
+    def nodes(self) -> range:
+        """The explored state ids, for the benchmark's tracer."""
+        return range(self.state_count)
 
-    @cached_property
-    def edges(self) -> tuple[Edge, ...]:
-        """Every arc as an `Edge`, for the benchmark's tracer."""
-        names = self.model.event_names
-        return tuple(Edge(src, names[event], tgt) for src, event, tgt in self.arcs)
-
-    @cached_property
-    def lanes(self) -> Lanes:
-        """The explored states as lanes of one int, built on first use."""
-        return Lanes(self.table, self.state_count)
+    @property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        """`arcs`, for the benchmark's tracer."""
+        return self.arcs
 
     def table_for(self, model: Model) -> TransitionTable:
         """The graph's transition table, checked to apply `model`'s events
@@ -442,9 +425,9 @@ class ReachabilityGraph:
             raise ValueError("the graph was explored from a model with other events or mode")
         return self.table
 
-    def distinct_states(self) -> tuple[RecordState, ...]:
-        """Record states in first-seen order, for the benchmark's tracer."""
-        return tuple(map(self.state, range(self.state_count)))
+    def distinct_states(self) -> range:
+        """The explored state ids, for the benchmark's tracer."""
+        return range(self.state_count)
 
 
 def explore(model: Model, limits: ExplorationLimits | None = None) -> ReachabilityGraph:
@@ -475,7 +458,7 @@ def explore(model: Model, limits: ExplorationLimits | None = None) -> Reachabili
                 depths.append(depth + 1)
     else:  # every explored state was expanded
         src = len(depths)
-    return ReachabilityGraph(table, tuple(occurred), src, truncated)
+    return ReachabilityGraph(table, tuple(occurred), src, truncated, Lanes(table, len(occurred)))
 
 
 def occurrence_masks(graph: ReachabilityGraph) -> tuple[list[int], list[int]]:
@@ -652,10 +635,18 @@ def check_clock_monotone(graph: ReachabilityGraph) -> list[ClockViolation]:
     information clock ticks backwards.  Only the arcs that the shrink-only
     scan flags (`_grown_arcs`) are weighed: on any other arc the target's
     feasible set is a subset of the source's, so its weight cannot grow.
-    Empty whenever no edge violates shrink-only writing."""
+    An end's feasible set is the AND of its packed site fields.  Empty
+    whenever no edge violates shrink-only writing."""
+    table = graph.table
+    packed, field, measure = table.packed, table.field, graph.model.space.measure_mask
     grown = _grown_arcs(graph)
-    ends = {sid for src, _, tgt in grown for sid in (src, tgt)}
-    mus = {sid: measure_of(feasible_set(graph.state(sid))) for sid in ends}
+    mus = {}
+    for sid in {sid for src, _, tgt in grown for sid in (src, tgt)}:
+        value = packed[sid]
+        feasible = field(value, 0)
+        for site in range(1, len(table.site_full)):
+            feasible &= field(value, site)
+        mus[sid] = measure(feasible)
     return [
         ClockViolation((src, event, tgt), mus[src], mus[tgt])
         for src, event, tgt in grown

@@ -11,7 +11,7 @@ import importlib.util
 from pathlib import Path
 
 import chronocheck.cli
-from chronocheck import build_influence_graphs, explore, fixture_path, load_fixture
+from chronocheck import TransitionTable, build_influence_graphs, explore, fixture_path, load_fixture
 
 
 def _tracing():
@@ -36,6 +36,19 @@ def test_graph_and_influence_count_hooks_on_bd_flip():
     assert tracing._graph_counts((model,), graph) == (8, 8, 24)
     ig = build_influence_graphs(model, graph)
     assert tracing._influence_counts((model, graph), ig) == (2, 1, 1)
+
+
+def test_graph_count_hook_builds_no_record_state(monkeypatch):
+    # the hook runs inside the traced `explore` span, so a state it built
+    # would be timed there and warm the cache of every later span
+    tracing = _tracing()
+    model = load_fixture("bd_flip")
+    graph = explore(model)
+    built = []
+    state = TransitionTable.state
+    monkeypatch.setattr(TransitionTable, "state", lambda table, sid: built.append(sid) or state(table, sid))
+    assert tracing._graph_counts((model,), graph) == (8, 8, 24)
+    assert built == []
 
 
 def test_traced_diagnose_writes_the_untraced_report(capsys):

@@ -15,12 +15,10 @@ from chronocheck import (
     ClockViolation,
     ConsistencyMode,
     DiamondViolation,
-    Edge,
     Event,
     ExplorationLimits,
     Model,
     MonotonicityFinding,
-    Node,
     PossibilitySpace,
     RecordState,
     Rule,
@@ -105,9 +103,9 @@ def test_zero_event_model_is_a_single_node():
     assert graph.state(0) == model.initial
     assert graph.occurred_names(0) == []
     # the benchmark tracer's counting views
-    assert graph.nodes == (Node(model.initial, frozenset()),)
+    assert graph.nodes == range(1)
     assert graph.edges == ()
-    assert graph.distinct_states() == (model.initial,)
+    assert graph.distinct_states() == range(1)
 
 
 def test_exploration_is_deterministic(gadget):
@@ -233,13 +231,14 @@ def test_explore_builds_nodes_on_request(bd_flip, monkeypatch):
     assert graph.state_count == 8
     assert graph.state(3) is graph.state(3)
     assert built == [3]
-    # the benchmark tracer counts these views, so they must match the ids
+    # the benchmark tracer counts these views: they are the ids and the
+    # arcs, and reading them builds no state
     ids = range(graph.state_count)
-    names = bd_flip.event_names
-    assert graph.nodes == tuple(Node(graph.state(i), frozenset(graph.occurred_names(i))) for i in ids)
-    assert graph.edges == tuple(Edge(src, names[event], tgt) for src, event, tgt in graph.arcs)
-    assert graph.distinct_states() == tuple(map(graph.state, ids))
-    assert sorted(built) == list(ids)
+    assert graph.nodes == ids
+    assert graph.edges == graph.arcs
+    assert len(graph.edges) == graph.arc_count == 24
+    assert graph.distinct_states() == ids
+    assert built == [3]
     with pytest.raises(IndexError):
         graph.state(len(graph.table.packed))
     with pytest.raises(IndexError):
@@ -256,14 +255,12 @@ def _module(relative, name):
 
 
 def test_pipeline_builds_no_node(monkeypatch, tmp_path):
-    # `Node`, `Edge`, `nodes`, `edges` and `distinct_states` are only the
-    # benchmark tracer's counting views: no frozen CLI run, `--dot` views
-    # included, and no report reads them
+    # `nodes`, `edges` and `distinct_states` are only the benchmark
+    # tracer's counting views: no frozen CLI run, `--dot` views included,
+    # and no report reads them
     def refuse(*args):
         raise AssertionError("a benchmark counting view was used")
 
-    monkeypatch.setattr(reachability, "Node", refuse)
-    monkeypatch.setattr(reachability, "Edge", refuse)
     monkeypatch.setattr(reachability.ReachabilityGraph, "nodes", property(refuse))
     monkeypatch.setattr(reachability.ReachabilityGraph, "edges", property(refuse))
     monkeypatch.setattr(reachability.ReachabilityGraph, "distinct_states", refuse)
@@ -277,13 +274,9 @@ def test_pipeline_builds_no_node(monkeypatch, tmp_path):
 @pytest.mark.parametrize("name", ["bd_flip", "cycle_gadget"])
 def test_diagnose_builds_only_the_nodes_it_names(name, monkeypatch):
     # the report writes a node entry (records plus occurred names) only for
-    # the states its witnesses and GS violations name, and builds no `Node`
-    def refuse(*args):
-        raise AssertionError("a benchmark counting view was used")
-
+    # the states its witnesses and GS violations name
     written = []
     occurred_names = reachability.ReachabilityGraph.occurred_names
-    monkeypatch.setattr(reachability, "Node", refuse)
     monkeypatch.setattr(
         reachability.ReachabilityGraph,
         "occurred_names",
@@ -833,18 +826,22 @@ def test_identity_edges_keep_clock_value(gadget):
             assert information_content(graph.state(src)) == information_content(graph.state(tgt))
 
 
-def test_clock_fixture_builds_only_the_violating_edges():
+def test_clock_fixture_builds_only_the_violating_edges(monkeypatch):
     # the clock model frozen in the golden CLI record: `grow` adds weight
-    # back from {c} and from {a}
+    # back from {c} and from {a}; the arcs' ends are weighed from their
+    # packed states, so no record state is built
     record_golden = _module("scripts/record_golden.py", "record_golden")
     model = model_from_dict(record_golden.CLOCK_MODEL)
     graph = explore(model)
+    built = []
+    state = TransitionTable.state
+    monkeypatch.setattr(TransitionTable, "state", lambda table, sid: built.append(sid) or state(table, sid))
     assert check_clock_monotone(graph) == [
         # (source, event index, target): `grow` is event 2
         ClockViolation((1, 2, 0), Fraction(0), Fraction(1)),
         ClockViolation((2, 2, 4), Fraction(1), Fraction(4, 3)),
     ]
-    assert "edges" not in vars(graph)
+    assert built == []
 
 
 @given(seed=st.integers(0, 10**9))
