@@ -15,9 +15,10 @@ Every per-state premise check runs on the graph's lanes
 past the explored states.
 `check_trace_invariance` decides, in one pass over the ideals of a
 schedule's dependence order, whether every reordering of the schedule
-within its trace reaches the same state on the transition table; its
-report names the states it reached by id.
-Every check here takes the explored graph and reads the model it was
+within its trace reaches the same state; it steps a transition table
+alone, explores nothing, and its report names the states it reached by
+table id.
+The other checks take the explored graph and read the model it was
 explored from as `graph.model`; only `diagnose` starts from a model.
 """
 
@@ -38,6 +39,7 @@ from .reachability import (
     ExplorationLimits,
     MonotonicityFinding,
     ReachabilityGraph,
+    TransitionTable,
     check_diamond,
     check_gs,
     check_monotonicity,
@@ -221,16 +223,16 @@ def _off_branch(graph: ReachabilityGraph, witness: StrongWitness) -> list[tuple[
 @dataclass
 class TraceInvarianceReport:
     """`final_state` and the state of each `state_mismatches` entry are ids
-    of `graph`, the explored graph the check read; `graph.state(id)` builds
-    the records of one.  A `truncated` pass stopped before the full ideal
-    and decides nothing."""
+    of `table`, the transition table the pass stepped; `table.state(id)`
+    builds the records of one.  A `truncated` pass stopped before the full
+    ideal and decides nothing."""
 
     schedule: tuple[str, ...]
     final_state: int
     ideals_visited: int
     truncated: bool
     state_mismatches: list[tuple[tuple[str, ...], int]]
-    graph: ReachabilityGraph = field(compare=False, repr=False)
+    table: TransitionTable = field(compare=False, repr=False)
 
     @property
     def invariant(self) -> bool:
@@ -238,7 +240,7 @@ class TraceInvarianceReport:
 
 
 def check_trace_invariance(
-    graph: ReachabilityGraph, schedule: Sequence[str], limits: ExplorationLimits | None = None
+    table: TransitionTable, schedule: Sequence[str], limits: ExplorationLimits | None = None
 ) -> TraceInvarianceReport:
     """Decide whether every reordering of `schedule` within its trace, one
     that keeps each pair of dependent events in order, reaches the state
@@ -252,16 +254,16 @@ def check_trace_invariance(
     are tried in ascending order, so that linearization is deterministic.
     The full ideal's ids other than the schedule's own are the mismatches.
     The pass visits at most `limits.max_states` ideals and reports
-    `truncated` when it stops early.  Everything runs on `graph`'s
-    transition table, from its model's initial state.
+    `truncated` when it stops early.  Everything runs on `table`, from its
+    model's initial state; rows it has not filled yet are filled on first
+    step, so a fresh table and an explored graph's table give equal reports.
     """
     limits = limits or ExplorationLimits()
-    model = graph.model
+    model = table.model
     schedule = tuple(schedule)
     # raises on unknown names
     indices = [model.events.index(model.event(name)) for name in schedule]
     events = [model.events[i] for i in indices]
-    table = graph.table
     start = final = table.intern_state(model.initial)
     for event in indices:
         final = table.step(final, event)
@@ -274,7 +276,7 @@ def check_trace_invariance(
     ideals = [0]  # visited in insertion order, by size; the full ideal comes last
     for visited, ideal in enumerate(ideals):
         if visited == limits.max_states:
-            return TraceInvarianceReport(schedule, final, visited, True, [], graph)
+            return TraceInvarianceReport(schedule, final, visited, True, [], table)
         here = reached.pop(ideal)
         for pos, event in enumerate(indices):
             if ideal >> pos & 1 or before[pos] & ~ideal:
@@ -289,7 +291,7 @@ def check_trace_invariance(
     mismatches = [
         (tuple(schedule[pos] for pos in path), sid) for sid, path in here.items() if sid != final
     ]
-    return TraceInvarianceReport(schedule, final, len(ideals), False, mismatches, graph)
+    return TraceInvarianceReport(schedule, final, len(ideals), False, mismatches, table)
 
 
 class Verdict(Enum):

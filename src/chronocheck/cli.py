@@ -3,16 +3,18 @@
 Subcommands: validate, explore, influence, chronology, diagnose,
 trace-check.  Every run prints one JSON report to stdout; --json writes
 the same document to a file and --dot, which validate and trace-check do
-not accept, writes a Graphviz view.  Every handler but validate explores
-the loaded model once and hands the graph, which carries the model, to
-each check and report writer; only `build_influence_graphs` takes the
-model beside it.  Each handler returns its view as a function, so the
-DOT text is built only when --dot is given, and whether its run was
-truncated (the exploration, or trace-check's pass over the schedule's
-ideals, which --max-states also bounds), which the report lists as a
-warning.  Exit codes: 0
-clean, 1 violations found (listed in the report), 2 a run that cannot be
-judged (a usage, parse or write error, or a --strict finding).
+not accept, writes a Graphviz view.  The explore, influence, chronology
+and diagnose handlers explore the loaded model once and hand the graph,
+which carries the model, to each check and report writer; only
+`build_influence_graphs` takes the model beside it.  trace-check steps a
+fresh transition table over the ideals of the schedule's dependence
+order, and explores only under --strict, whose shrink-only check needs
+the graph.  Each handler returns its view as a function, so the DOT text
+is built only when --dot is given, and whether its run was truncated
+(the exploration, or trace-check's pass over the ideals, which
+--max-states also bounds), which the report lists as a warning.  Exit
+codes: 0 clean, 1 violations found (listed in the report), 2 a run that
+cannot be judged (a usage, parse or write error, or a --strict finding).
 
 The argument parser is built once per process, when this module is
 imported, and every `main` call reuses it; `import chronocheck` does not
@@ -39,6 +41,7 @@ from .reachability import (
     ExplorationLimits,
     MonotonicityFinding,
     ReachabilityGraph,
+    TransitionTable,
     check_clock_monotone,
     check_diamond,
     check_gs,
@@ -211,11 +214,10 @@ def _cmd_diagnose(model: Model, args: argparse.Namespace):
 
 
 def _cmd_trace_check(model: Model, args: argparse.Namespace):
-    graph = _explored(model, args)
+    truncated = args.strict and _explored(model, args).truncated
     schedule = [name.strip() for name in args.schedule.split(",") if name.strip()]
-    trace = check_trace_invariance(graph, schedule, _limits(args))
-    results = report_mod.trace_json(trace)
-    return results, bool(trace.state_mismatches), [], None, graph.truncated or trace.truncated
+    trace = check_trace_invariance(TransitionTable(model), schedule, _limits(args))
+    return report_mod.trace_json(trace), bool(trace.state_mismatches), [], None, truncated or trace.truncated
 
 
 _HANDLERS = {

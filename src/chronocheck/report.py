@@ -7,7 +7,9 @@ explored graph, read the model's site and event names from `graph.model`,
 and resolve only the ids they write: records through
 `ReachabilityGraph.state`, which builds each state's records once per
 graph, and the events on the path that first reached an explored state
-through `ReachabilityGraph.occurred_names`."""
+through `ReachabilityGraph.occurred_names`.  `trace_json` hands
+`state_json` the transition table its pass stepped, which has the same
+`model` and `state`."""
 
 from __future__ import annotations
 
@@ -23,10 +25,11 @@ from .reachability import (
     DiamondViolation,
     MonotonicityFinding,
     ReachabilityGraph,
+    TransitionTable,
 )
 
 
-def state_json(graph: ReachabilityGraph, sid: int) -> dict[str, list[str]]:
+def state_json(graph: ReachabilityGraph | TransitionTable, sid: int) -> dict[str, list[str]]:
     sites = graph.model.sites
     return {sites[i]: rec.sorted_labels() for i, rec in enumerate(graph.state(sid))}
 
@@ -181,14 +184,14 @@ def taxonomy_json(report: TaxonomyReport) -> dict[str, Any]:
 
 
 def trace_json(report: TraceInvarianceReport) -> dict[str, Any]:
-    graph = report.graph
+    table = report.table
     return {
         "schedule": list(report.schedule),
         "ideals_visited": report.ideals_visited,
         "truncated": report.truncated,
-        "final_state": state_json(graph, report.final_state),
+        "final_state": state_json(table, report.final_state),
         "state_mismatches": [
-            {"schedule": list(schedule), "final_state": state_json(graph, state)}
+            {"schedule": list(schedule), "final_state": state_json(table, state)}
             for schedule, state in report.state_mismatches
         ],
         "invariant": report.invariant,

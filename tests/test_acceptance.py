@@ -262,7 +262,7 @@ def test_criterion_08_trace_invariance(capsys):
         if check_diamond(graph):
             continue  # only diamond-clean models enter the trace check
         schedule = random_schedule(rng, model)
-        report = check_trace_invariance(graph, schedule)
+        report = check_trace_invariance(graph.table, schedule)
         models_checked += 1
         ideals_total += report.ideals_visited
         if not report.invariant:

@@ -316,7 +316,9 @@ def test_truncation_warning_present(capsys):
 
 @pytest.mark.parametrize("command", ["influence", "chronology", "trace-check"])
 def test_truncation_warning_without_exploration_summary(capsys, command):
-    # these reports carry no exploration summary, yet still explore
+    # these reports carry no exploration summary; influence and chronology
+    # warn when their exploration stops, and trace-check when its pass over
+    # the 4 ideals of e1,e2 does
     extra = ["--schedule", "e1,e2"] if command == "trace-check" else []
     for max_states, warned in (("3", True), ("100", False)):
         _, out, _ = run_cli(capsys, command, TWO_SITE, "--max-states", max_states, *extra)
@@ -354,8 +356,10 @@ def test_strict_diagnose_explores_once(monkeypatch, capsys):
 
 
 def test_trace_check_passes_exploration_limits(monkeypatch, capsys):
+    # the pass steps a fresh transition table; only --strict's shrink-only
+    # check needs the explored graph, explored once with the given limits
     calls = _record_explorations(monkeypatch)
-    for strict in ([], ["--strict"]):
+    for strict, explorations in (([], []), (["--strict"], [ExplorationLimits(7, 3)])):
         calls.clear()
         status, out, _ = run_cli(
             capsys,
@@ -363,7 +367,36 @@ def test_trace_check_passes_exploration_limits(monkeypatch, capsys):
         )
         assert status == 0
         assert json.loads(out)["flags"]["max_states"] == 7
-        assert calls == [ExplorationLimits(7, 3)], strict
+        assert calls == explorations, strict
+
+
+def test_trace_check_warns_only_when_its_pass_or_strict_exploration_stops(capsys):
+    # each pass visits 3 or 2 ideals and completes at --max-states 3, while
+    # exploring either model would stop there; only --strict explores
+    static = "static defect [static_monotonicity] a: rule 1 result at site 0 adds worlds ['1'] beyond its guard"
+    for path, schedule, warnings in ((GADGET, "a,b", [static]), (TWO_SITE, "e1", [])):
+        status, out, err = run_cli(capsys, "trace-check", path, "--schedule", schedule, "--max-states", "3")
+        report = json.loads(out)
+        assert (status, err) == (0, "")
+        assert (report["results"]["truncated"], report["results"]["invariant"]) == (False, True)
+        assert report["warnings"] == warnings, path
+    # the gadget's shrink-only finding stops a --strict run before its report
+    status, out, _ = run_cli(capsys, "trace-check", TWO_SITE, "--schedule", "e1", "--max-states", "3", "--strict")
+    assert status == 0
+    assert json.loads(out)["warnings"] == ["truncated at --max-states: results are partial"]
+
+
+@pytest.mark.parametrize("limit", ["--max-states", "--max-depth"])
+@pytest.mark.parametrize(
+    "command",
+    [["explore"], ["influence"], ["chronology"], ["diagnose"], ["trace-check"], ["trace-check", "--strict"]],
+    ids=["explore", "influence", "chronology", "diagnose", "trace-check", "trace-check-strict"],
+)
+def test_nonpositive_limits_exit_two(capsys, command, limit):
+    extra = ["--schedule", "e1,e2"] if command[0] == "trace-check" else []
+    status, out, err = run_cli(capsys, command[0], TWO_SITE, *extra, *command[1:], limit, "0")
+    assert (status, out) == (2, "")
+    assert err == "chronocheck: error: exploration limits must be positive\n"
 
 
 @pytest.mark.parametrize("command", ["explore", "influence", "chronology", "diagnose"])

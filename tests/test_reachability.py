@@ -686,7 +686,7 @@ def test_rows_filled_after_exploration_add_no_arc(name, limits):
     before, count = read()
     for sid in range(graph.expanded, graph.state_count):
         table.row(sid)
-    check_trace_invariance(graph, model.event_names)
+    check_trace_invariance(table, model.event_names)
     check_diamond(graph)
     after, grown = read()
     assert after == before
