@@ -1,7 +1,9 @@
 """Smoke tests of the scripts under scripts/, which call the public API."""
 
 import importlib.util
+import json
 import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -29,3 +31,23 @@ def test_render_fixtures_writes_reports_and_dot_files(tmp_path, capsys):
         for view in ("diagnose.json", "influence.dot", "explore.json", "reachability.dot")
     )
     assert all((tmp_path / name).stat().st_size for name in written)
+
+
+def test_check_golden_reproduces_the_records_and_reports_a_changed_key(monkeypatch, tmp_path, capsys):
+    check_golden = _script("check_golden")
+    names = ("cli_stdout_digests.json", "diagnose_digests.json", "parse_outcomes.json")
+    python = re.escape(sys.executable)
+    assert check_golden.main([sys.executable]) == 0
+    out = capsys.readouterr().out
+    assert re.fullmatch("".join(rf"{python}  {name}  0 of \d+ keys changed\n" for name in names), out), out
+    # a copy of the records with one entry altered fails, naming that entry
+    for name in names:
+        (tmp_path / name).write_bytes((check_golden.GOLDEN / name).read_bytes())
+    digests = json.loads((tmp_path / "diagnose_digests.json").read_text(encoding="utf-8"))
+    digests["suite:0"] = "0" * 64
+    (tmp_path / "diagnose_digests.json").write_text(json.dumps(digests), encoding="utf-8")
+    monkeypatch.setattr(check_golden, "GOLDEN", tmp_path)
+    assert check_golden.main([sys.executable]) == 1
+    out = capsys.readouterr().out
+    assert re.search(rf"^{python}  diagnose_digests.json  1 of \d+ keys changed, first: \['suite:0'\]$", out, re.M), out
+    assert len(re.findall(r"  0 of \d+ keys changed$", out, re.M)) == 2, out
