@@ -32,8 +32,8 @@ from chronocheck import (
     transitive_closure,
 )
 from chronocheck import chronology
-from chronocheck.report import trace_json
 from chronocheck.randmodels import random_model, random_schedule
+from chronocheck.report import trace_json
 from conftest import LANE_SHAPES, corrupt_one_event, dense_draw, draw_shaped_model, make_aligned_flip_model
 
 
