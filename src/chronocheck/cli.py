@@ -68,23 +68,28 @@ def build_parser() -> argparse.ArgumentParser:
     strict = argparse.ArgumentParser(add_help=False)
     strict.add_argument("--strict", action="store_true", help="treat monotonicity violations as hard errors")
 
-    parser = argparse.ArgumentParser(
-        prog="chronocheck",
-        description=(
-            "Finite-model checker for distributed record systems with "
-            "monotone local updates"
-        ),
-    )
-    parser.set_defaults(dot_path=None)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in [
+    commands = [
         ("validate", "static checks only"),
         ("explore", "reachability plus consistency, monotonicity, commutation, and clock checks"),
         ("influence", "weak and strong influence edges with witnesses"),
         ("chronology", "derived order, ranks, and strong cycles"),
         ("diagnose", "full premise check and escape classification"),
         ("trace-check", "schedule invariance over every reordering of independent events"),
-    ]:
+    ]
+    parser = argparse.ArgumentParser(
+        prog="chronocheck",
+        # given, not generated: Python versions wrap a generated usage line
+        # differently.  Subcommands would take it as their prog, so they
+        # are given theirs.
+        usage="%(prog)s [-h] {" + ",".join(name for name, _ in commands) + "} ...",
+        description=(
+            "Finite-model checker for distributed record systems with "
+            "monotone local updates"
+        ),
+    )
+    parser.set_defaults(dot_path=None)
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
+    for name, text in commands:
         has_view = name not in ("validate", "trace-check")
         sp = sub.add_parser(name, help=text, parents=[common, view, strict] if has_view else [common, strict])
         if name == "trace-check":
