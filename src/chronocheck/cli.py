@@ -18,9 +18,11 @@ cannot be judged (a usage, parse or write error, or a --strict finding).
 
 The argument parser is built once per process, when this module is
 imported, and every `main` call reuses it; `import chronocheck` does not
-import this module.  Static defects, which `validate` lists and every
-subcommand repeats as warnings, are found once, when the `Model` is
-constructed.
+import this module.  The model file reader owns the checks of the file,
+and reports each fault with its field path; `--mode` rebuilds the read
+model with the other mode and checks nothing again.  Static defects,
+which `validate` lists and every subcommand repeats as warnings, are
+scanned once per run, when they are first asked for.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from typing import Any, Sequence
 
 from .chronology import check_trace_invariance, diagnose, transitive_closure
@@ -108,7 +109,8 @@ def _load(args: argparse.Namespace) -> tuple[Model, str]:
         raise ModelFormatError("provide the model path exactly once (positional or --model)")
     model = load_model(paths[0])
     if args.mode is not None:
-        model = replace(model, mode=_MODES[args.mode])
+        # the reader proved every part; only the mode changes
+        model = Model._proved(model.space, model.sites, model.initial, model.events, _MODES[args.mode])
     return model, paths[0]
 
 

@@ -1,5 +1,11 @@
 """Runtime model: a possibility space, named sites, an initial record
-state, an event list, and the consistency mode everything is judged in."""
+state, an event list, and the consistency mode everything is judged in.
+
+Each check has one owner.  `Model(...)` checks the parts an API caller
+hands it and raises ValueError.  The model file reader proves the same
+facts of a document, each at its field path, and builds its `Model`
+through `Model._proved`, which checks nothing again.
+"""
 
 from __future__ import annotations
 
@@ -47,12 +53,30 @@ class Model:
             for sub in subsets:
                 if sub.space is not space and sub.space != space:
                     raise ValueError(f"event {event.name} references a foreign possibility space")
+        # the locality scan found the soft defects too; keep them
         object.__setattr__(self, "_static_defects", tuple(defects))
         object.__setattr__(self, "_by_name", by_name)
+
+    @classmethod
+    def _proved(cls, space: PossibilitySpace, sites: tuple[str, ...], initial: RecordState,
+                events: tuple[Event, ...], mode: ConsistencyMode) -> "Model":
+        """A model of parts whose every `__post_init__` fact the caller has
+        proved; sets the fields and the name index and checks nothing."""
+        model = object.__new__(cls)
+        model.__dict__.update(  # a frozen dataclass refuses setattr
+            space=space, sites=sites, initial=initial, events=events, mode=mode,
+            _by_name={e.name: e for e in events},
+        )
+        return model
 
     @cached_property
     def event_names(self) -> tuple[str, ...]:
         return tuple(e.name for e in self.events)
+
+    @cached_property
+    def _static_defects(self) -> tuple[StaticDefect, ...]:
+        n = len(self.sites)
+        return tuple(d for event in self.events for d in validate_event_static(event, n))
 
     def event(self, name: str) -> Event:
         try:
@@ -62,8 +86,11 @@ class Model:
 
     def static_defects(self) -> list[StaticDefect]:
         """Soft defects (shadowed rules, non-shrinking results) per event,
-        in event order; found once, when the model was constructed."""
-        return list(self._static_defects)  # type: ignore[attr-defined]
+        in event order, as a fresh list.  Each model scans its events at
+        most once.  A model read from a file, whose reader owns its checks,
+        scans on the first call; one built by `Model(...)`, which owns the
+        API's checks, keeps the scan its locality check made."""
+        return list(self._static_defects)
 
 
 class EventApplier:

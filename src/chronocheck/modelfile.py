@@ -33,7 +33,11 @@ loop over the space's label index, and an error's field path is built
 only when it is raised: only a value that the loop cannot account for
 pays for naming what is wrong, by a second walk that checks it in the
 documented order.  So the first fault a document holds is the one
-reported, whatever the shortcut.
+reported, whatever the shortcut.  The reader owns a document's checks:
+it proves every fact that `Model(...)` checks for API callers, so it
+builds its model through `Model._proved` and no check runs twice.  Static
+defects are scanned when they are first asked for, not when a document
+is read.
 """
 
 from __future__ import annotations
@@ -256,10 +260,8 @@ def model_from_dict(obj: Any) -> Model:
         except ModelFormatError as exc:
             raise ModelFormatError(f"$.events[{pos}]{exc}") from None
 
-    try:
-        return Model(space, tuple(sites), initial, tuple(events), mode)
-    except ValueError as exc:
-        raise ModelFormatError(str(exc)) from None
+    # every fact `Model(...)` checks has been proved above, at its path
+    return Model._proved(space, tuple(sites), initial, tuple(events), mode)
 
 
 _EVENT_FIELDS = frozenset({"name", "kind", "support", "rules", "constants"})

@@ -11,8 +11,10 @@ import pytest
 
 import chronocheck.chronology
 import chronocheck.cli
+import chronocheck.model
 from chronocheck.cli import main
 from chronocheck.dot import influence_dot
+from chronocheck.model import Model
 from chronocheck.modelfile import fixture_path, load_fixture, serialize_model
 from chronocheck.randmodels import random_model
 from chronocheck.reachability import ExplorationLimits, check_monotonicity, explore
@@ -107,6 +109,33 @@ def test_unknown_field_exits_two(tmp_path, capsys):
     status, _, err = run_cli(capsys, "diagnose", str(path))
     assert status == 2
     assert "unknown fields" in err
+
+
+def test_mode_override_builds_the_model_once(tmp_path, monkeypatch, capsys):
+    """`--mode` rebuilds the read model without checking it again: nothing
+    runs `Model(...)`'s checks, each event is scanned once for the defects
+    the report lists, and the report is the recorded one."""
+    scans, checks = [], []
+    scan, check = chronocheck.model.validate_event_static, Model.__post_init__
+
+    def scan_spy(event, site_count):
+        scans.append(event.name)
+        return scan(event, site_count)
+
+    def check_spy(model):
+        checks.append(model)
+        check(model)
+
+    monkeypatch.setattr(chronocheck.model, "validate_event_static", scan_spy)
+    monkeypatch.setattr(Model, "__post_init__", check_spy)
+    monkeypatch.chdir(tmp_path)
+    Path("cycle_gadget.json").write_bytes(Path(GADGET).read_bytes())
+    argv = ["validate", "cycle_gadget.json", "--mode", "measure"]
+    status, out, _ = run_cli(capsys, *argv)
+    assert scans == ["a", "b"]  # the gadget's events, in order
+    assert checks == []
+    recorded = json.loads((ROOT / "tests" / "golden" / "cli_stdout_digests.json").read_text(encoding="utf-8"))
+    assert recorded[" ".join(argv)] == {"exit": status, "stdout": hashlib.sha256(out.encode("utf-8")).hexdigest()}
 
 
 def test_model_path_required_exactly_once(capsys):

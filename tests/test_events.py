@@ -240,8 +240,7 @@ def test_static_defects_carry_soft_kinds():
     assert kinds == {"shadowed_rule", "static_monotonicity"}
 
 
-def test_static_scan_runs_once_per_event_per_construction(monkeypatch):
-    model = load_fixture("cycle_gadget")
+def test_static_scan_runs_once_per_model_on_first_request(monkeypatch):
     calls = []
     original = chronocheck.model.validate_event_static
 
@@ -250,8 +249,15 @@ def test_static_scan_runs_once_per_event_per_construction(monkeypatch):
         return original(event, site_count)
 
     monkeypatch.setattr(chronocheck.model, "validate_event_static", spy)
-    model.static_defects()
-    model.static_defects()
-    assert calls == []
-    replace(model, mode=ConsistencyMode.POSITIVE_MEASURE).static_defects()
+    model = load_fixture("cycle_gadget")
+    assert calls == []  # reading a file scans nothing
+    first = model.static_defects()
     assert calls == list(model.event_names)
+    second = model.static_defects()
+    assert calls == list(model.event_names)
+    assert second == first and second is not first
+    # a copy is built by `Model(...)`, whose locality check scans it
+    copy = replace(model, mode=ConsistencyMode.POSITIVE_MEASURE)
+    assert copy.static_defects() == first
+    copy.static_defects()
+    assert calls == list(model.event_names) * 2

@@ -5,6 +5,7 @@ import random
 import re
 import sys
 import time
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from chronocheck import (
     serialize_model,
 )
 from chronocheck.modelfile import dumps_indented
-from chronocheck.randmodels import random_model
+from chronocheck.randmodels import model_suite, random_model
 
 
 def test_two_site_fixture_structure(two_site):
@@ -510,6 +511,38 @@ def test_round_trip_random_models():
     for seed in range(40):
         model = random_model(random.Random(seed))
         assert parse_model(serialize_model(model)) == model
+
+
+def _assert_read_model_is_the_api_model(model):
+    """The reader builds its model without `Model(...)`'s checks; what it
+    builds must be what `Model(...)` builds from the same parts."""
+    read = parse_model(serialize_model(model))
+    built = Model(model.space, model.sites, model.initial, model.events, model.mode)
+    for field in fields(Model):
+        assert getattr(read, field.name) == getattr(built, field.name), field.name
+    assert read.event_names == built.event_names
+    for name in built.event_names:
+        assert read.event(name) == built.event(name)
+    with pytest.raises(ValueError, match="unknown event: 'no such event'"):
+        read.event("no such event")
+    assert read.static_defects() == built.static_defects()
+
+
+def test_read_suite_models_are_the_api_models():
+    for model in model_suite(20250810, 500):
+        _assert_read_model_is_the_api_model(model)
+
+
+@pytest.mark.parametrize("name", ["two_site", "cycle_gadget", "bd_flip"])
+def test_read_fixtures_are_the_api_models(name):
+    _assert_read_model_is_the_api_model(load_fixture(name))
+
+
+@given(seed=st.integers(0, 10**9), bias=st.floats(0, 0.9))
+@example(seed=2, bias=0.3)  # shadowed_rule and static_monotonicity defects
+@example(seed=39, bias=0.3)
+def test_read_random_models_are_the_api_models(seed, bias):
+    _assert_read_model_is_the_api_model(random_model(random.Random(seed), monotone_bias=bias))
 
 
 def test_digest_is_stable_and_distinguishes_models(two_site, gadget):
