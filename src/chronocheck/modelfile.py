@@ -33,11 +33,9 @@ loop over the space's label index, and an error's field path is built
 only when it is raised: only a value that the loop cannot account for
 pays for naming what is wrong, by a second walk that checks it in the
 documented order.  So the first fault a document holds is the one
-reported, whatever the shortcut.  The reader owns a document's checks:
-it proves every fact that `Model(...)` checks for API callers, so it
-builds its model through `Model._proved` and no check runs twice.  Static
-defects are scanned when they are first asked for, not when a document
-is read.
+reported, whatever the shortcut.  The reader owns a document's checks,
+so the model it builds is not checked again, and reading a document
+scans no static defects.
 """
 
 from __future__ import annotations
