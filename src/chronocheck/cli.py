@@ -6,15 +6,16 @@ the same document to a file and --dot, which validate and trace-check do
 not accept, writes a Graphviz view.  The explore, influence, chronology
 and diagnose handlers explore the loaded model once and hand the graph,
 which carries the model, to each check and report writer; only
-`build_influence_graphs` takes the model beside it.  trace-check steps a
-fresh transition table over the ideals of the schedule's dependence
-order, and explores only under --strict, whose shrink-only check needs
-the graph.  Each handler returns its view as a function, so the DOT text
-is built only when --dot is given, and whether its run was truncated
-(the exploration, or trace-check's pass over the ideals, which
---max-states also bounds), which the report lists as a warning.  Exit
-codes: 0 clean, 1 violations found (listed in the report), 2 a run that
-cannot be judged (a usage, parse or write error, or a --strict finding).
+`build_influence_graphs` takes the model beside it.  trace-check steps
+one transition table over the ideals of the schedule's dependence order:
+a fresh one, or under --strict, whose shrink-only check needs the
+explored graph, that graph's table.  Each handler returns its view as a
+function, so the DOT text is built only when --dot is given, and whether
+its run was truncated (the exploration, or trace-check's pass over the
+ideals, which --max-states also bounds), which the report lists as a
+warning.  Exit codes: 0 clean, 1 violations found (listed in the
+report), 2 a run that cannot be judged (a usage, parse or write error,
+or a --strict finding).
 
 The argument parser is built once per process, when this module is
 imported, and every `main` call reuses it; `import chronocheck` does not
@@ -221,9 +222,13 @@ def _cmd_diagnose(model: Model, args: argparse.Namespace):
 
 
 def _cmd_trace_check(model: Model, args: argparse.Namespace):
-    truncated = args.strict and _explored(model, args).truncated
+    if args.strict:
+        graph = _explored(model, args)
+        table, truncated = graph.table, graph.truncated
+    else:
+        table, truncated = TransitionTable(model), False
     schedule = [name.strip() for name in args.schedule.split(",") if name.strip()]
-    trace = check_trace_invariance(TransitionTable(model), schedule, _limits(args))
+    trace = check_trace_invariance(table, schedule, _limits(args))
     return report_mod.trace_json(trace), bool(trace.state_mismatches), [], None, truncated or trace.truncated
 
 

@@ -106,14 +106,10 @@ class StaticDefect:
     site: int | None = None
 
 
-def validate_event_static(event: Event, site_count: int) -> list[StaticDefect]:
-    """Schema-level defect scan for a single event.
-
-    Reports out-of-range or unsupported site references ("locality"),
-    rules made unreachable by an earlier guard that matches whenever they
-    would ("shadowed_rule"), and results that cannot be shrink-only given
-    an exact guard on the same site ("static_monotonicity").
-    """
+def _locality_defects(event: Event, site_count: int) -> list[StaticDefect]:
+    """The locality defects of one event, which `Model(...)` refuses: support
+    sites out of range, intersect constants that do not cover the support,
+    and rules that guard or write an unsupported site, in that order."""
     name = event.name
     defects = [
         StaticDefect("locality", name, f"support site {site} out of range", site=site)
@@ -128,24 +124,42 @@ def validate_event_static(event: Event, site_count: int) -> list[StaticDefect]:
             message = f"intersect constants cover sites {covered}, support is {supported}"
             defects.append(StaticDefect("locality", name, message))
         return defects
-
-    seen_guards: list[frozenset[tuple[int, int]]] = []
     for idx, rule in enumerate(event.rules):
         for verb, pairs in (("guards", rule.guard), ("writes", rule.result)):
             for site, _ in pairs:
                 if site not in support:
                     message = f"rule {idx} {verb} unsupported site {site}"
                     defects.append(StaticDefect("locality", name, message, idx, site))
+    return defects
+
+
+def _soft_defects(event: Event) -> list[StaticDefect]:
+    """The defects of one event that a model may hold: rules shadowed by an
+    earlier guard, and results that add worlds beyond their guard.
+
+    Earlier guards are indexed by the sites they guard, each site set
+    mapping its masks to the first rule with exactly that guard.  A rule
+    looks each seen site set that its own guard covers up with its masks
+    there, so the work per rule is bounded by the number of distinct site
+    sets seen, and no guard's subsets are enumerated."""
+    defects: list[StaticDefect] = []
+    if event.kind is EventKind.INTERSECT:
+        return defects
+    name = event.name
+    seen: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    for idx, rule in enumerate(event.rules):
         guard_masks = {site: sub.mask for site, sub in rule.guard}
-        guard_key = frozenset(guard_masks.items())
-        for earlier_idx, earlier in enumerate(seen_guards):
-            # an earlier guard whose constraints are a subset of this one
-            # matches every state this rule would match
-            if earlier <= guard_key:
-                message = f"rule {idx} is shadowed by rule {earlier_idx}"
-                defects.append(StaticDefect("shadowed_rule", name, message, idx))
-                break
-        seen_guards.append(guard_key)
+        # an earlier guard whose constraints are a subset of this one
+        # matches every state this rule would match; the first such wins
+        earlier = idx
+        for sites, first in seen.items():
+            if all(map(guard_masks.__contains__, sites)):
+                earlier = min(earlier, first.get(tuple(map(guard_masks.__getitem__, sites)), idx))
+        if earlier < idx:
+            message = f"rule {idx} is shadowed by rule {earlier}"
+            defects.append(StaticDefect("shadowed_rule", name, message, idx))
+        sites = tuple(sorted(guard_masks))
+        seen.setdefault(sites, {}).setdefault(tuple(map(guard_masks.__getitem__, sites)), idx)
         for site, replacement in rule.result:
             added = replacement.mask & ~guard_masks.get(site, -1)
             if added:
@@ -153,3 +167,16 @@ def validate_event_static(event: Event, site_count: int) -> list[StaticDefect]:
                 message = f"rule {idx} result at site {site} adds worlds {labels} beyond its guard"
                 defects.append(StaticDefect("static_monotonicity", name, message, idx, site))
     return defects
+
+
+def validate_event_static(event: Event, site_count: int) -> list[StaticDefect]:
+    """Schema-level defect scan for a single event.
+
+    Reports out-of-range or unsupported site references ("locality")
+    first, then rules made unreachable by an earlier guard that matches
+    whenever they would ("shadowed_rule") and results that cannot be
+    shrink-only given an exact guard on the same site
+    ("static_monotonicity").  `Model(...)` refuses an event with a
+    locality defect, so a model's `static_defects()` holds only the others.
+    """
+    return _locality_defects(event, site_count) + _soft_defects(event)

@@ -2,9 +2,11 @@
 state, an event list, and the consistency mode everything is judged in.
 
 Each check has one owner.  `Model(...)` checks the parts an API caller
-hands it and raises ValueError.  The model file reader proves the same
-facts of a document, each at its field path, and builds its `Model`
-through `Model._proved`, which checks nothing again.
+hands it, locality included, and raises ValueError.  The model file
+reader proves the same facts of a document, each at its field path, and
+builds its `Model` through `Model._proved`, which checks nothing again.
+Soft static defects refuse no model; every model scans them on its
+first `static_defects()` call, however it was built.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .core import ConsistencyMode, PossibilitySpace, RecordState
-from .events import Event, EventKind, StaticDefect, apply_event, validate_event_static
+from .events import Event, EventKind, StaticDefect, _locality_defects, apply_event, validate_event_static
 
 
 @dataclass(frozen=True)
@@ -39,13 +41,9 @@ class Model:
         if len(by_name) != len(self.events):
             raise ValueError("event names must be unique")
         n = len(self.sites)
-        defects: list[StaticDefect] = []
         for event in self.events:
-            found = validate_event_static(event, n)
-            for defect in found:
-                if defect.kind == "locality":
-                    raise ValueError(f"event {event.name}: {defect.message}")
-            defects += found
+            for defect in _locality_defects(event, n):
+                raise ValueError(f"event {event.name}: {defect.message}")
             if event.kind is EventKind.INTERSECT:
                 subsets = [sub for _, sub in event.constants]
             else:
@@ -53,8 +51,6 @@ class Model:
             for sub in subsets:
                 if sub.space is not space and sub.space != space:
                     raise ValueError(f"event {event.name} references a foreign possibility space")
-        # the locality scan found the soft defects too; keep them
-        object.__setattr__(self, "_static_defects", tuple(defects))
         object.__setattr__(self, "_by_name", by_name)
 
     @classmethod
@@ -86,10 +82,10 @@ class Model:
 
     def static_defects(self) -> list[StaticDefect]:
         """Soft defects (shadowed rules, non-shrinking results) per event,
-        in event order, as a fresh list.  Each model scans its events at
-        most once.  A model read from a file, whose reader owns its checks,
-        scans on the first call; one built by `Model(...)`, which owns the
-        API's checks, keeps the scan its locality check made."""
+        in event order, as a fresh list.  Each model scans its events once,
+        on the first call, whether it was read from a file or built by
+        `Model(...)`, whose construction checks locality alone of the
+        static defects."""
         return list(self._static_defects)
 
 

@@ -33,7 +33,7 @@ from chronocheck import (
 )
 from chronocheck import chronology
 from chronocheck.randmodels import random_model, random_schedule
-from chronocheck.report import trace_json
+from chronocheck.report import state_json, trace_json
 from conftest import LANE_SHAPES, corrupt_one_event, dense_draw, draw_shaped_model, make_aligned_flip_model
 
 
@@ -49,6 +49,12 @@ def test_closure_empty_edges_ranks_lexicographically():
     assert chron.precedes == frozenset()
     assert chron.acyclic
     assert chron.ranks() == {"p": 0, "q": 1}
+
+
+def test_closure_rejects_an_edge_with_an_unknown_event():
+    for edge in (("x", "q"), ("q", "x")):
+        with pytest.raises(ValueError, match=rf"edge \({edge[0]}, {edge[1]}\) references unknown events"):
+            closure_from_edges(("x", "y"), [edge])
 
 
 def test_closure_gadget(gadget):
@@ -370,6 +376,12 @@ def test_trace_invariance_reports_a_corrupted_successor(monkeypatch, two_site):
         for name in linearization:
             replayed = table.step(replayed, two_site.event_names.index(name))
         assert replayed == sid
+    written = trace_json(report)
+    assert written["final_state"] == state_json(table, start)
+    assert written["state_mismatches"] == [
+        {"schedule": ["e2", "e1"], "final_state": {"site1": ["00", "01"], "site2": ["00", "10"]}}
+    ]
+    assert written["invariant"] is False
 
 
 def _linearizations(events):

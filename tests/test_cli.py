@@ -17,7 +17,7 @@ from chronocheck.dot import influence_dot
 from chronocheck.model import Model
 from chronocheck.modelfile import fixture_path, load_fixture, serialize_model
 from chronocheck.randmodels import random_model
-from chronocheck.reachability import ExplorationLimits, check_monotonicity, explore
+from chronocheck.reachability import ExplorationLimits, TransitionTable, check_monotonicity, explore
 
 TWO_SITE = str(fixture_path("two_site"))
 GADGET = str(fixture_path("cycle_gadget"))
@@ -397,6 +397,23 @@ def test_trace_check_passes_exploration_limits(monkeypatch, capsys):
         assert status == 0
         assert json.loads(out)["flags"]["max_states"] == 7
         assert calls == explorations, strict
+
+
+def test_trace_check_builds_one_transition_table(monkeypatch, capsys):
+    # under --strict the pass steps the explored graph's table
+    tables = []
+    init = TransitionTable.__init__
+
+    def spy(self, model):
+        tables.append(self)
+        init(self, model)
+
+    monkeypatch.setattr(TransitionTable, "__init__", spy)
+    for strict in ([], ["--strict"]):
+        tables.clear()
+        status, _, _ = run_cli(capsys, "trace-check", TWO_SITE, "--schedule", "e1,e2", *strict)
+        assert status == 0
+        assert len(tables) == 1, strict
 
 
 def test_trace_check_warns_only_when_its_pass_or_strict_exploration_stops(capsys):

@@ -36,6 +36,10 @@ def test_space_rejects_bad_inputs():
         PossibilitySpace.create(["a", "b"], {"a": 0, "b": 0})
     with pytest.raises(ValueError):
         PossibilitySpace.create(["a"], {"nope": 1})
+    space = PossibilitySpace.create(["a", "b"])
+    assert space.from_mask(0b11) == space.full()
+    with pytest.raises(ValueError, match="mask has bits outside the space"):
+        space.from_mask(0b100)
 
 
 def _reference_space(worlds, weights):

@@ -256,8 +256,73 @@ def test_static_scan_runs_once_per_model_on_first_request(monkeypatch):
     second = model.static_defects()
     assert calls == list(model.event_names)
     assert second == first and second is not first
-    # a copy is built by `Model(...)`, whose locality check scans it
+    # a copy is built by `Model(...)`, which checks locality alone and
+    # scans on its own first request
     copy = replace(model, mode=ConsistencyMode.POSITIVE_MEASURE)
+    assert calls == list(model.event_names)
     assert copy.static_defects() == first
     copy.static_defects()
     assert calls == list(model.event_names) * 2
+
+
+def test_model_rejects_a_support_site_out_of_range():
+    space = PossibilitySpace.create(["0", "1"])
+    event = Event.intersect("e", [1], {1: space.full()})
+    assert [d.message for d in validate_event_static(event, 1)] == ["support site 1 out of range"]
+    with pytest.raises(ValueError, match="event e: support site 1 out of range"):
+        Model(space, ("s0",), RecordState((space.full(),)), (event,))
+
+
+def test_locality_defects_come_before_soft_ones():
+    space = PossibilitySpace.create(["0", "1"])
+    event = Event.table(
+        "e",
+        [0],
+        [
+            Rule.of({0: space.full()}, {1: space.subset(["0"])}),
+            Rule.of({0: space.full()}, {0: space.subset(["0"])}),
+            Rule.of({1: space.full()}, {}),
+        ],
+    )
+    defects = validate_event_static(event, 2)
+    assert [(d.kind, d.rule_index) for d in defects] == [
+        ("locality", 0),
+        ("locality", 2),
+        ("shadowed_rule", 1),
+    ]
+    assert [d.message for d in defects] == [
+        "rule 0 writes unsupported site 1",
+        "rule 2 guards unsupported site 1",
+        "rule 1 is shadowed by rule 0",
+    ]
+
+
+def pairwise_shadows(event):
+    """Reference scan: (rule, shadowing rule) for each rule that some
+    earlier guard's constraints, a subset of its own, shadow; the lowest
+    such earlier rule, found by comparing every pair."""
+    guards = [frozenset((site, sub.mask) for site, sub in rule.guard) for rule in event.rules]
+    return [
+        (idx, next(i for i in range(idx) if guards[i] <= guard))
+        for idx, guard in enumerate(guards)
+        if any(guards[i] <= guard for i in range(idx))
+    ]
+
+
+@given(
+    rules=st.lists(
+        st.dictionaries(st.integers(0, 2), st.integers(0, 7), max_size=3),
+        max_size=8,
+    )
+)
+def test_shadow_index_is_the_pairwise_scan(rules):
+    space = PossibilitySpace.create(["0", "1", "2"])
+    event = Event.table(
+        "e", [0, 1, 2], [Rule.of({s: space.from_mask(m) for s, m in g.items()}, {}) for g in rules]
+    )
+    found = [
+        (d.rule_index, int(d.message.rsplit(" ", 1)[1]))
+        for d in validate_event_static(event, 3)
+        if d.kind == "shadowed_rule"
+    ]
+    assert found == pairwise_shadows(event)

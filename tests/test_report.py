@@ -1,14 +1,15 @@
 """The report writes shrink-only findings grouped by cause, while the API
-keeps every finding."""
+keeps every finding, and writes a commutation finding's three states."""
 
 import random
 
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from chronocheck import diagnose, load_fixture
+from chronocheck import check_diamond, diagnose, explore, load_fixture
 from chronocheck.randmodels import random_model
-from chronocheck.report import monotonicity_json, taxonomy_json
+from chronocheck.report import diamond_json, monotonicity_json, state_json, taxonomy_json
+from conftest import corrupt_one_event
 
 
 def _assert_one_entry_per_cause(model):
@@ -37,3 +38,24 @@ def test_report_writes_each_shrink_only_cause_once(seed):
 
 def test_gadget_report_writes_its_shrink_only_cause_once():
     _assert_one_entry_per_cause(load_fixture("cycle_gadget"))
+
+
+def test_diamond_json_writes_the_three_states_of_a_finding(two_site):
+    # no loadable model fails commutation, so one event is corrupted
+    graph = explore(two_site)
+    corrupt_one_event(random.Random(0), graph)
+    found = check_diamond(graph)
+    assert len(found) == 4
+    for v in found:
+        states = {key: state_json(graph, getattr(v, key)) for key in ("state", "f_then_e", "e_then_f")}
+        entry = diamond_json(graph, v)
+        assert entry == {"e": v.e, "f": v.f, **states}
+        assert list(entry) == ["e", "f", "state", "f_then_e", "e_then_f"]
+    full = ["00", "01", "10", "11"]
+    assert diamond_json(graph, found[0]) == {
+        "e": "e1",
+        "f": "e2",
+        "state": {"site1": full, "site2": full},
+        "f_then_e": {"site1": ["00", "01"], "site2": full},
+        "e_then_f": {"site1": ["00", "01", "10"], "site2": full},
+    }
