@@ -129,8 +129,22 @@ class PossibilitySpace:
 
     @cached_property
     def _labels_by_mask(self) -> dict[int, tuple[str, ...]]:
-        """`Subset.sorted_labels` of every mask serialized so far."""
+        """`labels_of` every mask asked for so far."""
         return {}
+
+    def labels_of(self, mask: int) -> tuple[str, ...]:
+        """The labels of the worlds in `mask`, in label order, kept per
+        mask.  The label ranks of the set bits are picked out of the mask's
+        binary digits and sorted, so a new mask costs time linear in the
+        space.  Subsets, the model file writer and the report's states all
+        name worlds through it."""
+        cache = self._labels_by_mask
+        labels = cache.get(mask)
+        if labels is None:
+            ordered, ranks, spec = self._label_ranks
+            digits = format(mask, spec).encode().translate(_DIGIT_FLAGS)
+            labels = cache[mask] = tuple([ordered[r] for r in sorted(compress(ranks, digits))])
+        return labels
 
     def measure_mask(self, mask: int) -> Fraction:
         total = Fraction(0)
@@ -204,18 +218,8 @@ class Subset:
         return tuple(self)
 
     def sorted_labels(self) -> list[str]:
-        """World labels in label order; the space keeps them per mask.  The
-        label ranks of the set bits are picked out of the mask's binary
-        digits and sorted, so a new mask costs time linear in the space."""
-        space, mask = self.space, self.mask
-        cache = space._labels_by_mask
-        labels = cache.get(mask)
-        if labels is None:
-            ordered, ranks, spec = space._label_ranks
-            digits = format(mask, spec).encode().translate(_DIGIT_FLAGS)
-            labels = tuple([ordered[r] for r in sorted(compress(ranks, digits))])
-            cache[mask] = labels
-        return list(labels)
+        """World labels in label order (see `PossibilitySpace.labels_of`)."""
+        return list(self.space.labels_of(self.mask))
 
     def __repr__(self) -> str:
         return "Subset({" + ", ".join(self.sorted_labels()) + "})"

@@ -36,6 +36,12 @@ documented order.  So the first fault a document holds is the one
 reported, whatever the shortcut.  The reader owns a document's checks,
 so the model it builds is not checked again, and reading a document
 scans no static defects.
+
+The writer, `serialize_model`, writes the canonical text from the
+model's masks: `json.dumps(..., indent=2)` of the canonical dictionary,
+plus a newline, without building the dictionary.  `model_to_dict` parses
+that text back, so there is one canonical form, and `model_digest`
+hashes it.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ from fractions import Fraction
 from importlib import resources
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from .core import ConsistencyMode, PossibilitySpace, Subset
 from .events import Event, EventKind, Rule
@@ -323,58 +329,11 @@ def _event(
     raise _err(".kind", f"expected 'table' or 'intersect', got {kind!r}")
 
 
-def _weight_json(weight: Fraction) -> Any:
-    if weight.denominator == 1:
-        return int(weight)
-    return str(weight)
-
-
 def model_to_dict(model: Model) -> dict:
     """Canonical dictionary form; defaults (counting measure, full initial
-    records, nonempty mode) are omitted."""
-    out: dict[str, Any] = {"worlds": list(model.space.worlds)}
-    if any(w != 1 for w in model.space.weights):
-        out["measure"] = {
-            label: _weight_json(weight)
-            for label, weight in zip(model.space.worlds, model.space.weights)
-        }
-    out["sites"] = list(model.sites)
-    if model.mode is not ConsistencyMode.NONEMPTY:
-        out["consistency_mode"] = model.mode.value
-    full = model.space.full()
-    initial = {
-        model.sites[i]: rec.sorted_labels()
-        for i, rec in enumerate(model.initial)
-        if rec != full
-    }
-    if initial:
-        out["initial"] = initial
-    events = []
-    for event in model.events:
-        raw: dict[str, Any] = {
-            "name": event.name,
-            "kind": event.kind.value,
-            "support": [model.sites[i] for i in event.support],
-        }
-        if event.kind is EventKind.TABLE:
-            raw["rules"] = [
-                {
-                    "guard": {
-                        model.sites[i]: sub.sorted_labels() for i, sub in rule.guard
-                    },
-                    "result": {
-                        model.sites[i]: sub.sorted_labels() for i, sub in rule.result
-                    },
-                }
-                for rule in event.rules
-            ]
-        else:
-            raw["constants"] = {
-                model.sites[i]: sub.sorted_labels() for i, sub in event.constants
-            }
-        events.append(raw)
-    out["events"] = events
-    return out
+    records, nonempty mode) are omitted.  It is the parsed canonical text,
+    so the two forms cannot drift apart."""
+    return json.loads(serialize_model(model))
 
 
 def dumps_indented(value: Any) -> str:
@@ -439,8 +398,69 @@ def _write_indented(
         emit(json.dumps(value))
 
 
+def _list_text(items: Iterable[str], newline: str) -> str:
+    """`dumps_indented` of a list of strings that starts on the line whose
+    break and indentation are `newline`."""
+    inner = newline + "  "
+    text = ("," + inner).join(map(_quote, items))
+    return "[" + inner + text + newline + "]" if text else "[]"
+
+
 def serialize_model(model: Model) -> str:
-    return dumps_indented(model_to_dict(model))
+    """The canonical text of `model`: `dumps_indented` of its canonical
+    dictionary form (see `model_to_dict`), written straight from the
+    model's masks.  Keys come in a fixed order, world lists in label order
+    and weights as integers or "p/q" strings.  The text of each distinct
+    world mask at each indentation is built once per call."""
+    space, sites, full = model.space, model.sites, model.space.full_mask  # type: ignore[attr-defined]
+    labels_of = space.labels_of
+    keys = [_quote(site) + ": " for site in sites]
+    lists: dict[tuple[int, str], str] = {}
+
+    def records(pairs: Iterable[tuple[int, Subset]], newline: str) -> str:
+        # a map from site names to world lists, on the line of `newline`
+        inner = newline + "  "
+        parts = []
+        for site, record in pairs:
+            mask = record.mask
+            text = lists.get((mask, inner))
+            if text is None:
+                text = lists[mask, inner] = _list_text(labels_of(mask), inner)
+            parts.append(keys[site] + text)
+        return "{" + inner + ("," + inner).join(parts) + newline + "}" if parts else "{}"
+
+    out = ['{\n  "worlds": ', _list_text(space.worlds, "\n  ")]
+    if any(w != 1 for w in space.weights):
+        weights = [
+            _quote(label) + ": " + (str(w.numerator) if w.denominator == 1 else _quote(str(w)))
+            for label, w in zip(space.worlds, space.weights)
+        ]
+        out += [',\n  "measure": {\n    ', ",\n    ".join(weights), "\n  }"]
+    out += [',\n  "sites": ', _list_text(sites, "\n  ")]
+    if model.mode is not ConsistencyMode.NONEMPTY:
+        out += [',\n  "consistency_mode": ', _quote(model.mode.value)]
+    initial = [(site, record) for site, record in enumerate(model.initial) if record.mask != full]
+    if initial:
+        out += [',\n  "initial": ', records(initial, "\n  ")]
+    events = []
+    for event in model.events:
+        head = (
+            '{\n      "name": ' + _quote(event.name)
+            + ',\n      "kind": ' + _quote(event.kind.value)
+            + ',\n      "support": ' + _list_text([sites[site] for site in event.support], "\n      ")
+        )
+        if event.kind is EventKind.TABLE:
+            rules = [
+                '{\n          "guard": ' + records(rule.guard, "\n          ")
+                + ',\n          "result": ' + records(rule.result, "\n          ") + "\n        }"
+                for rule in event.rules
+            ]
+            body = ',\n      "rules": ' + ("[\n        " + ",\n        ".join(rules) + "\n      ]" if rules else "[]")
+        else:
+            body = ',\n      "constants": ' + records(event.constants, "\n      ")
+        events.append(head + body + "\n    }")
+    out += [',\n  "events": ', "[\n    " + ",\n    ".join(events) + "\n  ]" if events else "[]", "\n}\n"]
+    return "".join(out)
 
 
 def model_digest(model: Model) -> str:

@@ -46,9 +46,11 @@ Every finding and witness names the states it is about by table id, and
 callers such as the report and the DOT view read explored states by id
 and arc: a state's records come from `ReachabilityGraph.state`, built
 once per id on request, and the events of the breadth-first path that
-first reached it from `ReachabilityGraph.occurred_names`.  Only those
-callers and the reference post-checks and oracle build a `RecordState`;
-exploration, the premise checks and influence build none.  The graph's
+first reached it from `ReachabilityGraph.occurred_names`.  The report
+writes a state's labels from `TransitionTable.packed` and `field`; only
+its clock entries, the DOT view and the reference post-checks and oracle
+build a `RecordState`, and exploration, the premise checks and influence
+build none.  The graph's
 `nodes`, `edges` and `distinct_states` are the counting views of the
 benchmark's tracer: the explored ids and `arcs`.
 
@@ -64,6 +66,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress, repeat
 from typing import Iterable
 
@@ -352,7 +355,7 @@ class ReachabilityGraph:
     `arc_count` counts them, both read off the rows on every access, so a
     row filled after exploration adds no arc.  `state(i)` builds
     state i's records on first request and `occurred_names(i)` names the
-    events in `occurred[i]`.  `lanes`, every explored state in one int, is
+    events in `occurred[i]`, in a name order sorted once per graph.  `lanes`, every explored state in one int, is
     built by `explore`.  `nodes` and `distinct_states()` are the explored
     ids and `edges` is `arcs`: the views the benchmark's tracer counts.
     """
@@ -401,11 +404,16 @@ class ReachabilityGraph:
             state = self._states[sid] = self.table.state(sid)
         return state
 
+    @cached_property
+    def _names_in_order(self) -> tuple[tuple[str, int], ...]:
+        """(event name, event bit) of every event, sorted by name."""
+        return tuple(sorted((name, 1 << i) for i, name in enumerate(self.model.event_names)))
+
     def occurred_names(self, sid: int) -> list[str]:
         """Sorted names of the events on the breadth-first path that first
         reached explored state `sid`."""
         occ = self.occurred[sid]
-        return sorted(name for i, name in enumerate(self.model.event_names) if occ >> i & 1)
+        return [name for name, bit in self._names_in_order if occ & bit]
 
     @property
     def nodes(self) -> range:

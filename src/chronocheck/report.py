@@ -4,12 +4,13 @@ byte-identical documents.
 
 Witnesses and findings name states by table id.  The writers take the
 explored graph, read the model's site and event names from `graph.model`,
-and resolve only the ids they write: records through
-`ReachabilityGraph.state`, which builds each state's records once per
-graph, and the events on the path that first reached an explored state
-through `ReachabilityGraph.occurred_names`.  `trace_json` hands
-`state_json` the transition table its pass stepped, which has the same
-`model` and `state`."""
+and resolve only the ids they write: a state's labels through
+`state_json`, which reads each site's world mask off the table's packed
+value and names it through `PossibilitySpace.labels_of`, so it builds no
+`RecordState` and no `Subset`; and the events on the path that first
+reached an explored state through `ReachabilityGraph.occurred_names`.
+Only `clock_json` builds records, to weigh an arc's two ends.
+`trace_json` hands `state_json` the transition table its pass stepped."""
 
 from __future__ import annotations
 
@@ -30,8 +31,12 @@ from .reachability import (
 
 
 def state_json(graph: ReachabilityGraph | TransitionTable, sid: int) -> dict[str, list[str]]:
-    sites = graph.model.sites
-    return {sites[i]: rec.sorted_labels() for i, rec in enumerate(graph.state(sid))}
+    """Each site's world labels at table state `sid`, read off its packed
+    value."""
+    table = graph.table if isinstance(graph, ReachabilityGraph) else graph
+    model, value, field = table.model, table.packed[sid], table.field
+    labels_of = model.space.labels_of
+    return {name: list(labels_of(field(value, site))) for site, name in enumerate(model.sites)}
 
 
 def node_json(graph: ReachabilityGraph, sid: int) -> dict[str, Any]:

@@ -425,6 +425,14 @@ def test_trace_invariance_finds_the_final_states_of_every_linearization(seed):
     assert trace_json(report) == trace_json(check_trace_invariance(explore(model).table, schedule))
 
 
+def test_random_schedule_of_a_model_without_events_is_empty(two_site):
+    model = Model(two_site.space, two_site.sites, two_site.initial, ())
+    rng = random.Random(0)
+    before = rng.getstate()
+    assert random_schedule(rng, model) == []
+    assert rng.getstate() == before  # nothing is drawn
+
+
 def test_trace_invariance_unknown_event(two_site):
     with pytest.raises(ValueError):
         check_trace_invariance(TransitionTable(two_site), ["e1", "zzz"])

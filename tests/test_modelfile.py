@@ -26,7 +26,7 @@ from chronocheck import (
     parse_model,
     serialize_model,
 )
-from chronocheck.modelfile import dumps_indented
+from chronocheck.modelfile import dumps_indented, model_from_dict, model_to_dict
 from chronocheck.randmodels import model_suite, random_model
 
 
@@ -572,6 +572,153 @@ def test_read_random_models_are_the_api_models(seed, bias):
 def test_digest_is_stable_and_distinguishes_models(two_site, gadget):
     assert model_digest(two_site) == model_digest(two_site)
     assert model_digest(two_site) != model_digest(gadget)
+
+
+def reference_model_to_dict(model):
+    """The canonical dictionary form as it was built before the writer
+    wrote the text from the masks: the definition `serialize_model` keeps."""
+
+    def weight_json(weight):
+        return int(weight) if weight.denominator == 1 else str(weight)
+
+    out = {"worlds": list(model.space.worlds)}
+    if any(w != 1 for w in model.space.weights):
+        out["measure"] = {label: weight_json(w) for label, w in zip(model.space.worlds, model.space.weights)}
+    out["sites"] = list(model.sites)
+    if model.mode is not ConsistencyMode.NONEMPTY:
+        out["consistency_mode"] = model.mode.value
+    full = model.space.full()
+    initial = {model.sites[i]: rec.sorted_labels() for i, rec in enumerate(model.initial) if rec != full}
+    if initial:
+        out["initial"] = initial
+    events = []
+    for event in model.events:
+        raw = {"name": event.name, "kind": event.kind.value, "support": [model.sites[i] for i in event.support]}
+        if event.kind is EventKind.TABLE:
+            raw["rules"] = [
+                {
+                    "guard": {model.sites[i]: sub.sorted_labels() for i, sub in rule.guard},
+                    "result": {model.sites[i]: sub.sorted_labels() for i, sub in rule.result},
+                }
+                for rule in event.rules
+            ]
+        else:
+            raw["constants"] = {model.sites[i]: sub.sorted_labels() for i, sub in event.constants}
+        events.append(raw)
+    out["events"] = events
+    return out
+
+
+def _ordered(value):
+    """`value` with every dict turned into its list of items, so that two
+    equal results compare equal only if their keys come in the same order."""
+    if isinstance(value, dict):
+        return [(key, _ordered(item)) for key, item in value.items()]
+    if isinstance(value, list):
+        return [_ordered(item) for item in value]
+    return value
+
+
+def _relabelled(model, worlds, sites, names):
+    """`model` with its world labels, site names and event names replaced
+    in order, read back through the document reader."""
+    doc = reference_model_to_dict(model)
+    world, site = dict(zip(model.space.worlds, worlds)), dict(zip(model.sites, sites))
+
+    def records(by_site):
+        return {site[name]: [world[label] for label in labels] for name, labels in by_site.items()}
+
+    doc["worlds"] = list(worlds)
+    doc["sites"] = list(sites)
+    if "measure" in doc:
+        doc["measure"] = {world[label]: w for label, w in doc["measure"].items()}
+    if "initial" in doc:
+        doc["initial"] = records(doc["initial"])
+    for event, name in zip(doc["events"], names):
+        event["name"] = name
+        event["support"] = [site[s] for s in event["support"]]
+        if "rules" in event:
+            event["rules"] = [{key: records(rule[key]) for key in ("guard", "result")} for rule in event["rules"]]
+        else:
+            event["constants"] = records(event["constants"])
+    return model_from_dict(doc)
+
+
+# labels with the characters JSON escapes or the writer's own punctuation
+_LABEL = st.text(st.characters(exclude_categories=("Cs",)) | st.sampled_from('"\\,[]{}: \u00e9\u2603'), min_size=1, max_size=4)
+
+
+@st.composite
+def _written_models(draw):
+    rng = random.Random(draw(st.integers(0, 10**9)))
+    model = random_model(
+        rng,
+        measured_prob=draw(st.sampled_from((0.0, 1.0))),
+        full_initial_prob=draw(st.sampled_from((0.0, 0.8))),
+        intersect_prob=draw(st.sampled_from((0.0, 0.5, 1.0))),
+    )
+    if draw(st.booleans()):
+        unique = lambda n, labels=_LABEL: st.lists(labels, min_size=n, max_size=n, unique=True)  # noqa: E731
+        worlds = draw(unique(model.space.size))
+        sites = draw(unique(len(model.sites), _LABEL.filter(str.strip)))
+        names = draw(unique(len(model.events)))
+        model = _relabelled(model, worlds, sites, names)
+    return model
+
+
+def _doc_model(doc):
+    return model_from_dict({"worlds": ["a", "b", "c"], "sites": ["s", "t"], "events": [], **doc})
+
+
+_PLAIN_EVENT = {"name": "e", "kind": "intersect", "support": ["s"], "constants": {"s": ["a"]}}
+
+
+@given(_written_models())
+# a weight of "1/3" and a weight of 0, in positive_measure mode
+@example(_doc_model({"measure": {"a": "1/3", "b": 0}, "consistency_mode": "positive_measure", "events": [_PLAIN_EVENT]}))
+# a non-full initial record, and an empty one
+@example(_doc_model({"initial": {"t": ["c", "a"], "s": []}, "events": [_PLAIN_EVENT]}))
+@example(_doc_model({}))  # no events
+@example(_doc_model({"events": [{"name": "e", "kind": "table", "support": ["s", "t"], "rules": []}]}))
+# an empty guard, an empty result, an empty record, and a constant-free
+# intersect event over no sites
+@example(
+    _doc_model(
+        {
+            "events": [
+                {"name": "e", "kind": "table", "support": ["t"], "rules": [
+                    {"guard": {}, "result": {"t": []}},
+                    {"guard": {"t": []}, "result": {}},
+                ]},
+                {"name": "f", "kind": "intersect", "support": [], "constants": {}},
+            ]
+        }
+    )
+)
+# non-ASCII labels, and labels that hold '"', '\\' or ',[]{}'
+@example(
+    model_from_dict(
+        {
+            "worlds": ["\u00e9", 'q"', "b\\s", ",[]{}", "\u2603"],
+            "measure": {"\u00e9": 2, 'q"': "3/7"},
+            "sites": ['s"1', "s\\2", "{s,3}"],
+            "initial": {'s"1': ["\u2603", ",[]{}"]},
+            "events": [
+                {"name": "\u00e9v\"", "kind": "table", "support": ['s"1', "{s,3}"], "rules": [
+                    {"guard": {"{s,3}": ["b\\s", 'q"']}, "result": {'s"1': ["\u00e9"]}},
+                ]},
+                {"name": "[e]", "kind": "intersect", "support": ["s\\2"], "constants": {"s\\2": [",[]{}", "\u00e9"]}},
+            ],
+        }
+    )
+)
+@example(load_fixture("two_site"))
+@example(load_fixture("cycle_gadget"))
+@example(load_fixture("bd_flip"))
+def test_the_writer_keeps_the_canonical_form(model):
+    expected = reference_model_to_dict(model)
+    assert serialize_model(model) == dumps_indented(expected)
+    assert _ordered(model_to_dict(model)) == _ordered(expected)
 
 
 # Any code point, lone surrogates included, plus the characters JSON escapes.

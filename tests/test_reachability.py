@@ -294,31 +294,19 @@ def test_diagnose_builds_only_the_nodes_it_names(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["cycle_gadget", "bd_flip", "dense"])
 def test_only_the_report_builds_states_and_each_once(name, monkeypatch):
-    # findings and witnesses name states by id: `diagnose` builds no
-    # `RecordState`, and the report builds each state it writes once
+    # findings and witnesses name states by id, and the report writes each
+    # state it names from its packed value: neither `diagnose` nor
+    # `taxonomy_json` builds a `RecordState`
     model = dense_draw() if name == "dense" else load_fixture(name)
     built = []
     state = TransitionTable.state
     monkeypatch.setattr(TransitionTable, "state", lambda table, sid: built.append(sid) or state(table, sid))
     report = diagnose(model)
     assert built == []
-    taxonomy_json(report)
-    ig = report.influence
-    first_per_cause = {}
-    for finding in report.monotonicity_violations:
-        first_per_cause.setdefault((finding.event, finding.site), finding.state)
-    written = {
-        *report.gs_violations,
-        *(w.state for w in (*ig.weak_edges.values(), *ig.strong_edges.values())),
-        *first_per_cause.values(),
-        *(sid for v in report.diamond_violations for sid in (v.state, v.f_then_e, v.e_then_f)),
-        *(v.state for v in report.bd_violations),
-    }
-    assert sorted(built) == sorted(written)
-    if name == "dense":
-        # 32 shrink-only findings of 2 causes, over 24 states
-        assert len(report.monotonicity_violations) == 32 and len(first_per_cause) == 2
-        assert len(built) < report.graph.state_count
+    written = taxonomy_json(report)
+    assert built == []
+    # and it did write states: the node of each weak edge, among others
+    assert len(written["influence"]["weak_edges"]) == len(report.influence.weak_edges) > 0
 
 
 def test_limits_must_be_positive():

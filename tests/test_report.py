@@ -1,5 +1,6 @@
 """The report writes shrink-only findings grouped by cause, while the API
-keeps every finding, and writes a commutation finding's three states."""
+keeps every finding, writes a commutation finding's three states, and
+writes each state from its packed value as the records would read."""
 
 import random
 
@@ -59,3 +60,29 @@ def test_diamond_json_writes_the_three_states_of_a_finding(two_site):
         "f_then_e": {"site1": ["00", "01"], "site2": full},
         "e_then_f": {"site1": ["00", "01", "10"], "site2": full},
     }
+
+
+def _state_by_records(graph, sid):
+    """A state's entry as the report wrote it from the state's records."""
+    sites = graph.model.sites
+    return {sites[i]: rec.sorted_labels() for i, rec in enumerate(graph.state(sid))}
+
+
+@given(
+    st.builds(
+        lambda seed, measured: random_model(random.Random(seed), measured_prob=measured),
+        st.integers(0, 10**9),
+        st.sampled_from((0.0, 1.0)),
+    )
+)
+@example(load_fixture("two_site"))
+@example(load_fixture("cycle_gadget"))
+@example(load_fixture("bd_flip"))
+def test_state_json_reads_each_state_as_its_records(model):
+    graph = explore(model)
+    for sid in range(len(graph.table.packed)):  # every explored id, and any id past a truncated frontier
+        expected = _state_by_records(graph, sid)
+        for source in (graph, graph.table):
+            entry = state_json(source, sid)
+            assert entry == expected
+            assert list(entry) == list(expected)
