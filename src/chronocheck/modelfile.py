@@ -398,12 +398,13 @@ def _write_indented(
         emit(json.dumps(value))
 
 
-def _list_text(items: Iterable[str], newline: str) -> str:
-    """`dumps_indented` of a list of strings that starts on the line whose
-    break and indentation are `newline`."""
+def _block(parts: Iterable[str], newline: str, brackets: str) -> str:
+    """`dumps_indented`'s layout of a list or object (`brackets` is "[]"
+    or "{}") whose items are written out as the nonempty `parts`, starting
+    on the line whose break and indentation are `newline`."""
     inner = newline + "  "
-    text = ("," + inner).join(map(_quote, items))
-    return "[" + inner + text + newline + "]" if text else "[]"
+    text = ("," + inner).join(parts)
+    return brackets[0] + inner + text + newline + brackets[1] if text else brackets
 
 
 def serialize_model(model: Model) -> str:
@@ -414,7 +415,8 @@ def serialize_model(model: Model) -> str:
     world mask at each indentation is built once per call."""
     space, sites, full = model.space, model.sites, model.space.full_mask  # type: ignore[attr-defined]
     labels_of = space.labels_of
-    keys = [_quote(site) + ": " for site in sites]
+    quoted = [_quote(site) for site in sites]
+    keys = [name + ": " for name in quoted]
     lists: dict[tuple[int, str], str] = {}
 
     def records(pairs: Iterable[tuple[int, Subset]], newline: str) -> str:
@@ -425,18 +427,18 @@ def serialize_model(model: Model) -> str:
             mask = record.mask
             text = lists.get((mask, inner))
             if text is None:
-                text = lists[mask, inner] = _list_text(labels_of(mask), inner)
+                text = lists[mask, inner] = _block(map(_quote, labels_of(mask)), inner, "[]")
             parts.append(keys[site] + text)
-        return "{" + inner + ("," + inner).join(parts) + newline + "}" if parts else "{}"
+        return _block(parts, newline, "{}")
 
-    out = ['{\n  "worlds": ', _list_text(space.worlds, "\n  ")]
+    out = ['{\n  "worlds": ', _block(map(_quote, space.worlds), "\n  ", "[]")]
     if any(w != 1 for w in space.weights):
         weights = [
             _quote(label) + ": " + (str(w.numerator) if w.denominator == 1 else _quote(str(w)))
             for label, w in zip(space.worlds, space.weights)
         ]
-        out += [',\n  "measure": {\n    ', ",\n    ".join(weights), "\n  }"]
-    out += [',\n  "sites": ', _list_text(sites, "\n  ")]
+        out += [',\n  "measure": ', _block(weights, "\n  ", "{}")]
+    out += [',\n  "sites": ', _block(quoted, "\n  ", "[]")]
     if model.mode is not ConsistencyMode.NONEMPTY:
         out += [',\n  "consistency_mode": ', _quote(model.mode.value)]
     initial = [(site, record) for site, record in enumerate(model.initial) if record.mask != full]
@@ -447,7 +449,7 @@ def serialize_model(model: Model) -> str:
         head = (
             '{\n      "name": ' + _quote(event.name)
             + ',\n      "kind": ' + _quote(event.kind.value)
-            + ',\n      "support": ' + _list_text([sites[site] for site in event.support], "\n      ")
+            + ',\n      "support": ' + _block([quoted[site] for site in event.support], "\n      ", "[]")
         )
         if event.kind is EventKind.TABLE:
             rules = [
@@ -455,11 +457,11 @@ def serialize_model(model: Model) -> str:
                 + ',\n          "result": ' + records(rule.result, "\n          ") + "\n        }"
                 for rule in event.rules
             ]
-            body = ',\n      "rules": ' + ("[\n        " + ",\n        ".join(rules) + "\n      ]" if rules else "[]")
+            body = ',\n      "rules": ' + _block(rules, "\n      ", "[]")
         else:
             body = ',\n      "constants": ' + records(event.constants, "\n      ")
         events.append(head + body + "\n    }")
-    out += [',\n  "events": ', "[\n    " + ",\n    ".join(events) + "\n  ]" if events else "[]", "\n}\n"]
+    out += [',\n  "events": ', _block(events, "\n  ", "[]"), "\n}\n"]
     return "".join(out)
 
 

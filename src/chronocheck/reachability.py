@@ -50,9 +50,8 @@ first reached it from `ReachabilityGraph.occurred_names`.  The report
 writes a state's labels from `TransitionTable.packed` and `field`; only
 its clock entries, the DOT view and the reference post-checks and oracle
 build a `RecordState`, and exploration, the premise checks and influence
-build none.  The graph's
-`nodes`, `edges` and `distinct_states` are the counting views of the
-benchmark's tracer: the explored ids and `arcs`.
+build none.  The graph's `nodes`, `edges` and `distinct_states` are the
+counting views of the benchmark's tracer: the explored ids and `arcs`.
 
 Exploration visits each distinct record state once and keeps, per state,
 the event bitmask of the breadth-first path that first reached it.  Which
@@ -355,9 +354,10 @@ class ReachabilityGraph:
     `arc_count` counts them, both read off the rows on every access, so a
     row filled after exploration adds no arc.  `state(i)` builds
     state i's records on first request and `occurred_names(i)` names the
-    events in `occurred[i]`, in a name order sorted once per graph.  `lanes`, every explored state in one int, is
-    built by `explore`.  `nodes` and `distinct_states()` are the explored
-    ids and `edges` is `arcs`: the views the benchmark's tracer counts.
+    events in `occurred[i]`, in a name order sorted once per graph.
+    `lanes`, every explored state in one int, is built by `explore`.
+    `nodes` and `distinct_states()` are the explored ids and `edges` is
+    `arcs`: the views the benchmark's tracer counts.
     """
 
     table: TransitionTable
