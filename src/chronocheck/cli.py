@@ -13,9 +13,12 @@ explored graph, that graph's table.  Each handler returns its view as a
 function, so the DOT text is built only when --dot is given, and whether
 its run was truncated (the exploration, or trace-check's pass over the
 ideals, which --max-states also bounds), which the report lists as a
-warning.  Exit codes: 0 clean, 1 violations found (listed in the
-report), 2 a run that cannot be judged (a usage, parse or write error,
-or a --strict finding).
+warning.  A handler's results are a function too: a `ReportWriter`
+method (or `validate_results`) that writes the results text from the
+line it starts on, called by `dumps_report`, which lays out the whole
+report without building its dictionary.  Exit codes: 0 clean, 1
+violations found (listed in the report), 2 a run that cannot be judged
+(a usage, parse or write error, or a --strict finding).
 
 The argument parser is built once per process, when this module is
 imported, and every `main` call reuses it; `import chronocheck` does not
@@ -31,6 +34,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 from typing import Any, Sequence
 
 from .chronology import check_trace_invariance, diagnose, transitive_closure
@@ -148,22 +152,8 @@ def _explored(model: Model, args: argparse.Namespace) -> ReachabilityGraph:
 
 
 def _cmd_validate(model: Model, args: argparse.Namespace):
-    defects = model.static_defects()
-    results = {
-        "defects": [
-            {
-                "kind": d.kind,
-                "event": d.event,
-                "message": d.message,
-                "rule_index": d.rule_index,
-            }
-            for d in defects
-        ],
-        "events": len(model.events),
-        "sites": len(model.sites),
-        "worlds": model.space.size,
-    }
-    return results, bool(defects), [], None, False
+    results = partial(report_mod.validate_results, model)
+    return results, bool(model.static_defects()), [], None, False
 
 
 def _cmd_explore(model: Model, args: argparse.Namespace):
@@ -173,13 +163,7 @@ def _cmd_explore(model: Model, args: argparse.Namespace):
     gs = check_gs(graph)
     diamonds = check_diamond(graph)
     clock = check_clock_monotone(graph)
-    results = {
-        "exploration": report_mod.graph_summary_json(graph),
-        "gs_violations": [report_mod.node_json(graph, i) for i in gs],
-        "monotonicity_violations": report_mod.monotonicity_causes_json(graph, mono),
-        "diamond_violations": [report_mod.diamond_json(graph, v) for v in diamonds],
-        "clock_violations": [report_mod.clock_json(graph, v) for v in clock],
-    }
+    results = partial(report_mod.ReportWriter(graph).explore, gs, mono, diamonds, clock)
     violations = bool(gs or mono or diamonds or clock)
     return results, violations, [], lambda: reachability_dot(graph), graph.truncated
 
@@ -187,7 +171,7 @@ def _cmd_explore(model: Model, args: argparse.Namespace):
 def _cmd_influence(model: Model, args: argparse.Namespace):
     graph = _explored(model, args)
     ig = build_influence_graphs(model, graph)
-    results = report_mod.influence_json(graph, ig)
+    results = partial(report_mod.ReportWriter(graph).influence, ig)
     notes = report_mod.influence_notes(ig)
     return results, False, notes, lambda: influence_dot(
         ig.events, ig.weak_edges, ig.strong_edges
@@ -198,11 +182,7 @@ def _cmd_chronology(model: Model, args: argparse.Namespace):
     graph = _explored(model, args)
     ig = build_influence_graphs(model, graph)
     chron = transitive_closure(ig)
-    results = {
-        "chronology": report_mod.chronology_json(chron),
-        "cycles": report_mod.cycles_json(graph, ig, chron.cycles),
-        "strong_edges": [list(pair) for pair in ig.strong_edges],
-    }
+    results = partial(report_mod.ReportWriter(graph).chronology_results, ig, chron)
     notes = report_mod.influence_notes(ig)
     return results, not chron.acyclic, notes, lambda: influence_dot(
         ig.events, ig.weak_edges, ig.strong_edges, chron.precedes
@@ -212,7 +192,7 @@ def _cmd_chronology(model: Model, args: argparse.Namespace):
 def _cmd_diagnose(model: Model, args: argparse.Namespace):
     taxonomy = diagnose(model, _limits(args))
     _check_strict(taxonomy.graph, args, taxonomy.monotonicity_violations)
-    results = report_mod.taxonomy_json(taxonomy)
+    results = partial(report_mod.ReportWriter(taxonomy.graph).taxonomy, taxonomy)
     ig, precedes = taxonomy.influence, taxonomy.chronology.precedes
     notes = report_mod.influence_notes(ig)
     violations = not taxonomy.premises_clean() or taxonomy.has_strong_cycle
@@ -229,7 +209,8 @@ def _cmd_trace_check(model: Model, args: argparse.Namespace):
         table, truncated = TransitionTable(model), False
     schedule = [name.strip() for name in args.schedule.split(",") if name.strip()]
     trace = check_trace_invariance(table, schedule, _limits(args))
-    return report_mod.trace_json(trace), bool(trace.state_mismatches), [], None, truncated or trace.truncated
+    results = partial(report_mod.ReportWriter(table).trace, trace)
+    return results, bool(trace.state_mismatches), [], None, truncated or trace.truncated
 
 
 _HANDLERS = {

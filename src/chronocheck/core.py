@@ -254,19 +254,23 @@ def measure_of(subset: Subset) -> Fraction:
     return subset.space.measure_mask(subset.mask)
 
 
-def information_content(state: RecordState) -> float:
-    """Negative natural log of the feasible set's weight; +inf at weight 0.
+def information_of(weight: Fraction) -> float:
+    """Negative natural log of `weight`; +inf at weight 0.
 
     A weight too small or too large for a float still gets a finite value,
     from the logarithms of its exact numerator and denominator.  Weights in
     float range keep `-log(float(weight))`, which is monotone in the weight;
     the difference of two logarithms is not, once they nearly cancel.
     """
-    mu = measure_of(feasible_set(state))
-    if mu == 0:
+    if weight == 0:
         return math.inf
     try:
-        return -math.log(mu)
+        return -math.log(weight)
     except (OverflowError, ValueError):
-        return -(math.log(mu.numerator) - math.log(mu.denominator))
+        return -(math.log(weight.numerator) - math.log(weight.denominator))
+
+
+def information_content(state: RecordState) -> float:
+    """`information_of` the feasible set's weight."""
+    return information_of(measure_of(feasible_set(state)))
 

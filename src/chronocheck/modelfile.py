@@ -41,7 +41,9 @@ The writer, `serialize_model`, writes the canonical text from the
 model's masks: `json.dumps(..., indent=2)` of the canonical dictionary,
 plus a newline, without building the dictionary.  `model_to_dict` parses
 that text back, so there is one canonical form, and `model_digest`
-hashes it.
+hashes it.  `_block` lays out each of its lists and objects; the report
+writer (`chronocheck.report`) writes every command report through it
+too, so no generic writer walks a built dictionary.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from fractions import Fraction
 from importlib import resources
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from .core import ConsistencyMode, PossibilitySpace, Subset
 from .events import Event, EventKind, Rule
@@ -336,82 +338,22 @@ def model_to_dict(model: Model) -> dict:
     return json.loads(serialize_model(model))
 
 
-def dumps_indented(value: Any) -> str:
-    """Byte for byte what `json.dumps` writes with `indent=2`, plus a newline.
-
-    With `indent` set, `json` encodes through its pure-Python generator.
-    This writer appends to one list of chunks and quotes strings with the
-    C-accelerated `encode_basestring_ascii`; scalars other than strings go
-    through `json.dumps`.  Dict keys must be strings.  Reports repeat the
-    same label lists, so the text of each distinct list of strings is
-    built once per indentation and reused within the call.
-    """
-    chunks: list[str] = []
-    _write_indented(value, "\n", chunks.append, {})
-    chunks.append("\n")
-    return "".join(chunks)
-
-
-def _write_indented(
-    value: Any, newline: str, emit: Callable[[str], None], lists: dict[tuple, str]
-) -> None:
-    """Emit `value`; `newline` is a line break plus the indentation of the
-    line `value` starts on.  `lists` maps (newline, *items) to the text of
-    each list of strings written so far."""
-    if isinstance(value, str):
-        emit(_quote(value))
-    elif isinstance(value, dict):
-        if not value:
-            emit("{}")
-            return
-        inner = newline + "  "
-        separator = "{" + inner
-        for key, item in value.items():
-            emit(separator + _quote(key) + ": ")
-            _write_indented(item, inner, emit, lists)
-            separator = "," + inner
-        emit(newline + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            emit("[]")
-            return
-        # Only lists of strings are stored, and a string equals only a
-        # string, so a hit is always the text of an equal list of strings.
-        key = (newline, *value)
-        try:
-            text = lists.get(key)
-        except TypeError:  # an unhashable item: not a list of strings
-            text = None
-        inner = newline + "  "
-        if text is None and all(type(item) is str for item in value):
-            text = lists[key] = "[" + inner + ("," + inner).join(map(_quote, value)) + newline + "]"
-        if text is not None:
-            emit(text)
-        else:
-            separator = "[" + inner
-            for item in value:
-                emit(separator)
-                _write_indented(item, inner, emit, lists)
-                separator = "," + inner
-            emit(newline + "]")
-    else:
-        emit(json.dumps(value))
-
-
 def _block(parts: Iterable[str], newline: str, brackets: str) -> str:
-    """`dumps_indented`'s layout of a list or object (`brackets` is "[]"
-    or "{}") whose items are written out as the nonempty `parts`, starting
-    on the line whose break and indentation are `newline`."""
+    """`json.dumps(..., indent=2)`'s layout of a list or object
+    (`brackets` is "[]" or "{}") whose items are written out as the
+    nonempty `parts`, starting on the line whose break and indentation
+    are `newline`.  The model writer and the report writer lay out every
+    list and object through it."""
     inner = newline + "  "
     text = ("," + inner).join(parts)
     return brackets[0] + inner + text + newline + brackets[1] if text else brackets
 
 
 def serialize_model(model: Model) -> str:
-    """The canonical text of `model`: `dumps_indented` of its canonical
-    dictionary form (see `model_to_dict`), written straight from the
-    model's masks.  Keys come in a fixed order, world lists in label order
-    and weights as integers or "p/q" strings.  The text of each distinct
+    """The canonical text of `model`: `json.dumps(..., indent=2)` of its
+    canonical dictionary form (see `model_to_dict`), plus a newline,
+    written straight from the model's masks.  Keys come in a fixed order,
+    world lists in label order and weights as integers or "p/q" strings.  The text of each distinct
     world mask at each indentation is built once per call."""
     space, sites, full = model.space, model.sites, model.space.full_mask  # type: ignore[attr-defined]
     labels_of = space.labels_of

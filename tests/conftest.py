@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 settings.register_profile(
     "suite",
@@ -25,7 +26,47 @@ from chronocheck import (
     explore,
     load_fixture,
 )
+from chronocheck.modelfile import model_from_dict, model_to_dict
 from chronocheck.randmodels import random_model
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def repo_module(relative: str, name: str):
+    """The module at `relative` to the repository root, loaded by path."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / relative)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# labels with the characters JSON escapes or the writers' own punctuation
+LABELS = st.text(st.characters(exclude_categories=("Cs",)) | st.sampled_from('"\\,[]{}: \u00e9\u2603'), min_size=1, max_size=4)
+
+
+def relabelled(model: Model, worlds, sites, names) -> Model:
+    """`model` with its world labels, site names and event names replaced
+    in order, read back through the document reader."""
+    doc = model_to_dict(model)
+    world, site = dict(zip(model.space.worlds, worlds)), dict(zip(model.sites, sites))
+
+    def records(by_site):
+        return {site[name]: [world[label] for label in labels] for name, labels in by_site.items()}
+
+    doc["worlds"] = list(worlds)
+    doc["sites"] = list(sites)
+    if "measure" in doc:
+        doc["measure"] = {world[label]: w for label, w in doc["measure"].items()}
+    if "initial" in doc:
+        doc["initial"] = records(doc["initial"])
+    for event, name in zip(doc["events"], names):
+        event["name"] = name
+        event["support"] = [site[s] for s in event["support"]]
+        if "rules" in event:
+            event["rules"] = [{key: records(rule[key]) for key in ("guard", "result")} for rule in event["rules"]]
+        else:
+            event["constants"] = records(event["constants"])
+    return model_from_dict(doc)
 
 
 @pytest.fixture
@@ -102,10 +143,7 @@ def make_twin_intersect_model() -> Model:
 
 def dense_draw() -> Model:
     """The first model of the benchmark's `dense` workload."""
-    path = Path(__file__).resolve().parents[1] / "chronobench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = repo_module("chronobench/workloads.py", "workloads")
     return workloads.dense_model(random.Random(f"dense:{workloads.DENSE_SEED}:0"))
 
 

@@ -26,8 +26,9 @@ from chronocheck import (
     parse_model,
     serialize_model,
 )
-from chronocheck.modelfile import dumps_indented, model_from_dict, model_to_dict
+from chronocheck.modelfile import _block, model_from_dict, model_to_dict
 from chronocheck.randmodels import model_suite, random_model
+from conftest import LABELS, relabelled
 
 
 def test_two_site_fixture_structure(two_site):
@@ -619,35 +620,6 @@ def _ordered(value):
     return value
 
 
-def _relabelled(model, worlds, sites, names):
-    """`model` with its world labels, site names and event names replaced
-    in order, read back through the document reader."""
-    doc = reference_model_to_dict(model)
-    world, site = dict(zip(model.space.worlds, worlds)), dict(zip(model.sites, sites))
-
-    def records(by_site):
-        return {site[name]: [world[label] for label in labels] for name, labels in by_site.items()}
-
-    doc["worlds"] = list(worlds)
-    doc["sites"] = list(sites)
-    if "measure" in doc:
-        doc["measure"] = {world[label]: w for label, w in doc["measure"].items()}
-    if "initial" in doc:
-        doc["initial"] = records(doc["initial"])
-    for event, name in zip(doc["events"], names):
-        event["name"] = name
-        event["support"] = [site[s] for s in event["support"]]
-        if "rules" in event:
-            event["rules"] = [{key: records(rule[key]) for key in ("guard", "result")} for rule in event["rules"]]
-        else:
-            event["constants"] = records(event["constants"])
-    return model_from_dict(doc)
-
-
-# labels with the characters JSON escapes or the writer's own punctuation
-_LABEL = st.text(st.characters(exclude_categories=("Cs",)) | st.sampled_from('"\\,[]{}: \u00e9\u2603'), min_size=1, max_size=4)
-
-
 @st.composite
 def _written_models(draw):
     rng = random.Random(draw(st.integers(0, 10**9)))
@@ -658,11 +630,11 @@ def _written_models(draw):
         intersect_prob=draw(st.sampled_from((0.0, 0.5, 1.0))),
     )
     if draw(st.booleans()):
-        unique = lambda n, labels=_LABEL: st.lists(labels, min_size=n, max_size=n, unique=True)  # noqa: E731
+        unique = lambda n, labels=LABELS: st.lists(labels, min_size=n, max_size=n, unique=True)  # noqa: E731
         worlds = draw(unique(model.space.size))
-        sites = draw(unique(len(model.sites), _LABEL.filter(str.strip)))
+        sites = draw(unique(len(model.sites), LABELS.filter(str.strip)))
         names = draw(unique(len(model.events)))
-        model = _relabelled(model, worlds, sites, names)
+        model = relabelled(model, worlds, sites, names)
     return model
 
 
@@ -717,7 +689,7 @@ _PLAIN_EVENT = {"name": "e", "kind": "intersect", "support": ["s"], "constants":
 @example(load_fixture("bd_flip"))
 def test_the_writer_keeps_the_canonical_form(model):
     expected = reference_model_to_dict(model)
-    assert serialize_model(model) == dumps_indented(expected)
+    assert serialize_model(model) == json.dumps(expected, indent=2) + "\n"
     assert _ordered(model_to_dict(model)) == _ordered(expected)
 
 
@@ -741,14 +713,19 @@ _JSON = st.recursive(
 )
 
 
+def _laid_out(value, newline="\n"):
+    """`value` written through `_block`, one list or object at a time."""
+    inner = newline + "  "
+    if isinstance(value, dict):
+        return _block([json.dumps(key) + ": " + _laid_out(item, inner) for key, item in value.items()], newline, "{}")
+    if isinstance(value, (list, tuple)):
+        return _block([_laid_out(item, inner) for item in value], newline, "[]")
+    return json.dumps(value)
+
+
 @settings(max_examples=150)
 @given(_JSON)
 @example({"": [], "k": {}, "\u00e9\"\\\n": [-0.0, 1e300, 0.1, -(2**70), True, False, None]})
 @example([{}, [], [[]], [{}], "", ["\u2603", "\\"]])
-# one label list at two depths, and equal-comparing lists of other types
-# next to lists of strings: a list's text is reused only for an equal list
-# of strings at the same depth
-@example({"a": ["w0", "w1"], "b": {"c": ["w0", "w1"], "d": [["w0", "w1"]]}, "e": ["w0", "w1"]})
-@example([["1"], [1], [True], [1.0], ("a",), ["a"], [1], ["1"]])
-def test_dumps_indented_matches_json_dumps(value):
-    assert dumps_indented(value) == json.dumps(value, indent=2) + "\n"
+def test_block_lays_out_lists_and_objects_as_json_dumps(value):
+    assert _laid_out(value) == json.dumps(value, indent=2)

@@ -1,11 +1,11 @@
-import importlib.util
+import contextlib
+import io
 import json
 import math
 import random
 from collections import deque
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -43,11 +43,12 @@ from chronocheck import (
     strong_influence_oracle,
     weak_influence,
 )
+import chronocheck.cli
 from chronocheck import reachability
 from chronocheck.modelfile import model_from_dict
 from chronocheck.randmodels import random_model
 from chronocheck.report import graph_summary_json, taxonomy_json
-from conftest import LANE_SHAPES, corrupt_one_event, dense_draw, draw_shaped_model
+from conftest import LANE_SHAPES, corrupt_one_event, dense_draw, draw_shaped_model, repo_module
 
 
 def states_by_sequence_enumeration(model, max_len):
@@ -245,15 +246,6 @@ def test_explore_builds_nodes_on_request(bd_flip, monkeypatch):
         graph.occurred_names(graph.state_count)
 
 
-def _module(relative, name):
-    """The module at `relative` to the repository root, loaded by path."""
-    path = Path(__file__).resolve().parents[1] / relative
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_pipeline_builds_no_node(monkeypatch, tmp_path):
     # `nodes`, `edges` and `distinct_states` are only the benchmark
     # tracer's counting views: no frozen CLI run, `--dot` views included,
@@ -264,7 +256,7 @@ def test_pipeline_builds_no_node(monkeypatch, tmp_path):
     monkeypatch.setattr(reachability.ReachabilityGraph, "nodes", property(refuse))
     monkeypatch.setattr(reachability.ReachabilityGraph, "edges", property(refuse))
     monkeypatch.setattr(reachability.ReachabilityGraph, "distinct_states", refuse)
-    record_golden = _module("scripts/record_golden.py", "record_golden")
+    record_golden = repo_module("scripts/record_golden.py", "record_golden")
     recorded = json.loads(record_golden.STDOUT_PATH.read_text(encoding="utf-8"))
     assert record_golden.compute_stdout_digests(tmp_path) == recorded
     for name in record_golden.FIXTURES:
@@ -292,15 +284,26 @@ def test_diagnose_builds_only_the_nodes_it_names(name, monkeypatch):
     assert set(written) == named
 
 
-@pytest.mark.parametrize("name", ["cycle_gadget", "bd_flip", "dense"])
-def test_only_the_report_builds_states_and_each_once(name, monkeypatch):
+@pytest.mark.parametrize("name", ["cycle_gadget", "bd_flip", "dense", "clock"])
+def test_only_the_report_builds_states_and_each_once(name, monkeypatch, tmp_path):
     # findings and witnesses name states by id, and the report writes each
     # state it names from its packed value: neither `diagnose` nor
     # `taxonomy_json` builds a `RecordState`
-    model = dense_draw() if name == "dense" else load_fixture(name)
     built = []
     state = TransitionTable.state
     monkeypatch.setattr(TransitionTable, "state", lambda table, sid: built.append(sid) or state(table, sid))
+    if name == "clock":
+        # the `explore` report weighs each clock violation's two ends from
+        # the weights its `ClockViolation` carries
+        path = tmp_path / "clock.json"
+        path.write_text(json.dumps(repo_module("scripts/record_golden.py", "record_golden").CLOCK_MODEL))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert chronocheck.cli.main(["explore", str(path)]) == 1
+        assert built == []
+        assert len(json.loads(out.getvalue())["results"]["clock_violations"]) == 2
+        return
+    model = dense_draw() if name == "dense" else load_fixture(name)
     report = diagnose(model)
     assert built == []
     written = taxonomy_json(report)
@@ -818,7 +821,7 @@ def test_clock_fixture_builds_only_the_violating_edges(monkeypatch):
     # the clock model frozen in the golden CLI record: `grow` adds weight
     # back from {c} and from {a}; the arcs' ends are weighed from their
     # packed states, so no record state is built
-    record_golden = _module("scripts/record_golden.py", "record_golden")
+    record_golden = repo_module("scripts/record_golden.py", "record_golden")
     model = model_from_dict(record_golden.CLOCK_MODEL)
     graph = explore(model)
     built = []
